@@ -101,18 +101,62 @@ class Mismatch:
 
 
 def apply_gate(bits: list[int], gate: Gate) -> list[int]:
-    """Flip the target bit iff every control matches its polarity."""
+    """Row-at-a-time reference for the gate rule (tests compare against it)."""
     out = list(bits)
     if all(bits[c.line] != c.neg for c in gate.controls):
         out[gate.target] ^= 1
     return out
 
 
-def _run_gates(bits: list[int], gates: tuple[Gate, ...]) -> list[int]:
-    for g in gates:
-        if all(bits[c.line] != c.neg for c in g.controls):
-            bits[g.target] ^= 1
-    return bits
+def input_vectors(n_in: int) -> list[int]:
+    """Packed value of each input line (bit x = input x), line 0 = most significant.
+
+    Line i is 2**p zeros then 2**p ones (p = n_in - 1 - i), doubled up to
+    2**n_in bits; the block ends in a 1, so its bit length is the shift.
+    """
+    vecs = []
+    for line in range(n_in):
+        half = 1 << (n_in - 1 - line)
+        v = ((1 << half) - 1) << half
+        while v.bit_length() < 1 << n_in:
+            v |= v << v.bit_length()
+        vecs.append(v)
+    return vecs
+
+
+def output_vectors(table: TruthTable) -> list[int]:
+    """Packed value of each output bit of the table (bit x = row x), MSB first."""
+    text = "".join(format(y, f"0{table.n_out}b") for y in reversed(table.rows))
+    return [int(text[b :: table.n_out], 2) for b in range(table.n_out)]
+
+
+def _unpack(vec: int, n_rows: int) -> np.ndarray:
+    """Bit x of a packed value at index x, as uint8."""
+    raw = np.frombuffer(vec.to_bytes((n_rows + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n_rows, bitorder="little")
+
+
+def apply_packed(lines: list[int], gate: Gate, full: int) -> int:
+    """Apply one gate in place to packed line values; return the rows it flips.
+
+    Each line value packs one bit per row and full has every row's bit set.
+    The gate rule: flip the target iff every control matches its polarity.
+    """
+    act = full
+    for c in gate.controls:
+        act &= (lines[c.line] ^ full) if c.neg else lines[c.line]
+    lines[gate.target] ^= act
+    return act
+
+
+def _run(circuit: Circuit, loaded: tuple[int, ...], vecs: list[int], full: int) -> list[int]:
+    """Packed line values after the gates, vecs on the loaded lines, zero elsewhere."""
+    lines = [0] * circuit.width
+    for line, v in zip(loaded, vecs):
+        lines[line] = v
+    for g in circuit.gates:
+        apply_packed(lines, g, full)
+    return lines
 
 
 def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
@@ -121,12 +165,10 @@ def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
     Returns (output register value, input register value after the run);
     the second component detects circuits that fail to restore their input.
     """
-    if not 0 <= x < 1 << circuit.n_in:
-        raise ValueError(f"x={x} does not fit in {circuit.n_in} input bits")
-    bits = [0] * circuit.width
-    for i, line in enumerate(circuit.input_lines):
-        bits[line] = (x >> (circuit.n_in - 1 - i)) & 1
-    bits = _run_gates(bits, circuit.gates)
+    n_in = circuit.n_in
+    if not 0 <= x < 1 << n_in:
+        raise ValueError(f"x={x} does not fit in {n_in} input bits")
+    bits = _run(circuit, circuit.input_lines, [(x >> (n_in - 1 - i)) & 1 for i in range(n_in)], 1)
     y = 0
     for line in circuit.output_lines:
         y = (y << 1) | bits[line]
@@ -137,18 +179,24 @@ def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
 
 
 def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
-    """All inputs where the circuit disagrees with the table or clobbers x."""
+    """All inputs where the circuit disagrees with the table or clobbers x.
+
+    Every row runs at once on packed line values; only the rows that differ
+    are evaluated again, in ascending x, to build their Mismatch records.
+    """
     if circuit.n_in != table.n_in or circuit.n_out != table.n_out:
         raise ValueError(
             f"register shape {circuit.n_in}/{circuit.n_out} does not match "
             f"table {table.n_in}/{table.n_out}"
         )
-    bad = []
-    for x, want in enumerate(table.rows):
-        y, x_after = evaluate(circuit, x)
-        if y != want or x_after != x:
-            bad.append(Mismatch(x, want, y, x_after))
-    return bad
+    n_rows = len(table.rows)
+    in_vecs = input_vectors(circuit.n_in)
+    lines = _run(circuit, circuit.input_lines, in_vecs, (1 << n_rows) - 1)
+    diff = 0
+    for line, want in zip(circuit.output_lines + circuit.input_lines, output_vectors(table) + in_vecs):
+        diff |= lines[line] ^ want
+    bad = np.flatnonzero(_unpack(diff, n_rows)).tolist()
+    return [Mismatch(x, table.rows[x], *evaluate(circuit, x)) for x in bad]
 
 
 def cost(circuit: Circuit) -> CostReport:
@@ -165,16 +213,21 @@ def to_permutation(circuit: Circuit) -> np.ndarray:
     State index convention: line i holds bit (width - 1 - i), so the top
     line is the most significant bit.
     """
-    w = circuit.width
-    if w > 20:
+    return basis_permutation(circuit, tuple(range(circuit.width)))
+
+
+def basis_permutation(circuit: Circuit, order: tuple[int, ...]) -> np.ndarray:
+    """Basis-state permutation with state bit i, counted from the most
+    significant, on line order[i]; order lists every line once."""
+    n = circuit.width
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order {order} does not list each of the {n} lines once")
+    if n > 20:
         raise ValueError("width above 20 not supported")
-    idx = np.arange(1 << w, dtype=np.int64)
-    for g in circuit.gates:
-        active = np.ones(1 << w, dtype=bool)
-        for c in g.controls:
-            bit = (idx >> (w - 1 - c.line)) & 1
-            active &= (bit == 0) if c.neg else (bit == 1)
-        idx = np.where(active, idx ^ (1 << (w - 1 - g.target)), idx)
+    lines = _run(circuit, order, input_vectors(n), (1 << (1 << n)) - 1)
+    idx = np.zeros(1 << n, dtype=np.int64)
+    for line in order:
+        idx = (idx << 1) | _unpack(lines[line], 1 << n)
     return idx
 
 

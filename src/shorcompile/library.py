@@ -175,11 +175,8 @@ ERRATA: dict[str, dict[str, int]] = {
 
 
 def library_circuit(name: str) -> Circuit:
-    """Bundled circuit by figure id; raises KeyError-style ValueError on unknown id."""
-    try:
-        return LIBRARY[name].circuit
-    except KeyError:
-        raise ValueError(f"unknown circuit id {name!r}; known: {', '.join(FIGURE_IDS)}")
+    """Bundled circuit by figure id; raises ValueError on an unknown id."""
+    return library_entry(name).circuit
 
 
 def library_entry(name: str) -> LibraryEntry:

@@ -38,7 +38,10 @@ class TruthTable:
     @classmethod
     def from_json(cls, text: str) -> TruthTable:
         obj = json.loads(text)
-        return cls(int(obj["n_in"]), int(obj["n_out"]), tuple(int(y) for y in obj["rows"]))
+        try:
+            return cls(int(obj["n_in"]), int(obj["n_out"]), tuple(int(y) for y in obj["rows"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed truth table document: {exc}") from exc
 
     def render_text(self) -> str:
         """Aligned binary columns, most significant bit first, for table diffing."""

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, to_permutation
+from .circuit import Circuit, basis_permutation
 from .numtheory import continued_fraction_order, mod_pow
 
 _MAX_QUBITS = 20
@@ -124,21 +124,6 @@ def apply_period_map(state: StateVector, p: int) -> StateVector:
     return StateVector(state.m, state.k, amps)
 
 
-def _to_circuit_index(state: StateVector, circuit: Circuit) -> np.ndarray:
-    """Map each state index to the circuit's line-register basis index."""
-    w = circuit.width
-    n = 1 << (state.m + state.k)
-    idx = np.arange(n, dtype=np.int64)
-    out = np.zeros(n, dtype=np.int64)
-    for i, line in enumerate(circuit.input_lines):
-        bit = (idx >> (state.k + state.m - 1 - i)) & 1
-        out |= bit << (w - 1 - line)
-    for i, line in enumerate(circuit.output_lines):
-        bit = (idx >> (state.k - 1 - i)) & 1
-        out |= bit << (w - 1 - line)
-    return out
-
-
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Permute amplitudes by the circuit's basis-state action."""
     if circuit.width != state.m + state.k:
@@ -147,12 +132,8 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         )
     if circuit.n_in != state.m or circuit.n_out != state.k:
         raise ValueError("circuit register split does not match the state")
-    perm = to_permutation(circuit)
-    cidx = _to_circuit_index(state, circuit)
-    # state index s maps to the state index whose circuit image is perm[cidx[s]]
-    inv_c = np.zeros_like(cidx)
-    inv_c[cidx] = np.arange(len(cidx))
-    final = inv_c[perm[cidx]]
+    # state index bits, most significant first: input register, then output
+    final = basis_permutation(circuit, circuit.input_lines + circuit.output_lines)
     amps = np.zeros_like(state.amplitudes)
     amps[final] = state.amplitudes
     return StateVector(state.m, state.k, amps)

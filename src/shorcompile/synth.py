@@ -11,7 +11,8 @@ circuit; an optional iterative-deepening fallback covers tight budgets on
 tiny tables.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
-bitmasks (bit x = value at input x).
+bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
+act on them through circuit.apply_packed.
 """
 
 from __future__ import annotations
@@ -21,10 +22,13 @@ from dataclasses import dataclass
 from .circuit import (
     Circuit,
     Gate,
+    apply_packed,
     cnot,
     compare_cost,
     cost,
+    input_vectors,
     not_gate,
+    output_vectors,
     toffoli,
     verify,
 )
@@ -109,28 +113,6 @@ class SynthesisError(RuntimeError):
 FALLBACK_COST_CAP = 64
 
 
-def _input_vectors(n_in: int) -> list[int]:
-    """Value vector of each input line, line 0 = most significant bit."""
-    vecs = []
-    for line in range(n_in):
-        v = 0
-        for x in range(1 << n_in):
-            if (x >> (n_in - 1 - line)) & 1:
-                v |= 1 << x
-        vecs.append(v)
-    return vecs
-
-
-def _bit_vector(table: TruthTable, out_line: int) -> int:
-    """Value vector of one output bit, out_line 0 = most significant."""
-    shift = table.n_out - 1 - out_line
-    v = 0
-    for x, y in enumerate(table.rows):
-        if (y >> shift) & 1:
-            v |= 1 << x
-    return v
-
-
 def _gf2_rank(masks: list[int]) -> int:
     rank = 0
     basis: list[int] = []
@@ -154,16 +136,13 @@ def fit_linear(table: TruthTable) -> LinearFit:
         raise ValueError("linear fitting supports at most 8 input bits")
     n = table.n_in
     full = (1 << (1 << n)) - 1
-    in_vecs = _input_vectors(n)
+    span = [0]  # span[mask]: XOR of the input lines whose bit is set in mask
+    for vec in input_vectors(n):
+        span += [v ^ vec for v in span]
     bits = []
-    for out_line in range(table.n_out):
-        target = _bit_vector(table, out_line)
+    for target in output_vectors(table):
         best: tuple[tuple[int, int, int, int], AffineForm, int] | None = None
-        for mask in range(1 << n):
-            v = 0
-            for line in range(n):
-                if (mask >> line) & 1:
-                    v ^= in_vecs[line]
+        for mask, v in enumerate(span):
             for const in (0, 1):
                 vv = v ^ (full if const else 0)
                 miss = vv ^ target
@@ -179,25 +158,18 @@ def fit_linear(table: TruthTable) -> LinearFit:
     return LinearFit(n, tuple(bits), rank)
 
 
-def _emit_linear(
-    fit: LinearFit, n_in: int, n_out: int, allow_neg: bool = True
-) -> tuple[list[Gate], list[int]]:
-    """CNOT copies realizing the fitted forms; returns gates and line vectors."""
-    in_vecs = _input_vectors(n_in)
-    full = (1 << (1 << n_in)) - 1
-    vecs = list(in_vecs) + [0] * n_out
+def _emit_linear(fit: LinearFit, n_in: int, allow_neg: bool = True) -> list[Gate]:
+    """CNOT copies realizing the fitted forms."""
     gates: list[Gate] = []
     for out_line, bit in enumerate(fit.bits):
         j = n_in + out_line
         sources = [ln for ln in range(n_in) if (bit.form.mask >> ln) & 1]
         if bit.form.const and (not sources or not allow_neg):
             gates.append(not_gate(j))
-            vecs[j] ^= full
         for pos, src in enumerate(sources):
             neg = allow_neg and bit.form.const and pos == 0  # fold the constant in
             gates.append(cnot(src, j, neg=neg))
-            vecs[j] ^= vecs[src] ^ (full if neg else 0)
-    return gates, vecs
+    return gates
 
 
 def _xor_hosts(p1: tuple[int, int], p2: tuple[int, int]) -> tuple[int, int] | None:
@@ -357,13 +329,6 @@ def _monomial_gates(term: int, n_in: int, j: int, width: int) -> list[Gate]:
     return _multi_controlled_flip(lines, j, n_in, width)
 
 
-def _gate_flips(gate: Gate, vecs: list[int], full: int) -> int:
-    act = full
-    for c in gate.controls:
-        act &= vecs[c.line] ^ (full if c.neg else 0)
-    return act
-
-
 def _find_cascades(steps: list[PlanStep], n_in: int) -> tuple[tuple[int, ...], ...]:
     """Chains where a Toffoli's target feeds a later Toffoli's control and
     the flip count halves at each link, starting from 2**(n_in - 2) flips."""
@@ -410,8 +375,10 @@ def plan_cascades(
     n_in, n_out = table.n_in, table.n_out
     width = n_in + n_out
     full = (1 << (1 << n_in)) - 1
-    _, vecs = _emit_linear(fit, n_in, n_out, allow_negative_controls)
-    targets = [_bit_vector(table, ol) for ol in range(n_out)]
+    vecs = input_vectors(n_in) + [0] * n_out
+    for g in _emit_linear(fit, n_in, allow_negative_controls):
+        apply_packed(vecs, g, full)
+    targets = output_vectors(table)
     steps: list[PlanStep] = []
 
     def errors() -> dict[int, int]:
@@ -425,8 +392,7 @@ def plan_cascades(
 
     def record(gates: list[Gate] | tuple[Gate, ...]):
         for g in gates:
-            flips = _gate_flips(g, vecs, full)
-            vecs[g.target] ^= flips
+            flips = apply_packed(vecs, g, full)
             steps.append(
                 PlanStep(g, frozenset(x for x in range(1 << n_in) if (flips >> x) & 1))
             )
@@ -461,8 +427,8 @@ def _iddfs(table: TruthTable, budget: SynthesisBudget) -> Circuit | None:
     n_in, n_out = table.n_in, table.n_out
     width = n_in + n_out
     full = (1 << (1 << n_in)) - 1
-    targets = tuple(_bit_vector(table, ol) for ol in range(n_out))
-    start = tuple(_input_vectors(n_in)) + (0,) * n_out
+    targets = tuple(output_vectors(table))
+    start = tuple(input_vectors(n_in)) + (0,) * n_out
     polarities = (False, True) if budget.allow_negative_controls else (False,)
 
     moves: list[tuple[Gate, int]] = []
@@ -493,9 +459,8 @@ def _iddfs(table: TruthTable, budget: SynthesisBudget) -> Circuit | None:
                 continue
             if acc and acc[-1] == gate:  # self-inverse, pointless
                 continue
-            act = _gate_flips(gate, list(vecs), full)
             nxt = list(vecs)
-            nxt[gate.target] ^= act
+            apply_packed(nxt, gate, full)
             acc.append(gate)
             found = dfs(tuple(nxt), left - gc, acc)
             if found is not None:
@@ -527,7 +492,7 @@ def synthesize(table: TruthTable, budget: SynthesisBudget | None = None) -> Circ
         raise ValueError("synthesis supports at most 6 input and 6 output bits")
     allow_neg = budget.allow_negative_controls
     fit = fit_linear(table)
-    lin_gates, _ = _emit_linear(fit, table.n_in, table.n_out, allow_neg)
+    lin_gates = _emit_linear(fit, table.n_in, allow_neg)
     plan = plan_cascades(fit, table, allow_neg)
     circ = Circuit(
         table.n_in + table.n_out,

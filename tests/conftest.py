@@ -3,7 +3,16 @@
 The acceptance suite registers one verdict per criterion here; the hook
 prints them as a block in the terminal summary, where they survive
 output capture.
+
+Hypothesis runs derandomized, so every run draws the same examples, and
+without a deadline, because host speed varies by up to about 2x and a
+per-example deadline would make the property tests flaky.
 """
+
+from hypothesis import settings
+
+settings.register_profile("repo", derandomize=True, deadline=None)
+settings.load_profile("repo")
 
 CRITERION_RESULTS: list[tuple[int, str, str]] = []
 

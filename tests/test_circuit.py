@@ -11,6 +11,7 @@ from shorcompile.circuit import (
     Gate,
     GateKind,
     apply_gate,
+    basis_permutation,
     circuit_from_json,
     circuit_to_json,
     cnot,
@@ -22,7 +23,7 @@ from shorcompile.circuit import (
     toffoli,
     verify,
 )
-from shorcompile.library import FIGURE_IDS, LIBRARY
+from shorcompile.library import FIGURE_IDS, LIBRARY, library_circuit, library_entry
 from shorcompile.modexp import TruthTable
 
 RNG = random.Random(777)
@@ -66,6 +67,13 @@ def test_evaluate_all_library_entries():
             y, x_after = evaluate(e.circuit, x)
             assert y == want, (name, x)
             assert x_after == x, (name, x)
+
+
+def test_library_lookup_rejects_unknown_id():
+    assert library_circuit("f4_21") is LIBRARY["f4_21"].circuit
+    for lookup in (library_circuit, library_entry):
+        with pytest.raises(ValueError, match="unknown circuit id"):
+            lookup("nope")
 
 
 def test_verify_reports_mismatches():
@@ -147,6 +155,13 @@ def test_to_permutation_width_cap():
     wide = Circuit(21, tuple(range(10)), tuple(range(10, 21)), ())
     with pytest.raises(ValueError):
         to_permutation(wide)
+
+
+def test_basis_permutation_needs_every_line():
+    circ = LIBRARY["f2_15"].circuit
+    for order in ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 4)):
+        with pytest.raises(ValueError):
+            basis_permutation(circ, order)
 
 
 def test_permutation_dtype():

@@ -124,6 +124,15 @@ def test_circuit_verify_detects_mismatch(tmp_path, capsys):
     assert "mismatch" in out
 
 
+@pytest.mark.parametrize("doc", ['{"n_in": 1, "rows": [0, 1]}', "[1, 2]"])
+def test_circuit_verify_rejects_malformed_table(tmp_path, capsys, doc):
+    tpath = tmp_path / "t.json"
+    tpath.write_text(doc)
+    code, _, err = run(capsys, "circuit", "verify", "--id", "f4_21_full", "--table", str(tpath))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+
+
 def test_circuit_unknown_id(capsys):
     code, _, err = run(capsys, "circuit", "show", "--id", "nope")
     assert code == EXIT_USAGE
