@@ -136,6 +136,14 @@ def _unpack(vec: int, n_rows: int) -> np.ndarray:
     return np.unpackbits(raw, count=n_rows, bitorder="little")
 
 
+def _read_register(lines: list[int], order: tuple[int, ...], n_rows: int) -> np.ndarray:
+    """Per row, the value with bit i, counted from the most significant, on line order[i]."""
+    out = np.zeros(n_rows, dtype=np.int64)
+    for line in order:
+        out = (out << 1) | _unpack(lines[line], n_rows)
+    return out
+
+
 def apply_packed(lines: list[int], gate: Gate, full: int) -> int:
     """Apply one gate in place to packed line values; return the rows it flips.
 
@@ -181,8 +189,8 @@ def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
 def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
     """All inputs where the circuit disagrees with the table or clobbers x.
 
-    Every row runs at once on packed line values; only the rows that differ
-    are evaluated again, in ascending x, to build their Mismatch records.
+    Every row runs at once on packed line values; the Mismatch records of
+    the rows that differ, in ascending x, are read from the same values.
     """
     if circuit.n_in != table.n_in or circuit.n_out != table.n_out:
         raise ValueError(
@@ -195,8 +203,15 @@ def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
     diff = 0
     for line, want in zip(circuit.output_lines + circuit.input_lines, output_vectors(table) + in_vecs):
         diff |= lines[line] ^ want
-    bad = np.flatnonzero(_unpack(diff, n_rows)).tolist()
-    return [Mismatch(x, table.rows[x], *evaluate(circuit, x)) for x in bad]
+    bad = np.flatnonzero(_unpack(diff, n_rows))
+    if not len(bad):
+        return []
+    got = _read_register(lines, circuit.output_lines, n_rows)[bad].tolist()
+    after = _read_register(lines, circuit.input_lines, n_rows)[bad].tolist()
+    return [
+        Mismatch(x, table.rows[x], y, x_after)
+        for x, y, x_after in zip(bad.tolist(), got, after)
+    ]
 
 
 def cost(circuit: Circuit) -> CostReport:
@@ -225,10 +240,7 @@ def basis_permutation(circuit: Circuit, order: tuple[int, ...]) -> np.ndarray:
     if n > 20:
         raise ValueError("width above 20 not supported")
     lines = _run(circuit, order, input_vectors(n), (1 << (1 << n)) - 1)
-    idx = np.zeros(1 << n, dtype=np.int64)
-    for line in order:
-        idx = (idx << 1) | _unpack(lines[line], 1 << n)
-    return idx
+    return _read_register(lines, order, 1 << n)
 
 
 def circuit_to_json(circuit: Circuit) -> str:
@@ -250,13 +262,19 @@ def circuit_to_json(circuit: Circuit) -> str:
     )
 
 
+def _json_bool(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"control polarity must be true or false, got {value!r}")
+    return value
+
+
 def circuit_from_json(text: str) -> Circuit:
     obj = json.loads(text)
     try:
         gates = tuple(
             Gate(
                 GateKind(g["kind"]),
-                tuple(Control(int(c["line"]), bool(c["neg"])) for c in g["controls"]),
+                tuple(Control(int(c["line"]), _json_bool(c["neg"])) for c in g["controls"]),
                 int(g["target"]),
             )
             for g in obj["gates"]

@@ -39,9 +39,14 @@ class TruthTable:
     def from_json(cls, text: str) -> TruthTable:
         obj = json.loads(text)
         try:
-            return cls(int(obj["n_in"]), int(obj["n_out"]), tuple(int(y) for y in obj["rows"]))
+            n_in, n_out, rows = obj["n_in"], obj["n_out"], tuple(obj["rows"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed truth table document: {exc}") from exc
+        for v in (n_in, n_out, *rows):
+            # bool is an int subclass; JSON true/false is not a number
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"truth table numbers must be JSON integers, got {v!r}")
+        return cls(n_in, n_out, rows)
 
     def render_text(self) -> str:
         """Aligned binary columns, most significant bit first, for table diffing."""

@@ -1,10 +1,13 @@
-"""State-vector simulation of the order-finding pipeline.
+"""Simulation of the order-finding pipeline.
 
 Registers: m input qubits and k output qubits; basis index of |x>|y> is
-x * 2**k + y. The QFT acts on the input register only. Probabilities,
-reduced density matrices, depolarizing noise, the separability index, and
-seeded sampling cover the whole validation loop, up to recovering
-multiplicative orders from simulated measurements.
+x * 2**k + y. The QFT acts on the input register only. The dense
+statevector path (state preparation, transform, probabilities, reduced
+density matrices, depolarizing noise, the separability index) serves
+``simulate`` and the m = 3 figures. Order finding samples the input
+register's distribution from its closed form in the order and M = 2**m,
+without building the statevector, then recovers the multiplicative order
+from the seeded measurements.
 
 Sampling uses numpy's default PCG64 generator; all sampling entry points
 take an explicit seed and are bit-reproducible.
@@ -21,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, basis_permutation
-from .numtheory import continued_fraction_order, mod_pow
+from .numtheory import continued_fraction_order, mod_pow, multiplicative_order
 
 _MAX_QUBITS = 20
 
@@ -241,18 +244,31 @@ def _register_sizes(n: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=32)
 def _order_finding_distribution(a: int, n: int) -> tuple[int, np.ndarray]:
-    """Measurement distribution of the input register, cached per (a, n)."""
+    """Measurement distribution of the input register, cached per (a, n).
+
+    Closed form of superpose, exponentiate, QFT and trace out the output
+    register (Shor 1997; Nielsen & Chuang 5.3.1). With r the order of a and
+    q, s = divmod(M, r), the inputs x0 + j*r sharing residue a**x0 form s
+    combs of q + 1 teeth and r - s combs of q teeth; the QFT's |amplitude|**2
+    on a comb does not depend on its offset x0, so
+    P = (s |fft(comb_(q+1))|**2 + (r - s) |fft(comb_q)|**2) / M**2.
+    No array is longer than M; the dense 2**(m+k) statevector is never built.
+    """
     m, k = _register_sizes(n)
     if m + k > _MAX_QUBITS:
         raise ValueError(f"registers {m}+{k} exceed the {_MAX_QUBITS}-qubit bound")
-    state = uniform_input_state(m, k)
-    grid = state.grid()
-    xs = np.arange(1 << m)
-    residues = np.array([mod_pow(a, int(x), n) for x in xs])
-    amps = np.zeros_like(state.amplitudes)
-    amps[(xs << k) + residues] = grid[:, 0]
-    state = qft_input(StateVector(m, k, amps))
-    probs = input_probabilities(state).probabilities
+    if n < 2:
+        raise ValueError("modulus must be at least 2")
+    r = 1 if a % n == 1 else multiplicative_order(a % n, n)
+    size = 1 << m
+    q, s = divmod(size, r)
+    comb = np.zeros(size)
+    comb[: q * r : r] = 1.0
+    probs = (r - s) * np.abs(np.fft.fft(comb)) ** 2
+    if s:
+        comb[q * r] = 1.0
+        probs += s * np.abs(np.fft.fft(comb)) ** 2
+    probs = ProbDist(np.clip(probs / size**2, 0.0, None)).probabilities
     probs.setflags(write=False)
     return m, probs
 

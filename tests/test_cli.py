@@ -133,6 +133,21 @@ def test_circuit_verify_rejects_malformed_table(tmp_path, capsys, doc):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("neg", ["false", "true", 0, 1, None])
+def test_circuit_rejects_non_boolean_polarity(tmp_path, capsys, neg):
+    circ_doc = {
+        "width": 2,
+        "input_lines": [0],
+        "output_lines": [1],
+        "gates": [{"kind": "cnot", "controls": [{"line": 0, "neg": neg}], "target": 1}],
+    }
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(circ_doc))
+    code, _, err = run(capsys, "circuit", "show", "--file", str(cpath))
+    assert code == EXIT_USAGE
+    assert "polarity" in err
+
+
 def test_circuit_unknown_id(capsys):
     code, _, err = run(capsys, "circuit", "show", "--id", "nope")
     assert code == EXIT_USAGE

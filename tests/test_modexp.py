@@ -38,6 +38,20 @@ def test_truth_table_json_roundtrip():
     assert doc == {"n_in": 3, "n_out": 5, "rows": [1, 4, 16, 1, 4, 16, 1, 4]}
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n_in": 1.9, "n_out": 1, "rows": [0.7, 1.2]}',
+        '{"n_in": 1, "n_out": 1, "rows": [0, "1"]}',
+        '{"n_in": true, "n_out": 1, "rows": [0, 1]}',
+        '{"n_in": 1, "n_out": 1, "rows": "01"}',
+    ],
+)
+def test_truth_table_json_rejects_non_integers(doc):
+    with pytest.raises(ValueError, match="JSON integers"):
+        TruthTable.from_json(doc)
+
+
 def test_truth_table_render_text():
     text = TruthTable(1, 2, (1, 2)).render_text()
     lines = [ln.replace(" ", "") for ln in text.splitlines()]

@@ -6,11 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+from shorcompile.cli import EXIT_USAGE, entrypoint
 from shorcompile.library import LIBRARY
 from shorcompile.qsim import (
     DensityMatrix,
     NoiseParams,
     ProbDist,
+    StateVector,
+    _order_finding_distribution,
+    _register_sizes,
     apply_circuit,
     apply_period_map,
     depolarize,
@@ -231,3 +235,41 @@ def test_order_finding_deterministic_per_seed():
 def test_order_finding_rejects_shared_factor():
     with pytest.raises(ValueError):
         order_finding_run(6, 15, 10, seed=0)
+
+
+def _dense_order_finding(a: int, n: int) -> np.ndarray:
+    """Dense oracle: superpose, write a**x mod n to the output register, QFT, marginal."""
+    m, k = _register_sizes(n)
+    state = uniform_input_state(m, k)
+    xs = np.arange(1 << m)
+    residues = np.array([pow(a, int(x), n) for x in xs])
+    amps = np.zeros_like(state.amplitudes)
+    amps[(xs << k) + residues] = state.grid()[:, 0]
+    return input_probabilities(qft_input(StateVector(m, k, amps))).probabilities
+
+
+def _coprime_pairs(max_n: int) -> list[tuple[int, int]]:
+    return [(a, n) for n in range(3, max_n + 1) for a in range(2, n) if math.gcd(a, n) == 1]
+
+
+@pytest.mark.parametrize("pairs", [_coprime_pairs(35), [(2, 77)]], ids=["n<=35", "a2_n77"])
+def test_order_finding_distribution_matches_dense_path(pairs):
+    for a, n in pairs:
+        m, probs = _order_finding_distribution(a, n)
+        assert m == _register_sizes(n)[0]
+        assert np.max(np.abs(probs - _dense_order_finding(a, n))) <= 1e-15, (a, n)
+
+
+def test_order_finding_samples_equal_dense_draws():
+    for a, n, seed in [(2, 15, 0), (7, 15, 3), (4, 21, 1), (5, 33, 9), (2, 35, 4)]:
+        dense = _dense_order_finding(a, n)
+        want = np.random.default_rng(seed).choice(len(dense), size=200, p=dense)
+        assert order_finding_run(a, n, 200, seed).samples == tuple(want.tolist()), (a, n)
+
+
+def test_order_finding_keeps_the_qubit_cap(capsys):
+    assert sum(_register_sizes(91)) == 21
+    with pytest.raises(ValueError, match="20-qubit"):
+        order_finding_run(2, 91, 10, seed=0)
+    assert entrypoint(["factor", "--N", "91", "--a", "2", "--shots", "10"]) == EXIT_USAGE
+    assert "20-qubit" in capsys.readouterr().err
