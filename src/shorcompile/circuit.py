@@ -268,21 +268,27 @@ def _json_bool(value: object) -> bool:
     return value
 
 
+def _json_int(value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"circuit lines and width must be integers, got {value!r}")
+    return value
+
+
 def circuit_from_json(text: str) -> Circuit:
     obj = json.loads(text)
     try:
         gates = tuple(
             Gate(
                 GateKind(g["kind"]),
-                tuple(Control(int(c["line"]), _json_bool(c["neg"])) for c in g["controls"]),
-                int(g["target"]),
+                tuple(Control(_json_int(c["line"]), _json_bool(c["neg"])) for c in g["controls"]),
+                _json_int(g["target"]),
             )
             for g in obj["gates"]
         )
         return Circuit(
-            int(obj["width"]),
-            tuple(int(i) for i in obj["input_lines"]),
-            tuple(int(i) for i in obj["output_lines"]),
+            _json_int(obj["width"]),
+            tuple(map(_json_int, obj["input_lines"])),
+            tuple(map(_json_int, obj["output_lines"])),
             gates,
         )
     except (KeyError, TypeError) as exc:

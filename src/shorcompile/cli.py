@@ -23,8 +23,9 @@ import io
 import json
 import os
 import sys
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__
 from .circuit import (
@@ -92,15 +93,7 @@ def _manifest(command: str, params: dict, seed: int | None, checksums: dict[str,
     }
 
 
-def _csv_text(header: list[str], rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _text_table(header: list[str], rows: list[tuple]) -> str:
+def _text_table(header: tuple[str, ...], rows: list[list]) -> str:
     cells = [header] + [[str(c) for c in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
     return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
@@ -116,14 +109,27 @@ def _cost_line(report: CostReport) -> str:
 # ---------------------------------------------------------------- tables
 
 
-def _distribution_for_period(m: int, k: int, p: int) -> ProbDist:
-    state = apply_period_map(uniform_input_state(m, k), p)
-    return input_probabilities(qft_input(state))
+@dataclass(frozen=True)
+class Table:
+    """A table that ``tables`` emits or ``diff-golden`` checks.
+
+    Its bundled golden, if any, is ``golden/<stem>.csv``: the header's
+    columns plus a per-row ``tolerance``. The first ``key`` columns
+    identify a row. ``rows`` returns raw values; floats are unformatted.
+    """
+
+    stem: str
+    header: tuple[str, ...]
+    key: int
+    rows: Callable[[], list[tuple]]
 
 
-def _orders_rows(n: int) -> list[tuple]:
-    factor_semiprime(n)  # rejects anything but an odd distinct-prime semiprime
-    return [(rec.a, rec.r) for rec in coprime_order_table(n)]
+def _distributions(m: int, k: int) -> list[tuple[int, ProbDist]]:
+    """The post-transform input distribution for every period p the registers allow."""
+    return [
+        (p, input_probabilities(qft_input(apply_period_map(uniform_input_state(m, k), p))))
+        for p in range(1, min(1 << m, 1 << k) + 1)
+    ]
 
 
 def _allowed_rows(max_n: int) -> list[tuple]:
@@ -139,107 +145,92 @@ def _allowed_rows(max_n: int) -> list[tuple]:
     return rows
 
 
-def _probability_rows(m: int, k: int) -> list[tuple]:
-    rows = []
-    for p in range(1, min(1 << m, 1 << k) + 1):
-        dist = _distribution_for_period(m, k, p)
-        rows.extend((p, i, f"{float(v):.6f}") for i, v in enumerate(dist.probabilities))
-    return rows
+def _rho_rows() -> list[tuple]:
+    rho = reduce_to_input(qft_input(apply_period_map(uniform_input_state(3, 3), 3)))
+    return [(r, c, z.real, z.imag) for r, row in enumerate(rho.entries.tolist()) for c, z in enumerate(row)]
 
 
-def _separability_rows(m: int, k: int) -> list[tuple]:
-    rows = []
-    for p in range(1, min(1 << m, 1 << k) + 1):
-        s = separability_index(_distribution_for_period(m, k, p))
-        rows.append((p, f"{s:.6f}"))
-    return rows
+# One description per ``tables`` kind, called with the kind's own options.
+_KINDS: dict[str, Callable[..., Table]] = {
+    # factor_semiprime(N).n is N, once N is known to be an odd distinct-prime semiprime
+    "orders": lambda N: Table(
+        f"orders_n{N}", ("a", "r"), 1,
+        lambda: [(rec.a, rec.r) for rec in coprime_order_table(factor_semiprime(N).n)],
+    ),
+    "allowed-periods": lambda max_N: Table(
+        f"allowed_periods_max{max_N}", ("N", "p", "q", "lambda", "periods"), 1, lambda: _allowed_rows(max_N)
+    ),
+    "probabilities": lambda m, k: Table(
+        f"probabilities_m{m}k{k}", ("p", "k", "probability"), 2,
+        lambda: [(p, i, v) for p, d in _distributions(m, k) for i, v in enumerate(d.probabilities.tolist())],
+    ),
+    "separability": lambda m, k: Table(
+        f"separability_m{m}k{k}", ("p", "S"), 1,
+        lambda: [(p, separability_index(d)) for p, d in _distributions(m, k)],
+    ),
+}
+
+# Every bundled golden, with its ``diff-golden`` label.
+_GOLDENS: tuple[tuple[str, Table], ...] = (
+    ("orders N=21", _KINDS["orders"](21)),
+    ("orders N=33", _KINDS["orders"](33)),
+    ("allowed periods", _KINDS["allowed-periods"](90)),
+    ("probabilities m=3 k=3", _KINDS["probabilities"](3, 3)),
+    ("separability m=3 k=3", _KINDS["separability"](3, 3)),
+    ("reduced density p=3", Table("rho_p3", ("row", "col", "re", "im"), 2, _rho_rows)),
+)
+
+_GOLDEN_DIR = resources.files("shorcompile").joinpath("golden")
 
 
-def _golden_rows(name: str) -> list[dict[str, str]]:
-    text = resources.files("shorcompile").joinpath("golden").joinpath(name).read_text(encoding="utf-8")
-    return list(csv.DictReader(io.StringIO(text)))
+def _cell(value: object) -> object:
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
-def _diff_orders(n: int) -> list[str]:
+def _named(names: tuple[str, ...], cells: Iterable[object]) -> str:
+    return " ".join(f"{name}={_cell(c)}" for name, c in zip(names, cells))
+
+
+def _diff(table: Table) -> list[str]:
+    """Compare ``table`` with its golden, matching rows on their key columns.
+
+    String cells must be equal and numeric cells agree within the row's
+    tolerance. Reports golden rows that disagree or are missing, and extra
+    computed rows.
+    """
     try:
-        golden = _golden_rows(f"orders_n{n}.csv")
+        text = _GOLDEN_DIR.joinpath(table.stem + ".csv").read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ValueError(f"no bundled golden order table for N={n}")
-    computed = dict(_orders_rows(n))
+        raise ValueError(f"no bundled golden table {table.stem}") from None
+    header, *golden = csv.reader(text.splitlines())
+    if header != [*table.header, "tolerance"]:
+        return [f"{table.stem}: golden columns {','.join(header)}, expected {','.join(table.header)},tolerance"]
+    key, names = table.key, table.header
+    computed = {tuple([str(c) for c in row[:key]]): row[key:] for row in table.rows()}
     problems = []
-    seen = set()
     for row in golden:
-        a, r = int(row["a"]), int(row["r"])
-        seen.add(a)
-        if computed.get(a) != r:
-            problems.append(f"orders N={n}: a={a} expected r={r}, computed {computed.get(a)}")
-    for a in sorted(set(computed) - seen):
-        problems.append(f"orders N={n}: computed extra row a={a}")
+        name, want = tuple(row[:key]), row[key:-1]
+        got = computed.pop(name, None)
+        if got is None:
+            problems.append(f"{table.stem} {_named(names, name)}: golden row missing")
+            continue
+        tol = float(row[-1]) + _TOL_SLACK
+        for w, g in zip(want, got):
+            if g != w if isinstance(g, str) else abs(g - float(w)) > tol:
+                problems.append(
+                    f"{table.stem} {_named(names, name)}: "
+                    f"golden {_named(names[key:], want)}, computed {_named(names[key:], got)}"
+                )
+                break
+    problems.extend(f"{table.stem} {_named(names, name)}: extra computed row" for name in computed)
     return problems
 
 
-def _diff_allowed(max_n: int) -> list[str]:
-    golden = _golden_rows("allowed_periods.csv")
-    computed = {row[0]: row for row in _allowed_rows(max_n)}
-    problems = []
-    seen = set()
-    for row in golden:
-        n = int(row["N"])
-        seen.add(n)
-        want = (n, int(row["p"]), int(row["q"]), int(row["lambda"]), row["periods"])
-        got = computed.get(n)
-        if got != want:
-            problems.append(f"allowed periods N={n}: expected {want}, computed {got}")
-    for n in sorted(set(computed) - seen):
-        problems.append(f"allowed periods: computed extra row N={n}")
-    return problems
-
-
-def _diff_probabilities(m: int, k: int) -> list[str]:
-    if (m, k) != (3, 3):
-        raise ValueError("bundled probability golden covers m=3, k=3 only")
-    golden = _golden_rows("probabilities_m3.csv")
-    dists = {p: _distribution_for_period(m, k, p) for p in range(1, (1 << m) + 1)}
-    problems = []
-    for row in golden:
-        p, i = int(row["p"]), int(row["k"])
-        want, tol = float(row["probability"]), float(row["tolerance"])
-        got = float(dists[p].probabilities[i])
-        if abs(got - want) > tol + _TOL_SLACK:
-            problems.append(f"probability p={p} k={i}: golden {want}, computed {got:.6f}")
-    return problems
-
-
-def _diff_separability(m: int, k: int) -> list[str]:
-    if (m, k) != (3, 3):
-        raise ValueError("bundled separability golden covers m=3, k=3 only")
-    golden = _golden_rows("separability_m3.csv")
-    problems = []
-    for row in golden:
-        p = int(row["p"])
-        want, tol = float(row["S"]), float(row["tolerance"])
-        got = separability_index(_distribution_for_period(m, k, p))
-        if abs(got - want) > tol + _TOL_SLACK:
-            problems.append(f"separability p={p}: golden {want}, computed {got:.6f}")
-    return problems
-
-
-def _diff_rho() -> list[str]:
-    golden = _golden_rows("rho_p3.csv")
-    state = qft_input(apply_period_map(uniform_input_state(3, 3), 3))
-    rho = reduce_to_input(state).entries
-    problems = []
-    for row in golden:
-        r, c = int(row["row"]), int(row["col"])
-        tol = float(row["tolerance"]) + _TOL_SLACK
-        got = rho[r, c]
-        dre = abs(got.real - float(row["re"]))
-        dim = abs(got.imag - float(row["im"]))
-        if dre > tol or dim > tol:
-            problems.append(
-                f"rho[{r},{c}]: golden {row['re']}{float(row['im']):+}j, computed {got:.6f}"
-            )
-    return problems
+def _report(label: str, problems: list[str]) -> bool:
+    print(f"{label}: {'ok' if not problems else 'FAIL'}")
+    for msg in problems:
+        print(f"  {msg}")
+    return not problems
 
 
 def _check_circuits() -> list[str]:
@@ -258,64 +249,41 @@ def _check_circuits() -> list[str]:
     return problems
 
 
+# Options every ``tables`` kind shares; the rest are the kind's parameters.
+_TABLE_OPTIONS = ("command", "kind", "func", "format", "out", "diff_golden")
+
+
 def cmd_tables(args: argparse.Namespace) -> int:
     kind = args.kind
-    if kind == "orders":
-        header = ["a", "r"]
-        rows = _orders_rows(args.n)
-        params = {"N": args.n}
-        stem = f"orders_n{args.n}"
-        differ: Callable[[], list[str]] = lambda: _diff_orders(args.n)
-    elif kind == "allowed-periods":
-        header = ["N", "p", "q", "lambda", "periods"]
-        rows = _allowed_rows(args.max_n)
-        params = {"max_N": args.max_n}
-        stem = f"allowed_periods_max{args.max_n}"
-        differ = lambda: _diff_allowed(args.max_n)
-    elif kind == "probabilities":
-        header = ["p", "k", "probability"]
-        rows = _probability_rows(args.m, args.k)
-        params = {"m": args.m, "k": args.k}
-        stem = f"probabilities_m{args.m}k{args.k}"
-        differ = lambda: _diff_probabilities(args.m, args.k)
-    else:
-        header = ["p", "S"]
-        rows = _separability_rows(args.m, args.k)
-        params = {"m": args.m, "k": args.k}
-        stem = f"separability_m{args.m}k{args.k}"
-        differ = lambda: _diff_separability(args.m, args.k)
+    params = {name: value for name, value in vars(args).items() if name not in _TABLE_OPTIONS}
+    table = _KINDS[kind](**params)
 
     if args.diff_golden:
-        problems = differ()
-        for msg in problems:
-            print(msg)
-        label = "ok" if not problems else f"{len(problems)} mismatches"
-        print(f"golden diff {kind}: {label}")
-        return EXIT_OK if not problems else EXIT_MISMATCH
+        return EXIT_OK if _report(f"golden diff {kind}", _diff(table)) else EXIT_MISMATCH
 
-    csv_text = _csv_text(header, rows)
+    rows = [list(map(_cell, row)) for row in table.rows()]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([table.header, *rows])
+    csv_text = buf.getvalue()
     doc = {
         "manifest": _manifest("tables", {"kind": kind, **params}, None, {"csv": _sha256(csv_text)}),
-        "header": header,
-        "rows": [list(r) for r in rows],
+        "header": table.header,
+        "rows": rows,
     }
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        csv_path = os.path.join(args.out, stem + ".csv")
-        json_path = os.path.join(args.out, stem + ".json")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {csv_path}")
-        print(f"wrote {json_path}")
-    elif args.format == "csv":
-        sys.stdout.write(csv_text)
-    elif args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(_text_table(header, rows))
+    texts = {
+        "text": _text_table(table.header, rows) + "\n",
+        "csv": csv_text,
+        "json": json.dumps(doc, indent=2) + "\n",
+    }
+    if not args.out:
+        sys.stdout.write(texts[args.format])
+        return EXIT_OK
+    os.makedirs(args.out, exist_ok=True)
+    for ext in ("csv", "json"):
+        path = os.path.join(args.out, f"{table.stem}.{ext}")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(texts[ext])
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -600,32 +568,12 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_diff_golden(args: argparse.Namespace) -> int:
-    checks: list[tuple[str, Callable[[], list[str]]]] = [
-        ("orders N=21", lambda: _diff_orders(21)),
-        ("orders N=33", lambda: _diff_orders(33)),
-        ("allowed periods", lambda: _diff_allowed(90)),
-        ("probabilities m=3 k=3", lambda: _diff_probabilities(3, 3)),
-        ("separability m=3 k=3", lambda: _diff_separability(3, 3)),
-        ("reduced density p=3", _diff_rho),
-        ("figure circuits", _check_circuits),
-    ]
-    failed = 0
-    for label, check in checks:
-        problems = check()
-        print(f"{label}: {'ok' if not problems else 'FAIL'}")
-        for msg in problems[:20]:
-            print(f"  {msg}")
-        failed += 1 if problems else 0
-    return EXIT_OK if failed == 0 else EXIT_MISMATCH
+    passed = [_report(label, _diff(table)) for label, table in _GOLDENS]
+    passed.append(_report("figure circuits", _check_circuits()))
+    return EXIT_OK if all(passed) else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------- parser
-
-
-def _add_table_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--out", help="directory to write <table>.csv and <table>.json into")
-    p.add_argument("--diff-golden", action="store_true", help="compare against the bundled golden table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -636,19 +584,18 @@ def build_parser() -> argparse.ArgumentParser:
     tables = sub.add_parser("tables", help="emit classical tables")
     tsub = tables.add_subparsers(dest="kind", required=True)
     t_orders = tsub.add_parser("orders", help="multiplicative orders of every coprime base")
-    t_orders.add_argument("--N", dest="n", type=int, required=True)
-    _add_table_common(t_orders)
+    t_orders.add_argument("--N", type=int, required=True)
     t_allowed = tsub.add_parser("allowed-periods", help="divisor spectrum of lambda(N) per semiprime")
-    t_allowed.add_argument("--max-N", dest="max_n", type=int, default=90)
-    _add_table_common(t_allowed)
+    t_allowed.add_argument("--max-N", type=int, default=90)
     t_prob = tsub.add_parser("probabilities", help="post-transform measurement distributions per period")
-    t_prob.add_argument("--m", type=int, default=3)
-    t_prob.add_argument("--k", type=int, default=3)
-    _add_table_common(t_prob)
     t_sep = tsub.add_parser("separability", help="separability index per period")
-    t_sep.add_argument("--m", type=int, default=3)
-    t_sep.add_argument("--k", type=int, default=3)
-    _add_table_common(t_sep)
+    for t in (t_prob, t_sep):
+        t.add_argument("--m", type=int, default=3)
+        t.add_argument("--k", type=int, default=3)
+    for t in (t_orders, t_allowed, t_prob, t_sep):
+        t.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        t.add_argument("--out", help="directory to write <table>.csv and <table>.json into")
+        t.add_argument("--diff-golden", action="store_true", help="compare against the bundled golden table")
     tables.set_defaults(func=cmd_tables)
 
     circ = sub.add_parser("circuit", help="inspect or check a reversible circuit")

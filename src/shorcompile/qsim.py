@@ -310,6 +310,8 @@ def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResu
     """
     if math.gcd(a, n) != 1:
         raise ValueError("a must be coprime to n")
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
     m, probs = _order_finding_distribution(a, n)
     rng = np.random.default_rng(seed)
     ks = rng.choice(1 << m, size=shots, p=probs)

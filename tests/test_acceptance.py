@@ -77,7 +77,7 @@ def test_criterion_01_order_tables_exact():
 
 def test_criterion_02_allowed_periods_table():
     with _report(2, "allowed-period table reproduces all 13 rows including lambda"):
-        golden = _golden("allowed_periods.csv")
+        golden = _golden("allowed_periods_max90.csv")
         assert len(golden) == 13
         for row in golden:
             sp = factor_semiprime(int(row["N"]))
@@ -151,7 +151,7 @@ def test_criterion_06_probability_table():
         dists = {p: _dist(p) for p in range(1, 9)}
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"distribution table took {elapsed:.2f} s"
-        golden = _golden("probabilities_m3.csv")
+        golden = _golden("probabilities_m3k3.csv")
         assert len(golden) == 64
         for row in golden:
             got = float(dists[int(row["p"])].probabilities[int(row["k"])])
@@ -174,7 +174,7 @@ def test_criterion_07_reduced_density_matrix():
 
 def test_criterion_08_separability_with_single_inversion():
     with _report(8, "separability column within 0.001 with its single inversion at p=3"):
-        golden = _golden("separability_m3.csv")
+        golden = _golden("separability_m3k3.csv")
         values = []
         for row in golden:
             s = separability_index(_dist(int(row["p"])))

@@ -1,9 +1,12 @@
 """CLI surface: formats, manifests, exit codes, golden diffing."""
 
+import csv
 import json
+import shutil
 
 import pytest
 
+from shorcompile import cli
 from shorcompile.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -79,8 +82,18 @@ def test_tables_diff_golden_all_kinds(capsys):
         assert "ok" in out
 
 
-def test_tables_diff_golden_rejects_uncovered_params(capsys):
-    code, _, err = run(capsys, "tables", "probabilities", "--m", "2", "--diff-golden")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orders", "--N", "15"),
+        ("probabilities", "--m", "2"),
+        ("separability", "--k", "4"),
+        ("allowed-periods", "--max-N", "50"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tables_diff_golden_rejects_uncovered_params(capsys, argv):
+    code, _, err = run(capsys, "tables", *argv, "--diff-golden")
     assert code == EXIT_USAGE
     assert "golden" in err
 
@@ -92,6 +105,45 @@ def test_diff_golden_runs_every_check(capsys):
                   "probabilities", "separability", "reduced density", "figure circuits"):
         assert f"{label}" in out
     assert "FAIL" not in out
+
+
+def test_golden_registry_covers_every_bundled_file():
+    bundled = {f.name[: -len(".csv")] for f in cli._GOLDEN_DIR.iterdir() if f.name.endswith(".csv")}
+    assert {table.stem for _, table in cli._GOLDENS} == bundled
+
+
+def _edit_golden(rows, key, edit):
+    """One edited copy of a golden CSV's rows, and the report diff-golden must give for it."""
+    header, first, *rest = rows
+    if edit == "perturbed":
+        *cells, value, tol = first
+        try:
+            value = repr(float(value) + float(tol) + 0.5)
+        except ValueError:
+            value += ";1"
+        return [header, [*cells, value, tol], *rest], ": golden "
+    if edit == "removed":
+        return [header, *rest], "extra computed row"
+    if edit == "renamed":
+        return [[header[0] + "_", *header[1:]], first, *rest], "golden columns"
+    return [*rows, ["999"] * key + first[key:]], "golden row missing"
+
+
+@pytest.mark.parametrize("edit", ["perturbed", "removed", "added", "renamed"])
+@pytest.mark.parametrize("label, table", cli._GOLDENS, ids=[t.stem for _, t in cli._GOLDENS])
+def test_diff_golden_reports_each_edit(tmp_path, monkeypatch, capsys, label, table, edit):
+    shutil.copytree(cli._GOLDEN_DIR, tmp_path, dirs_exist_ok=True)
+    target = tmp_path / f"{table.stem}.csv"
+    rows = list(csv.reader(target.read_text(encoding="utf-8").splitlines()))
+    rows, message = _edit_golden(rows, table.key, edit)
+    with open(target, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    monkeypatch.setattr(cli, "_GOLDEN_DIR", tmp_path)
+    code, out, _ = run(capsys, "diff-golden")
+    assert code == EXIT_MISMATCH
+    assert f"{label}: FAIL" in out
+    assert out.count(": FAIL") == 1
+    assert f"  {table.stem}" in out and message in out
 
 
 def test_circuit_cost_line(capsys):
@@ -146,6 +198,34 @@ def test_circuit_rejects_non_boolean_polarity(tmp_path, capsys, neg):
     code, _, err = run(capsys, "circuit", "show", "--file", str(cpath))
     assert code == EXIT_USAGE
     assert "polarity" in err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("width",), 3.5),
+        (("input_lines", 1), 1.0),
+        (("output_lines", 0), "2"),
+        (("gates", 0, "target"), "2"),
+        (("gates", 0, "controls", 0, "line"), True),
+    ],
+)
+def test_circuit_rejects_non_integer_numbers(tmp_path, capsys, path, value):
+    circ_doc = {
+        "width": 3,
+        "input_lines": [0, 1],
+        "output_lines": [2],
+        "gates": [{"kind": "cnot", "controls": [{"line": 1, "neg": False}], "target": 2}],
+    }
+    node = circ_doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(circ_doc))
+    code, _, err = run(capsys, "circuit", "show", "--file", str(cpath))
+    assert code == EXIT_USAGE
+    assert "integers" in err
 
 
 def test_circuit_unknown_id(capsys):

@@ -237,6 +237,14 @@ def test_order_finding_rejects_shared_factor():
         order_finding_run(6, 15, 10, seed=0)
 
 
+@pytest.mark.parametrize("shots", [0, -3])
+def test_order_finding_validates_shots(capsys, shots):
+    with pytest.raises(ValueError, match="shots must be at least 1"):
+        order_finding_run(2, 15, shots, seed=0)
+    assert entrypoint(["factor", "--N", "15", "--a", "2", "--shots", str(shots)]) == EXIT_USAGE
+    assert "shots must be at least 1" in capsys.readouterr().err
+
+
 def _dense_order_finding(a: int, n: int) -> np.ndarray:
     """Dense oracle: superpose, write a**x mod n to the output register, QFT, marginal."""
     m, k = _register_sizes(n)
