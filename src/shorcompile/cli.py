@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -47,7 +48,6 @@ from .numtheory import (
     carmichael,
     coprime_order_table,
     factor_semiprime,
-    gcd,
     is_prime,
     is_prime_power,
     multiplicative_order,
@@ -521,16 +521,16 @@ def cmd_factor(args: argparse.Namespace) -> int:
         raise ValueError(f"N={n} is a prime power: {power[0]}**{power[1]}")
 
     if args.a is not None:
-        g = gcd(args.a, n)
+        if not 1 < args.a < n:
+            raise ValueError(f"a={args.a} is outside the range 1 < a < N={n}")
+        g = math.gcd(args.a, n)
         if g != 1:
-            if 1 < g < n:
-                print(f"gcd({args.a}, {n}) = {g} already factors N")
-                print(f"factors: {g} {n // g}")
-                return EXIT_OK
-            raise ValueError(f"a={args.a} is not a valid base for N={n}")
+            print(f"gcd({args.a}, {n}) = {g} already factors N")
+            print(f"factors: {g} {n // g}")
+            return EXIT_OK
         bases = [args.a]
     else:
-        bases = [a for a in range(2, n - 1) if gcd(a, n) == 1]
+        bases = [a for a in range(2, n - 1) if math.gcd(a, n) == 1]
 
     attempts = []
     factors = None

@@ -7,15 +7,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
 def mod_pow(a: int, x: int, n: int) -> int:
     """a**x mod n by square-and-multiply; the full power a**x is never formed."""
     if n < 2:

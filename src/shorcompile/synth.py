@@ -2,13 +2,14 @@
 
 Stage one fits each output bit with the best affine XOR form over the input
 bits and emits it as CNOT copies. Stage two repairs the remaining wrong
-entries with greedily chosen Toffoli gates, allowing derived controls
-(an XOR of two input lines, borrowed in place and restored) and chaining
-gate outputs into later controls, which is where Toffoli cascades come from.
-Whatever the greedy pass cannot clear is finished off from the algebraic
-normal form of the residual, so synthesis always terminates with a verified
-circuit; an optional iterative-deepening fallback covers tight budgets on
-tiny tables.
+entries greedily. Each round scores every candidate as plain data: a target
+line and up to two control factors, each the XOR of one or two lines with a
+polarity (a two-line Toffoli factor is an input-line pair borrowed in place
+and restored). Gates are built only for the winning candidate. Chaining gate
+outputs into later controls is where Toffoli cascades come from. Whatever
+the greedy pass cannot clear is finished off from the algebraic normal form
+of the residual, so synthesis always terminates with a verified circuit; an
+optional iterative-deepening fallback covers tight budgets on tiny tables.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
 bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
@@ -17,6 +18,7 @@ act on them through circuit.apply_packed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .circuit import (
@@ -81,7 +83,7 @@ class LinearFit:
 @dataclass(frozen=True)
 class PlanStep:
     gate: Gate
-    flips: frozenset[int]  # input values whose target-line bit this gate flips
+    flips: int  # packed rows (bit x = input x) whose target-line bit this gate flips
 
 
 @dataclass(frozen=True)
@@ -172,117 +174,66 @@ def _emit_linear(fit: LinearFit, n_in: int, allow_neg: bool = True) -> list[Gate
     return gates
 
 
-def _xor_hosts(p1: tuple[int, int], p2: tuple[int, int]) -> tuple[int, int] | None:
-    """Host line for each borrowed XOR pair such that sources stay pristine."""
-    shared = set(p1) & set(p2)
-    if len(shared) == 2:
-        return None
-    if len(shared) == 1:
-        s = shared.pop()
-        return (p1[0] if p1[1] == s else p1[1], p2[0] if p2[1] == s else p2[1])
-    return (p1[1], p2[1])
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    order_key: tuple
-    gates: tuple[Gate, ...]
-    target: int
-    activation: int
-    qcost: int
-
-
 def _candidates(
-    n_in: int, vecs: list[int], errors: dict[int, int], allow_neg: bool, full: int
-) -> list[_Candidate]:
+    n_in: int, vecs: list[int], targets: Iterable[int], allow_neg: bool, full: int
+) -> Iterator[tuple[int, tuple, int, int]]:
+    """Every greedy repair candidate for the target lines, as plain data.
+
+    A candidate (j, factors, activation, qcost) flips line j on the rows set
+    in activation: where every one of its zero, one or two factors holds. A
+    factor (lines, neg) is the XOR of one or two lines, complemented when
+    neg. Lone factors are every other line, then every line pair; Toffoli
+    factor pairs draw from the borrowed input-line pairs, then the single
+    lines. qcost is that of the gates _realize would build.
+    """
     width = len(vecs)
     polarities = (False, True) if allow_neg else (False,)
-    out: list[_Candidate] = []
-
-    def add(kind_rank: int, desc: tuple, gates: tuple[Gate, ...], j: int, act: int, qc: int):
-        out.append(_Candidate((kind_rank, j, desc), gates, j, act, qc))
-
-    for j in errors:
-        # plain NOT
-        add(0, (), (not_gate(j),), j, full, 1)
-        # single CNOT from any other line
-        for c in range(width):
-            if c == j:
-                continue
+    borrowed = [((a, b), vecs[a] ^ vecs[b]) for a in range(n_in) for b in range(a + 1, n_in)]
+    for j in targets:
+        singles = [((c,), vecs[c]) for c in range(width) if c != j]
+        pairs = [
+            ((a, b), vecs[a] ^ vecs[b])
+            for a in range(width)
+            for b in range(a + 1, width)
+            if j not in (a, b)
+        ]
+        yield j, (), full, 1
+        for lines, v in singles + pairs:
             for neg in polarities:
-                act = vecs[c] ^ (full if neg else 0)
-                add(1, (c, neg), (cnot(c, j, neg=neg),), j, act, 1)
-        # two CNOTs adding the XOR of two lines
-        for a in range(width):
-            for b in range(a + 1, width):
-                if j in (a, b):
-                    continue
-                for neg in polarities:
-                    act = vecs[a] ^ vecs[b] ^ (full if neg else 0)
-                    gates = (cnot(a, j, neg=neg), cnot(b, j))
-                    add(2, (a, b, neg), gates, j, act, 2)
-        # Toffoli over two existing lines
-        for a in range(width):
-            for b in range(a + 1, width):
-                if j in (a, b):
-                    continue
-                for na in polarities:
-                    for nb in polarities:
-                        act = (vecs[a] ^ (full if na else 0)) & (
-                            vecs[b] ^ (full if nb else 0)
-                        )
-                        gates = (toffoli(a, b, j, neg1=na, neg2=nb),)
-                        add(3, (a, b, na, nb), gates, j, act, 6)
-        # Toffoli with one control borrowed as an input-line XOR
-        for a in range(n_in):
-            for b in range(a + 1, n_in):
-                for c in range(width):
-                    if c == j:
-                        continue
-                    if c in (a, b):
-                        host, src = (b, a) if c == a else (a, b)
-                    else:
-                        host, src = b, a
-                    w_vec = vecs[a] ^ vecs[b]
-                    for nw in polarities:
-                        for nc in polarities:
-                            act = (w_vec ^ (full if nw else 0)) & (
-                                vecs[c] ^ (full if nc else 0)
-                            )
-                            lo, hi = sorted((host, c))
-                            n_lo, n_hi = (nw, nc) if lo == host else (nc, nw)
-                            gates = (
-                                cnot(src, host),
-                                toffoli(lo, hi, j, neg1=n_lo, neg2=n_hi),
-                                cnot(src, host),
-                            )
-                            add(4, (a, b, c, nw, nc), gates, j, act, 8)
-        # Toffoli with both controls borrowed XOR pairs
-        pairs = [(a, b) for a in range(n_in) for b in range(a + 1, n_in)]
-        for i1, p1 in enumerate(pairs):
-            for p2 in pairs[i1 + 1 :]:
-                hosts = _xor_hosts(p1, p2)
-                if hosts is None:
-                    continue
-                h1, h2 = hosts
-                s1 = p1[0] if p1[1] == h1 else p1[1]
-                s2 = p2[0] if p2[1] == h2 else p2[1]
-                v1 = vecs[p1[0]] ^ vecs[p1[1]]
-                v2 = vecs[p2[0]] ^ vecs[p2[1]]
+                yield j, ((lines, neg),), v ^ (full if neg else 0), len(lines)
+        toffoli_factors = borrowed + singles
+        for i, (l1, v1) in enumerate(toffoli_factors):
+            for l2, v2 in toffoli_factors[i + 1 :]:
+                qcost = 6 + 2 * (len(l1) + len(l2) - 2)  # two CNOTs per borrowed pair
                 for n1 in polarities:
                     for n2 in polarities:
                         act = (v1 ^ (full if n1 else 0)) & (v2 ^ (full if n2 else 0))
-                        lo, hi = sorted((h1, h2))
-                        n_lo, n_hi = (n1, n2) if lo == h1 else (n2, n1)
-                        gates = (
-                            cnot(s1, h1),
-                            cnot(s2, h2),
-                            toffoli(lo, hi, j, neg1=n_lo, neg2=n_hi),
-                            cnot(s2, h2),
-                            cnot(s1, h1),
-                        )
-                        add(5, (p1, p2, n1, n2), gates, j, act, 10)
-    return out
+                        yield j, ((l1, n1), (l2, n2)), act, qcost
+
+
+def _realize(j: int, factors: tuple) -> list[Gate]:
+    """The gates that flip line j where every factor holds, restoring all else.
+
+    No factor gives a NOT, one factor a CNOT per line (its polarity on the
+    first), two factors a Toffoli. A two-line factor is XORed into its host
+    line before the Toffoli and restored after it. The host is the pair's
+    second line, or its first when the other factor uses the second, so the
+    other factor always reads its lines unchanged.
+    """
+    if not factors:
+        return [not_gate(j)]
+    if len(factors) == 1:
+        ((lines, neg),) = factors
+        return [cnot(c, j, neg=neg and k == 0) for k, c in enumerate(lines)]
+    borrow, controls = [], []
+    for (lines, neg), (other, _) in zip(factors, factors[::-1]):
+        host = lines[-1]
+        if len(lines) == 2:
+            host, src = (lines[0], host) if host in other else (host, lines[0])
+            borrow.append(cnot(src, host))
+        controls.append((host, neg))
+    (c1, n1), (c2, n2) = sorted(controls)
+    return borrow + [toffoli(c1, c2, j, neg1=n1, neg2=n2)] + borrow[::-1]
 
 
 def _anf_monomials(err: int, n_in: int) -> list[int]:
@@ -336,7 +287,7 @@ def _find_cascades(steps: list[PlanStep], n_in: int) -> tuple[tuple[int, ...], .
     used: set[int] = set()
     chains: list[tuple[int, ...]] = []
     for i in toffs:
-        if i in used or len(steps[i].flips) != 1 << max(0, n_in - 2):
+        if i in used or steps[i].flips.bit_count() != 1 << max(0, n_in - 2):
             continue
         chain = [i]
         cur = i
@@ -346,9 +297,8 @@ def _find_cascades(steps: list[PlanStep], n_in: int) -> tuple[tuple[int, ...], .
                 if k <= cur or k in used or k in chain:
                     continue
                 ctrl_lines = {c.line for c in steps[k].gate.controls}
-                if steps[cur].gate.target in ctrl_lines and 2 * len(
-                    steps[k].flips
-                ) == len(steps[cur].flips):
+                halves = 2 * steps[k].flips.bit_count() == steps[cur].flips.bit_count()
+                if steps[cur].gate.target in ctrl_lines and halves:
                     nxt = k
                     break
             if nxt is None:
@@ -366,9 +316,10 @@ def plan_cascades(
 ) -> CascadePlan:
     """Repair plan for everything the linear stage left wrong.
 
-    Greedy phase: among all candidate gates, pick the one fixing the most
-    wrong entries net of newly broken ones; ties go to cheaper gates, fewer
-    negative controls, then lexicographic order. When no candidate has a
+    Greedy phase: among all candidates, pick the one fixing the most wrong
+    entries net of newly broken ones; ties go to cheaper gates, fewer
+    negative controls, fewer factors, then the lowest target line, factor
+    lines and polarities. When no candidate has a
     positive net score, the remaining residual is emitted from its algebraic
     normal form, which always completes.
     """
@@ -390,35 +341,33 @@ def plan_cascades(
                 e[j] = diff
         return e
 
-    def record(gates: list[Gate] | tuple[Gate, ...]):
+    def record(gates: list[Gate]):
         for g in gates:
-            flips = apply_packed(vecs, g, full)
-            steps.append(
-                PlanStep(g, frozenset(x for x in range(1 << n_in) if (flips >> x) & 1))
-            )
+            steps.append(PlanStep(g, apply_packed(vecs, g, full)))
 
     while True:
         errs = errors()
         if not errs:
             break
-        best: tuple[tuple, _Candidate] | None = None
-        for cand in _candidates(n_in, vecs, errs, allow_negative_controls, full):
-            err = errs[cand.target]
-            score = (cand.activation & err).bit_count() - (
-                cand.activation & ~err & full
-            ).bit_count()
+        best: tuple[tuple, int, tuple] | None = None
+        for j, factors, act, qcost in _candidates(
+            n_in, vecs, errs, allow_negative_controls, full
+        ):
+            # each active row is fixed where it was wrong and broken elsewhere
+            score = 2 * (act & errs[j]).bit_count() - act.bit_count()
             if score <= 0:
                 continue
-            negs = sum(c.neg for g in cand.gates for c in g.controls)
-            key = (-score, cand.qcost, negs, cand.order_key)
+            pols = tuple(neg for _, neg in factors)
+            lines = tuple(ln for f, _ in factors for ln in f)
+            key = (-score, qcost, sum(pols), len(factors), j, lines, pols)
             if best is None or key < best[0]:
-                best = (key, cand)
+                best = (key, j, factors)
         if best is None:
             for j in sorted(errs):
                 for term in _anf_monomials(errs[j], n_in):
                     record(_monomial_gates(term, n_in, j, width))
             break
-        record(best[1].gates)
+        record(_realize(best[1], best[2]))
     return CascadePlan(tuple(steps), _find_cascades(steps, n_in))
 
 

@@ -345,6 +345,14 @@ def test_factor_gcd_shortcut(capsys):
     assert "factors: 3 5" in out
 
 
+@pytest.mark.parametrize("a", [-2, 0, 1, 15, 16, 17])
+def test_factor_rejects_base_outside_range(capsys, a):
+    code, out, err = run(capsys, "factor", "--N", "15", "--a", str(a), "--shots", "10")
+    assert code == EXIT_USAGE
+    assert "1 < a < N=15" in err
+    assert out == ""
+
+
 def test_factor_json_document(capsys):
     code, out, _ = run(
         capsys, "factor", "--N", "15", "--a", "2", "--shots", "64",

@@ -15,7 +15,6 @@ from shorcompile.numtheory import (
     continued_fraction_order,
     coprime_order_table,
     factor_semiprime,
-    gcd,
     is_prime,
     is_prime_power,
     mod_pow,
@@ -32,21 +31,6 @@ def _order_oracle(a: int, n: int) -> int:
         v = (v * a) % n
         r += 1
     return r
-
-
-def test_gcd_matches_math_gcd():
-    for _ in range(500):
-        a, b = RNG.randrange(0, 10**6), RNG.randrange(0, 10**6)
-        if a == b == 0:
-            continue
-        assert gcd(a, b) == math.gcd(a, b)
-
-
-def test_gcd_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gcd(-4, 6)
-    with pytest.raises(ValueError):
-        gcd(0, 0)
 
 
 def test_mod_pow_matches_builtin_pow():

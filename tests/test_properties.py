@@ -1,4 +1,5 @@
-"""Property tests: the packed evaluator against the row-at-a-time reference."""
+"""Property tests: the packed evaluator against the row-at-a-time reference,
+and the synthesizer's candidates against the gates built for them."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +11,18 @@ from shorcompile.circuit import (
     GateKind,
     Mismatch,
     apply_gate,
+    apply_packed,
     basis_permutation,
     circuit_from_json,
     circuit_to_json,
+    cost,
     evaluate,
     to_permutation,
     verify,
 )
 from shorcompile.library import LIBRARY
 from shorcompile.modexp import TruthTable
-from shorcompile.synth import synthesize
+from shorcompile.synth import _candidates, _realize, synthesize
 
 KINDS = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)
 
@@ -130,3 +133,25 @@ def periodic_tables(draw) -> TruthTable:
 @given(periodic_tables())
 def test_synthesized_circuit_verifies(table):
     assert verify(synthesize(table), table) == []
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_realized_candidates_flip_only_their_target(data):
+    """Each candidate's gates flip line j exactly on its activation and leave
+    every other line, borrowed hosts included, as they found it."""
+    n_in = data.draw(st.integers(1, 4))
+    n_out = data.draw(st.integers(1, 3))
+    width, full = n_in + n_out, (1 << (1 << n_in)) - 1
+    vecs = data.draw(st.lists(st.integers(0, full), min_size=width, max_size=width))
+    allow_neg = data.draw(st.booleans())
+    for j, factors, act, qcost in _candidates(n_in, vecs, range(n_in, width), allow_neg, full):
+        gates = _realize(j, factors)
+        lines = list(vecs)
+        for g in gates:
+            apply_packed(lines, g, full)
+        want = list(vecs)
+        want[j] ^= act
+        assert lines == want, (j, factors)
+        assert cost(Circuit(width, (), (), tuple(gates))).quantum_cost == qcost, (j, factors)
+        assert allow_neg or not any(c.neg for g in gates for c in g.controls)

@@ -1,12 +1,15 @@
 """Two-stage synthesis: linear fitting, greedy repair, fallback search."""
 
+import hashlib
+import math
 import random
 
 import pytest
 
-from shorcompile.circuit import cost, verify
+from shorcompile.circuit import cost, render_gates, verify
 from shorcompile.library import FIGURE_IDS, LIBRARY
-from shorcompile.modexp import TruthTable
+from shorcompile.modexp import TruthTable, full_compile
+from shorcompile.numtheory import factor_semiprime
 from shorcompile.synth import (
     SynthesisBudget,
     SynthesisError,
@@ -153,3 +156,78 @@ def test_impossible_without_spare_line():
     table = TruthTable(3, 1, (0, 0, 0, 0, 0, 0, 0, 1))
     with pytest.raises(SynthesisError):
         synthesize(table)
+
+
+# Quantum cost and sha256 of render_gates(synthesize(table)) per table and
+# allow_negative_controls, recorded before candidates became plain data.
+# Together these circuits use every candidate shape the greedy pass picks:
+# one- and two-line CNOT factors and Toffolis with zero, one or two
+# borrowed pairs, each with positive and negative controls.
+PINNED_CIRCUITS = {
+    ("f2_15", True): (12, "ab6cc4500fee8b38d5bce9b2067dd110c435ef99fb173c927a128c8131b72902"),
+    ("f2_15", False): (19, "5db403d55956c487805f0e2b46216947338d2d514b34ecec2b343e75bae398bb"),
+    ("f2_15_full", True): (2, "513ed3948a0d49714c104669a83f7b7e2366bbe4b768ff7458603a683cc60f41"),
+    ("f2_15_full", False): (2, "513ed3948a0d49714c104669a83f7b7e2366bbe4b768ff7458603a683cc60f41"),
+    ("f4_15", True): (2, "528959a411ff16e4049546b7a38c05160f89c727842192f6dbb7ef3e89498bbf"),
+    ("f4_15", False): (3, "f5eb67e8845284e4799e39d14b51c097a6e0ace8c69cc96094593aa67b23af5e"),
+    ("f4_15_full", True): (1, "bd6a4193629f22c727f0882d7743f80e7a2a330bc7062c01b7c728c4b19611d7"),
+    ("f4_15_full", False): (1, "bd6a4193629f22c727f0882d7743f80e7a2a330bc7062c01b7c728c4b19611d7"),
+    ("f4_21", True): (28, "5d27b8c78f20e87190dcd49334ec986970e667b809b52f5cfc0603e75f80c0c4"),
+    ("f4_21", False): (29, "81a954426721069cd90474a23c489cccc81b90d672ada7f1b5f87848404d37e1"),
+    ("f4_21_full", True): (12, "4f1609dcb1382e5893509d9d10634eee22343723d218a565933f921f87b4d4e0"),
+    ("f4_21_full", False): (16, "35a612727816d75b4ba6d086c1e15a6a345d43bcb6d2d3cb04b572098593171d"),
+    ("f4_21_partial", True): (19, "69ce228f8deec7b8d9aac99904ce486148f8cfbbefbb6acfe7e07df718f0d7a1"),
+    ("f4_21_partial", False): (19, "69ce228f8deec7b8d9aac99904ce486148f8cfbbefbb6acfe7e07df718f0d7a1"),
+    ("f4_33_full", True): (46, "9d5aebf0ff0a840ff56bc24722b122b8204242c5711d81bb2d61596c795b77a6"),
+    ("f4_33_full", False): (50, "28370b3c4bad12e8f352f974656b1d3984ff1f4e65a29eb769958b8ac516f298"),
+    ((2, 21), True): (25, "9cabdb27e906de6d124a5fc02755c1e796d8cac33b41656e58c2fe19d00b4ada"),
+    ((2, 21), False): (25, "9cabdb27e906de6d124a5fc02755c1e796d8cac33b41656e58c2fe19d00b4ada"),
+    ((7, 33), True): (304, "0792de2b0c404839f3bf54f8debb353ea56b1f851a2c6995e1b57428e4e0e96c"),
+    ((7, 33), False): (320, "dddbf02d58f03644c3fa7b8c9c2fcc0e1f056fa3c57ed4db1c55456486e5aa7c"),
+    ((2, 39), True): (508, "aa2810c2bb4d5812717bc14571f8a8e0ec6b81c10d1ef346035b5f6fb718ef24"),
+    ((2, 39), False): (492, "b89e7d4620478891cb9415405d00d77ed58c493fa16ea1993e5537f26546fd71"),
+    ((16, 33), True): (26, "b18f912a0da08999a916395833737766aaa299f73f79d7086ee7df01758014e0"),
+    ((16, 33), False): (26, "b18f912a0da08999a916395833737766aaa299f73f79d7086ee7df01758014e0"),
+}
+
+
+@pytest.mark.parametrize(
+    "source, allow_neg",
+    list(PINNED_CIRCUITS),
+    ids=[f"{s if isinstance(s, str) else 'full_%d_%d' % s}-{n}" for s, n in PINNED_CIRCUITS],
+)
+def test_synthesized_circuits_are_pinned(source, allow_neg):
+    table = LIBRARY[source].table if isinstance(source, str) else full_compile(*source).table
+    circ = synthesize(table, SynthesisBudget(allow_negative_controls=allow_neg))
+    digest = hashlib.sha256(render_gates(circ).encode()).hexdigest()
+    assert (cost(circ).quantum_cost, digest) == PINNED_CIRCUITS[source, allow_neg]
+
+
+def _odd_semiprimes_below(limit: int) -> list[int]:
+    out = []
+    for n in range(15, limit, 2):
+        try:
+            out.append(factor_semiprime(n).n)
+        except ValueError:
+            pass
+    return out
+
+
+def test_every_small_full_compile_synthesizes_or_hits_the_width_cap():
+    """Every coprime (a, N), N an odd semiprime below 90: the fully compiled
+    table either synthesizes to a verified circuit or is refused by the
+    documented 6-bit cap."""
+    done = capped = 0
+    for n in _odd_semiprimes_below(90):
+        for a in range(2, n):
+            if math.gcd(a, n) != 1:
+                continue
+            table = full_compile(a, n).table
+            if max(table.n_in, table.n_out) > 6:
+                with pytest.raises(ValueError, match="at most 6 input and 6 output bits"):
+                    synthesize(table)
+                capped += 1
+                continue
+            assert verify(synthesize(table), table) == [], (a, n)
+            done += 1
+    assert (done, capped) == (341, 114)
