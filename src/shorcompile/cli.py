@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -109,19 +110,25 @@ def _cost_line(report: CostReport) -> str:
 # ---------------------------------------------------------------- tables
 
 
+_Dists = Callable[[int, int], list[tuple[int, ProbDist]]]
+
+
 @dataclass(frozen=True)
 class Table:
     """A table that ``tables`` emits or ``diff-golden`` checks.
 
     Its bundled golden, if any, is ``golden/<stem>.csv``: the header's
     columns plus a per-row ``tolerance``. The first ``key`` columns
-    identify a row. ``rows`` returns raw values; floats are unformatted.
+    identify a row. ``rows(dists)`` returns raw values; floats are
+    unformatted. A table of post-transform distributions reads them as
+    ``dists(m, k)``: ``_distributions``, or a cache of it that the tables
+    of one command share.
     """
 
     stem: str
     header: tuple[str, ...]
     key: int
-    rows: Callable[[], list[tuple]]
+    rows: Callable[[_Dists], list[tuple]]
 
 
 def _distributions(m: int, k: int) -> list[tuple[int, ProbDist]]:
@@ -155,18 +162,18 @@ _KINDS: dict[str, Callable[..., Table]] = {
     # factor_semiprime(N).n is N, once N is known to be an odd distinct-prime semiprime
     "orders": lambda N: Table(
         f"orders_n{N}", ("a", "r"), 1,
-        lambda: [(rec.a, rec.r) for rec in coprime_order_table(factor_semiprime(N).n)],
+        lambda _: [(rec.a, rec.r) for rec in coprime_order_table(factor_semiprime(N).n)],
     ),
     "allowed-periods": lambda max_N: Table(
-        f"allowed_periods_max{max_N}", ("N", "p", "q", "lambda", "periods"), 1, lambda: _allowed_rows(max_N)
+        f"allowed_periods_max{max_N}", ("N", "p", "q", "lambda", "periods"), 1, lambda _: _allowed_rows(max_N)
     ),
     "probabilities": lambda m, k: Table(
         f"probabilities_m{m}k{k}", ("p", "k", "probability"), 2,
-        lambda: [(p, i, v) for p, d in _distributions(m, k) for i, v in enumerate(d.probabilities.tolist())],
+        lambda dists: [(p, i, v) for p, d in dists(m, k) for i, v in enumerate(d.probabilities.tolist())],
     ),
     "separability": lambda m, k: Table(
         f"separability_m{m}k{k}", ("p", "S"), 1,
-        lambda: [(p, separability_index(d)) for p, d in _distributions(m, k)],
+        lambda dists: [(p, separability_index(d)) for p, d in dists(m, k)],
     ),
 }
 
@@ -177,7 +184,7 @@ _GOLDENS: tuple[tuple[str, Table], ...] = (
     ("allowed periods", _KINDS["allowed-periods"](90)),
     ("probabilities m=3 k=3", _KINDS["probabilities"](3, 3)),
     ("separability m=3 k=3", _KINDS["separability"](3, 3)),
-    ("reduced density p=3", Table("rho_p3", ("row", "col", "re", "im"), 2, _rho_rows)),
+    ("reduced density p=3", Table("rho_p3", ("row", "col", "re", "im"), 2, lambda _: _rho_rows())),
 )
 
 _GOLDEN_DIR = resources.files("shorcompile").joinpath("golden")
@@ -191,7 +198,7 @@ def _named(names: tuple[str, ...], cells: Iterable[object]) -> str:
     return " ".join(f"{name}={_cell(c)}" for name, c in zip(names, cells))
 
 
-def _diff(table: Table) -> list[str]:
+def _diff(table: Table, dists: _Dists = _distributions) -> list[str]:
     """Compare ``table`` with its golden, matching rows on their key columns.
 
     String cells must be equal and numeric cells agree within the row's
@@ -206,7 +213,7 @@ def _diff(table: Table) -> list[str]:
     if header != [*table.header, "tolerance"]:
         return [f"{table.stem}: golden columns {','.join(header)}, expected {','.join(table.header)},tolerance"]
     key, names = table.key, table.header
-    computed = {tuple([str(c) for c in row[:key]]): row[key:] for row in table.rows()}
+    computed = {tuple([str(c) for c in row[:key]]): row[key:] for row in table.rows(dists)}
     problems = []
     for row in golden:
         name, want = tuple(row[:key]), row[key:-1]
@@ -261,7 +268,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     if args.diff_golden:
         return EXIT_OK if _report(f"golden diff {kind}", _diff(table)) else EXIT_MISMATCH
 
-    rows = [list(map(_cell, row)) for row in table.rows()]
+    rows = [list(map(_cell, row)) for row in table.rows(_distributions)]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([table.header, *rows])
     csv_text = buf.getvalue()
@@ -469,9 +476,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.rho:
         rho = reduce_to_input(state)
-        payload["rho"] = json.loads(rho.to_json())
+        entries = rho.entries.tolist()
+        payload["rho"] = {"dim": rho.dim, "entries": [[[z.real, z.imag] for z in row] for row in entries]}
         lines.append("reduced input density matrix:")
-        for row in rho.entries:
+        for row in entries:
             lines.append("  " + " ".join(f"{z.real:+.4f}{z.imag:+.4f}j" for z in row))
 
     if args.format == "json":
@@ -568,7 +576,9 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_diff_golden(args: argparse.Namespace) -> int:
-    passed = [_report(label, _diff(table)) for label, table in _GOLDENS]
+    # computed once per call for the probability and separability checks, never kept across calls
+    dists = functools.cache(_distributions)
+    passed = [_report(label, _diff(table, dists)) for label, table in _GOLDENS]
     passed.append(_report("figure circuits", _check_circuits()))
     return EXIT_OK if all(passed) else EXIT_MISMATCH
 
@@ -576,7 +586,12 @@ def cmd_diff_golden(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built below at import and shared by every call.
+
+    Parsing reads it and never changes it; callers must not change it either.
+    """
     parser = argparse.ArgumentParser(prog="shorcompile", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -642,6 +657,11 @@ def build_parser() -> argparse.ArgumentParser:
     diff.set_defaults(func=cmd_diff_golden)
 
     return parser
+
+
+# Built at import so that it is allocated before the first command runs,
+# not inside the first call's time or memory.
+build_parser()
 
 
 def entrypoint(argv: list[str] | None = None) -> int:

