@@ -9,6 +9,7 @@ affine (y - c) / d, and rank order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -159,21 +160,24 @@ def _log_descriptor(outputs: tuple[int, ...], a: int) -> GDescriptor | None:
 def _affine_descriptor(outputs: tuple[int, ...], n: int) -> GDescriptor | None:
     """Best (c, d) by (max mapped value, d, c); d in 1..n, c in 0..d.
 
+    Every output is congruent to the smallest, y0, mod d exactly when d
+    divides g = gcd(y - y0), so only those d fit, and then only with
+    c = y0 mod d, or c = d when that residue is 0; c must not exceed y0.
     Distinct outputs stay distinct under any single (c, d), so injectivity
     holds whenever divisibility does.
     """
     ys = sorted(set(outputs))
-    best_key: tuple[int, int, int] | None = None
-    for d in range(1, n + 1):
-        for c in range(0, d + 1):
-            if any(y < c or (y - c) % d for y in ys):
-                continue
-            key = ((ys[-1] - c) // d, d, c)
-            if best_key is None or key < best_key:
-                best_key = key
-    if best_key is None:
+    g = math.gcd(*(y - ys[0] for y in ys))
+    keys = [
+        ((ys[-1] - c) // d, d, c)
+        for d in range(1, n + 1)
+        if g % d == 0
+        for c in (ys[0] % d, d)
+        if c <= ys[0] and (ys[0] - c) % d == 0
+    ]
+    if not keys:
         return None
-    _, d, c = best_key
+    _, d, c = min(keys)
     return GDescriptor(GKind.AFFINE, c=c, d=d)
 
 

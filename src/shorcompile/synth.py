@@ -2,24 +2,34 @@
 
 Stage one fits each output bit with the best affine XOR form over the input
 bits and emits it as CNOT copies. Stage two repairs the remaining wrong
-entries greedily. Each round scores every candidate as plain data: a target
-line and up to two control factors, each the XOR of one or two lines with a
-polarity (a two-line Toffoli factor is an input-line pair borrowed in place
-and restored). Gates are built only for the winning candidate. Chaining gate
-outputs into later controls is where Toffoli cascades come from. Whatever
-the greedy pass cannot clear is finished off from the algebraic normal form
-of the residual, so synthesis always terminates with a verified circuit; an
-optional iterative-deepening fallback covers tight budgets on tiny tables.
+entries greedily. A candidate is a target line and up to two control
+factors, each the XOR of one or two lines with a polarity (a two-line
+Toffoli factor is an input-line pair borrowed in place and restored). Its
+shape does not depend on the line values, so _candidates is enumerated once
+per (n_in, width, polarity setting, target) into an int16 catalogue sorted
+by the tie-break key. Each round packs every line (at most 64 rows) into a
+uint64, scores each target's catalogue in one numpy popcount pass, and
+compares the per-target winners on the one full key; gates are built only
+for the overall winner. Chaining gate outputs into later controls is where
+Toffoli cascades come from. Whatever the greedy pass cannot clear is
+finished off from the algebraic normal form of the residual, so synthesis
+always terminates with a verified circuit; an optional iterative-deepening
+fallback covers tight budgets on tiny tables.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
 bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
-act on them through circuit.apply_packed.
+act on them through circuit.apply_packed; only the greedy scorer copies
+them into uint64 arrays.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
+
+import numpy as np
 
 from .circuit import (
     Circuit,
@@ -173,41 +183,31 @@ def _emit_linear(fit: LinearFit, n_in: int, allow_neg: bool = True) -> list[Gate
     return gates
 
 
-def _candidates(
-    n_in: int, vecs: list[int], targets: Iterable[int], allow_neg: bool, full: int
-) -> Iterator[tuple[int, tuple, int, int]]:
-    """Every greedy repair candidate for the target lines, as plain data.
+def _candidates(n_in: int, width: int, j: int, allow_neg: bool) -> Iterator[tuple[tuple, int]]:
+    """Every greedy repair candidate for target line j, as plain data.
 
-    A candidate (j, factors, activation, qcost) flips line j on the rows set
-    in activation: where every one of its zero, one or two factors holds. A
-    factor (lines, neg) is the XOR of one or two lines, complemented when
-    neg. Lone factors are every other line, then every line pair; Toffoli
-    factor pairs draw from the borrowed input-line pairs, then the single
-    lines. qcost is that of the gates _realize would build.
+    A candidate (factors, qcost) flips line j on the rows where every one of
+    its zero, one or two factors holds. A factor (lines, neg) is the XOR of
+    one or two lines, complemented when neg. Lone factors are every other
+    line, then every line pair; Toffoli factor pairs draw from the borrowed
+    input-line pairs, then the single lines. qcost is that of the gates
+    _realize would build. No candidate depends on the line values.
     """
-    width = len(vecs)
     polarities = (False, True) if allow_neg else (False,)
-    borrowed = [((a, b), vecs[a] ^ vecs[b]) for a in range(n_in) for b in range(a + 1, n_in)]
-    for j in targets:
-        singles = [((c,), vecs[c]) for c in range(width) if c != j]
-        pairs = [
-            ((a, b), vecs[a] ^ vecs[b])
-            for a in range(width)
-            for b in range(a + 1, width)
-            if j not in (a, b)
-        ]
-        yield j, (), full, 1
-        for lines, v in singles + pairs:
-            for neg in polarities:
-                yield j, ((lines, neg),), v ^ (full if neg else 0), len(lines)
-        toffoli_factors = borrowed + singles
-        for i, (l1, v1) in enumerate(toffoli_factors):
-            for l2, v2 in toffoli_factors[i + 1 :]:
-                qcost = 6 + 2 * (len(l1) + len(l2) - 2)  # two CNOTs per borrowed pair
-                for n1 in polarities:
-                    for n2 in polarities:
-                        act = (v1 ^ (full if n1 else 0)) & (v2 ^ (full if n2 else 0))
-                        yield j, ((l1, n1), (l2, n2)), act, qcost
+    borrowed = [(a, b) for a in range(n_in) for b in range(a + 1, n_in)]
+    singles = [(c,) for c in range(width) if c != j]
+    pairs = [(a, b) for a in range(width) for b in range(a + 1, width) if j not in (a, b)]
+    yield (), 1
+    for lines in singles + pairs:
+        for neg in polarities:
+            yield ((lines, neg),), len(lines)
+    toffoli_factors = borrowed + singles
+    for i, l1 in enumerate(toffoli_factors):
+        for l2 in toffoli_factors[i + 1 :]:
+            qcost = 6 + 2 * (len(l1) + len(l2) - 2)  # two CNOTs per borrowed pair
+            for n1 in polarities:
+                for n2 in polarities:
+                    yield ((l1, n1), (l2, n2)), qcost
 
 
 def _realize(j: int, factors: tuple) -> list[Gate]:
@@ -233,6 +233,80 @@ def _realize(j: int, factors: tuple) -> list[Gate]:
         controls.append((host, neg))
     (c1, n1), (c2, n2) = sorted(controls)
     return borrow + [toffoli(c1, c2, j, neg1=n1, neg2=n2)] + borrow[::-1]
+
+
+def _slot_lines(width: int) -> list[tuple[int, ...]]:
+    """The lines of every factor slot: each line, then each line pair."""
+    return [(c,) for c in range(width)] + [
+        (a, b) for a in range(width) for b in range(a + 1, width)
+    ]
+
+
+@cache
+def _catalogue(n_in: int, width: int, allow_neg: bool, j: int) -> np.ndarray:
+    """Every _candidates shape for target j as int16 rows (i1, i2, qcost).
+
+    i1 and i2 index a round's factor table (see _best_candidate): entry s is
+    the value of slot s of _slot_lines, s + len(slots) its complement and
+    2*len(slots) all ones, where a lone factor's i2 and both of a NOT's
+    indices point. Columns are sorted by the greedy key after score
+    and target: (qcost, negative controls, factor count, lines,
+    polarities), then enumeration order. With n_in, n_out <= 6 there are at
+    most 252 keys, each holding at most about 9 kB.
+    """
+    slots = _slot_lines(width)
+    index = {lines: s for s, lines in enumerate(slots)}
+    n, ones = len(slots), 2 * len(slots)
+
+    def columns(factors: tuple, qcost: int) -> Iterator[int]:
+        # i1, i2, qcost, then the sort key padded to fixed width: shorter
+        # line tuples sort first, as -1 sorts before any line
+        refs = [index[lines] + n * neg for lines, neg in factors] + [ones, ones]
+        lines = [ln for f, _ in factors for ln in f] + [-1] * 4
+        pols = [neg for _, neg in factors] + [0, 0]
+        yield from (refs[0], refs[1], qcost, sum(pols), len(factors), *lines[:4], *pols[:2])
+
+    flat = chain.from_iterable(columns(f, q) for f, q in _candidates(n_in, width, j, allow_neg))
+    rows = np.fromiter(flat, dtype=np.int16).reshape(-1, 11).T
+    order = np.lexsort(rows[:1:-1])  # primary key last; stable, so ties keep enumeration order
+    cat = np.ascontiguousarray(rows[:3, order])
+    cat.flags.writeable = False
+    return cat
+
+
+def _best_candidate(
+    n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int
+) -> tuple[int, tuple] | None:
+    """The greedy winner (j, factors) among every candidate, or None.
+
+    A candidate's score is the wrong entries it fixes minus the right ones
+    it breaks; only positive scores qualify. The key is (-score, qcost,
+    negative controls, factor count, j, lines, polarities). Each target's
+    catalogue is already in key order after score and j, so one argmax per
+    target finds that target's winner; the winners then meet on the full key.
+    Line values pack at most 64 rows (n_in <= 6), one uint64 each.
+    """
+    slots = _slot_lines(len(vecs))
+    n, ones = len(slots), 2 * len(slots)
+    held = [vecs[ln[0]] ^ (vecs[ln[1]] if len(ln) == 2 else 0) for ln in slots]
+    tab = np.array(held + [v ^ full for v in held] + [full], dtype=np.uint64)
+    best: tuple[tuple, int, tuple] | None = None
+    for j, err in errs.items():
+        i1, i2, qcost = _catalogue(n_in, len(vecs), allow_neg, j)
+        act = tab[i1] & tab[i2]
+        # each active row is fixed where it was wrong and broken elsewhere
+        fixed = np.bitwise_count(act & np.uint64(err)).astype(np.int16)
+        score = 2 * fixed - np.bitwise_count(act)
+        k = int(np.argmax(score))
+        if score[k] <= 0:
+            continue
+        factors = tuple((slots[i % n], bool(i >= n)) for i in (int(i1[k]), int(i2[k])) if i != ones)
+        pols = tuple(neg for _, neg in factors)
+        lines = tuple(ln for f, _ in factors for ln in f)
+        key = (-int(score[k]), int(qcost[k]), sum(pols), len(factors), j, lines, pols)
+        if best is None or key < best[0]:
+            best = (key, j, factors)
+    return None if best is None else best[1:]
 
 
 def _anf_monomials(err: int, n_in: int) -> list[int]:
@@ -318,25 +392,13 @@ def plan_cascades(
         errs = errors()
         if not errs:
             break
-        best: tuple[tuple, int, tuple] | None = None
-        for j, factors, act, qcost in _candidates(
-            n_in, vecs, errs, allow_negative_controls, full
-        ):
-            # each active row is fixed where it was wrong and broken elsewhere
-            score = 2 * (act & errs[j]).bit_count() - act.bit_count()
-            if score <= 0:
-                continue
-            pols = tuple(neg for _, neg in factors)
-            lines = tuple(ln for f, _ in factors for ln in f)
-            key = (-score, qcost, sum(pols), len(factors), j, lines, pols)
-            if best is None or key < best[0]:
-                best = (key, j, factors)
+        best = _best_candidate(n_in, vecs, errs, allow_negative_controls, full)
         if best is None:
             for j in sorted(errs):
                 for term in _anf_monomials(errs[j], n_in):
                     record(_monomial_gates(term, n_in, j, width))
             break
-        record(_realize(best[1], best[2]))
+        record(_realize(*best))
     return CascadePlan(tuple(steps))
 
 

@@ -1,21 +1,26 @@
 """Truth tables and the two compression stages."""
 
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shorcompile.modexp import (
     CompileLevel,
     GDescriptor,
     GKind,
     TruthTable,
+    _affine_descriptor,
     build_modexp_table,
     classical_compile,
     full_compile,
     period_of,
     uncompiled,
 )
+from shorcompile.numtheory import factor_semiprime, multiplicative_order
 
 RNG = random.Random(40961)
 
@@ -164,6 +169,57 @@ def test_full_compile_input_width_is_minimal():
 def test_full_compile_prefers_log_then_affine():
     assert full_compile(2, 15).g.kind is GKind.LOG
     assert full_compile(4, 33).g.kind is GKind.AFFINE
+
+
+def reference_affine_descriptor(outputs: tuple[int, ...], n: int) -> GDescriptor | None:
+    """Every (c, d) with d in 1..n and c in 0..d, best by (max mapped value, d, c)."""
+    ys = sorted(set(outputs))
+    best_key = None
+    for d in range(1, n + 1):
+        for c in range(0, d + 1):
+            if any(y < c or (y - c) % d for y in ys):
+                continue
+            key = ((ys[-1] - c) // d, d, c)
+            if best_key is None or key < best_key:
+                best_key = key
+    if best_key is None:
+        return None
+    _, d, c = best_key
+    return GDescriptor(GKind.AFFINE, c=c, d=d)
+
+
+def test_affine_descriptor_matches_brute_force_on_every_small_full_compile():
+    """The raw outputs of each coprime (a, N), N an odd semiprime below 90."""
+    checked = 0
+    for n in range(15, 90, 2):
+        try:
+            factor_semiprime(n)
+        except ValueError:
+            continue
+        for a in range(2, n):
+            if math.gcd(a, n) != 1:
+                continue
+            r = multiplicative_order(a, n)
+            raw = tuple(pow(a, x % r, n) for x in range(1 << max(1, (r - 1).bit_length())))
+            assert _affine_descriptor(raw, n) == reference_affine_descriptor(raw, n), (a, n)
+            checked += 1
+    assert checked == 455
+
+
+@st.composite
+def output_sets(draw) -> tuple[int, ...]:
+    """Arbitrary outputs, or outputs sharing a residue mod a drawn step."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.integers(0, 200), min_size=1, max_size=10)))
+    y0, step = draw(st.integers(0, 60)), draw(st.integers(1, 15))
+    ks = draw(st.lists(st.integers(0, 12), min_size=1, max_size=10))
+    return tuple(y0 + step * k for k in ks)
+
+
+@settings(max_examples=200)
+@given(output_sets(), st.integers(1, 80))
+def test_affine_descriptor_matches_brute_force(outputs, n):
+    assert _affine_descriptor(outputs, n) == reference_affine_descriptor(outputs, n)
 
 
 def test_period_of():

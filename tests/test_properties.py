@@ -1,5 +1,8 @@
 """Property tests: the packed evaluator against the row-at-a-time reference,
-and the synthesizer's candidates against the gates built for them."""
+the synthesizer's candidates against the gates built for them, and its
+vectorized candidate scorer against a plain-Python one."""
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +20,13 @@ from shorcompile.circuit import (
     circuit_to_json,
     cost,
     evaluate,
+    input_vectors,
     to_permutation,
     verify,
 )
 from shorcompile.library import LIBRARY
 from shorcompile.modexp import TruthTable
-from shorcompile.synth import _candidates, _realize, synthesize
+from shorcompile.synth import _best_candidate, _candidates, _realize, synthesize
 
 KINDS = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)
 
@@ -135,6 +139,17 @@ def test_synthesized_circuit_verifies(table):
     assert verify(synthesize(table), table) == []
 
 
+def activation(vecs: list[int], factors: tuple, full: int) -> int:
+    """Rows where every factor (the XOR of its lines, complemented when neg) holds."""
+    act = full
+    for lines, neg in factors:
+        v = full if neg else 0
+        for ln in lines:
+            v ^= vecs[ln]
+        act &= v
+    return act
+
+
 @settings(max_examples=30)
 @given(st.data())
 def test_realized_candidates_flip_only_their_target(data):
@@ -145,13 +160,82 @@ def test_realized_candidates_flip_only_their_target(data):
     width, full = n_in + n_out, (1 << (1 << n_in)) - 1
     vecs = data.draw(st.lists(st.integers(0, full), min_size=width, max_size=width))
     allow_neg = data.draw(st.booleans())
-    for j, factors, act, qcost in _candidates(n_in, vecs, range(n_in, width), allow_neg, full):
-        gates = _realize(j, factors)
-        lines = list(vecs)
-        for g in gates:
-            apply_packed(lines, g, full)
-        want = list(vecs)
-        want[j] ^= act
-        assert lines == want, (j, factors)
-        assert cost(Circuit(width, (), (), tuple(gates))).quantum_cost == qcost, (j, factors)
-        assert allow_neg or not any(c.neg for g in gates for c in g.controls)
+    for j in range(n_in, width):
+        for factors, qcost in _candidates(n_in, width, j, allow_neg):
+            gates = _realize(j, factors)
+            lines = list(vecs)
+            for g in gates:
+                apply_packed(lines, g, full)
+            want = list(vecs)
+            want[j] ^= activation(vecs, factors, full)
+            assert lines == want, (j, factors)
+            assert cost(Circuit(width, (), (), tuple(gates))).quantum_cost == qcost, (j, factors)
+            assert allow_neg or not any(c.neg for g in gates for c in g.controls)
+
+
+def reference_best_candidate(n_in, vecs, errs, allow_neg, full):
+    """Score every candidate tuple one at a time; best by the greedy key."""
+    best = None
+    for j in errs:
+        for factors, qcost in _candidates(n_in, len(vecs), j, allow_neg):
+            act = activation(vecs, factors, full)
+            score = 2 * (act & errs[j]).bit_count() - act.bit_count()
+            if score <= 0:
+                continue
+            pols = tuple(neg for _, neg in factors)
+            lines = tuple(ln for f, _ in factors for ln in f)
+            key = (-score, qcost, sum(pols), len(factors), j, lines, pols)
+            if best is None or key < best[0]:
+                best = (key, j, factors)
+    return None if best is None else best[1:]
+
+
+def _check_scorer(data, n_in: int) -> None:
+    n_out = data.draw(st.integers(1, 6))
+    width, full = n_in + n_out, (1 << (1 << n_in)) - 1
+    value = st.one_of(st.integers(0, full), st.sampled_from([0, full, full >> 1, (full >> 1) + 1]))
+    vecs = data.draw(st.lists(value, min_size=width, max_size=width))
+    masks = data.draw(st.lists(value, min_size=n_out, max_size=n_out))
+    errs = {n_in + ol: m for ol, m in enumerate(masks) if m}
+    allow_neg = data.draw(st.booleans())
+    want = reference_best_candidate(n_in, vecs, errs, allow_neg, full)
+    assert _best_candidate(n_in, vecs, errs, allow_neg, full) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_vectorized_scorer_picks_the_reference_winner(n_in, data):
+    _check_scorer(data, n_in)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_vectorized_scorer_on_64_row_lines(data):
+    """n_in = 6: all ones is 2**64 - 1, where overflow or sign slips would show."""
+    _check_scorer(data, 6)
+
+
+def test_vectorized_scorer_breaks_ties_like_the_reference():
+    """Few rows make equal best scores common, so the tie-break order decides many cases."""
+    rng = random.Random(2718)
+    for _ in range(2000):
+        n_in, n_out = rng.randint(1, 3), rng.randint(1, 4)
+        width, full = n_in + n_out, (1 << (1 << n_in)) - 1
+        vecs = [rng.randint(0, full) for _ in range(width)]
+        errs = {n_in + ol: m for ol in range(n_out) if (m := rng.randint(0, full))}
+        allow_neg = rng.random() < 0.5
+        want = reference_best_candidate(n_in, vecs, errs, allow_neg, full)
+        assert _best_candidate(n_in, vecs, errs, allow_neg, full) == want, (n_in, vecs, errs, allow_neg)
+
+
+def test_vectorized_scorer_at_the_64_bit_edges():
+    full = (1 << 64) - 1
+    top, vecs = 1 << 63, input_vectors(6) + [0, full]
+    # a lone wrong row (top) has no positive-score candidate; the rest do
+    winners = 0
+    for errs in ({6: full}, {7: full}, {6: top}, {6: top | 1, 7: full ^ top}, {6: full, 7: full}):
+        for allow_neg in (False, True):
+            want = reference_best_candidate(6, vecs, errs, allow_neg, full)
+            assert _best_candidate(6, vecs, errs, allow_neg, full) == want, (errs, allow_neg)
+            winners += want is not None
+    assert winners == 8

@@ -179,6 +179,27 @@ def test_estimate_epsilon_guards():
         assert estimate_epsilon(0.25, 0.10, 3) == 0.0  # below floor: clamp
 
 
+def test_estimate_epsilon_clamps_rounding_silently_and_warns_beyond_it():
+    s = 1 - 9e-16  # S_theory the closed form gives at p = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_epsilon(s, 1.0, 3) == 1.0
+        assert estimate_epsilon(s, 1 / 8 - 1e-15, 3) == 0.0
+    with pytest.warns(UserWarning, match="outside"):
+        assert estimate_epsilon(s, s + 1e-9, 3) == 1.0
+    with pytest.warns(UserWarning, match="outside"):
+        assert estimate_epsilon(s, 1 / 8 - 1e-9, 3) == 0.0
+
+
+def test_noiseless_simulate_writes_nothing_to_stderr(capsys):
+    # every shot lands on one outcome, so the observed S is exactly 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = entrypoint(["simulate", "--p", "1", "--shots", "500", "--seed", "1", "--rho", "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sample_reproducible_and_converges():
     dist = input_probabilities(qft_input(_period_state(3, 3, 4)))
     a = sample(dist, 5000, seed=12)
