@@ -49,7 +49,6 @@ from .numtheory import (
     carmichael,
     coprime_order_table,
     factor_semiprime,
-    is_prime,
     is_prime_power,
     multiplicative_order,
     shor_postprocess,
@@ -520,39 +519,42 @@ def _factor_attempt(n: int, a: int, shots: int, seed: int) -> dict:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     n = args.n
+    text = args.format == "text"
     if n < 3 or n % 2 == 0:
         raise ValueError("N must be an odd integer >= 3")
-    if is_prime(n):
-        raise ValueError(f"N={n} is prime")
     power = is_prime_power(n)
+    if power and power[1] == 1:
+        raise ValueError(f"N={n} is prime")
     if power:
         raise ValueError(f"N={n} is a prime power: {power[0]}**{power[1]}")
 
+    attempts = []
+    factors = None
     if args.a is not None:
         if not 1 < args.a < n:
             raise ValueError(f"a={args.a} is outside the range 1 < a < N={n}")
         g = math.gcd(args.a, n)
-        if g != 1:
-            print(f"gcd({args.a}, {n}) = {g} already factors N")
-            print(f"factors: {g} {n // g}")
-            return EXIT_OK
-        bases = [args.a]
+        if g == 1:
+            bases = [args.a]
+        else:
+            bases, factors = [], [g, n // g]
+            if text:
+                print(f"gcd({args.a}, {n}) = {g} already factors N")
     else:
-        bases = [a for a in range(2, n - 1) if math.gcd(a, n) == 1]
+        bases = (a for a in range(2, n - 1) if math.gcd(a, n) == 1)
 
-    attempts = []
-    factors = None
     for idx, a in enumerate(bases):
         attempt = _factor_attempt(n, a, args.shots, args.seed + idx)
         attempts.append(attempt)
         order = attempt["recovered_order"]
         status = attempt["status"]
-        print(f"a={a}: shots={args.shots} M={1 << attempt['m']} recovered_order={order} status={status}")
+        if text:
+            print(f"a={a}: shots={args.shots} M={1 << attempt['m']} recovered_order={order} status={status}")
         if status == PostProcessStatus.FACTORS.value:
             factors = attempt["factors"]
             break
 
-    if args.format == "json":
+    if not text:
         doc = {
             "manifest": _manifest(
                 "factor",
@@ -564,12 +566,11 @@ def cmd_factor(args: argparse.Namespace) -> int:
             "factors": factors,
         }
         print(json.dumps(doc, indent=2))
-
-    if factors:
+    elif factors:
         print(f"factors: {factors[0]} {factors[1]}")
-        return EXIT_OK
-    print("no factors recovered")
-    return EXIT_MISMATCH
+    else:
+        print("no factors recovered")
+    return EXIT_OK if factors else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------- diff-golden

@@ -23,24 +23,45 @@ def mod_pow(a: int, x: int, n: int) -> int:
     return result
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
+# multiplicative_order walks r steps, r < n; it refuses n >= _ORDER_BOUND.
+_ORDER_BOUND = 1 << 20
+# prime_factors divides up to sqrt(n); it refuses n >= _FACTOR_BOUND. The
+# bound is the order bound squared, since order finding factors a verified
+# multiple of the order, which its restart rule keeps at most n**2.
+_FACTOR_BOUND = _ORDER_BOUND**2
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """{p: e} with the product of p**e equal to n, primes ascending, by trial division.
+
+    Requires 1 <= n < 2**40 (prime_factors(1) is empty); the largest prime
+    below that bound takes about 0.1 s.
+    """
+    if not 1 <= n < _FACTOR_BOUND:
+        raise ValueError(f"prime_factors needs 1 <= n < 2**40, got n={n}")
+    out: dict[int, int] = {}
+    f = 2
     while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test; n below 2**40."""
+    return n >= 2 and prime_factors(n) == {n: 1}
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Smallest r >= 1 with a**r = 1 (mod n); requires gcd(a, n) = 1."""
+    """Smallest r >= 1 with a**r = 1 (mod n); requires gcd(a, n) = 1 and n < 2**20."""
     if not 1 < a < n:
         raise ValueError("need 1 < a < n")
+    if n >= _ORDER_BOUND:
+        raise ValueError(f"multiplicative_order needs n < 2**20, got n={n}")
     if math.gcd(a, n) != 1:
         raise ValueError(f"a={a} is not coprime to n={n}")
     v = a % n
@@ -71,14 +92,10 @@ class Semiprime:
 
 def factor_semiprime(n: int) -> Semiprime:
     """Split n into two distinct odd primes, or raise ValueError."""
-    if n < 15 or n % 2 == 0:
+    factors = prime_factors(n) if n >= 15 and n % 2 else {}
+    if len(factors) != 2 or set(factors.values()) != {1}:
         raise ValueError(f"{n} is not an odd semiprime with distinct factors")
-    f = 3
-    while f * f < n:
-        if n % f == 0:
-            return Semiprime(n, f, n // f)
-        f += 2
-    raise ValueError(f"{n} is not an odd semiprime with distinct factors")
+    return Semiprime(n, *factors)
 
 
 def carmichael(p: int, q: int) -> int:
@@ -114,29 +131,10 @@ def coprime_order_table(n: int) -> list[OrderRecord]:
     ]
 
 
-def _int_kth_root(n: int, k: int) -> int | None:
-    """Exact integer k-th root of n, or None."""
-    if k == 1:
-        return n
-    if k == 2:
-        r = math.isqrt(n)
-        return r if r * r == n else None
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand**k == n:
-            return cand
-    return None
-
-
 def is_prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with p prime and p**k = n, else None; k = 1 allowed."""
-    if n < 2:
-        return None
-    for k in range(1, n.bit_length() + 1):
-        root = _int_kth_root(n, k)
-        if root is not None and is_prime(root):
-            return (root, k)
-    return None
+    factors = prime_factors(n) if n >= 2 else {}
+    return next(iter(factors.items())) if len(factors) == 1 else None
 
 
 class PostProcessStatus(Enum):

@@ -15,7 +15,6 @@ take an explicit seed and are bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, basis_permutation
-from .numtheory import continued_fraction_order, mod_pow, multiplicative_order
+from .numtheory import continued_fraction_order, mod_pow, multiplicative_order, prime_factors
 
 _MAX_QUBITS = 20
 # estimate_epsilon clamps an observed S this far outside its interval without a warning.
@@ -69,10 +68,6 @@ class DensityMatrix:
     def spectrum(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.entries)
 
-    def to_json(self) -> str:
-        rows = [[[z.real, z.imag] for z in row] for row in self.entries]
-        return json.dumps({"dim": self.dim, "entries": rows})
-
 
 @dataclass(frozen=True)
 class ProbDist:
@@ -86,14 +81,6 @@ class ProbDist:
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(float(np.sum(p)) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
-
-    def to_json(self) -> str:
-        return json.dumps({"probabilities": [float(v) for v in self.probabilities]})
-
-    def to_csv(self) -> str:
-        lines = ["k,probability"]
-        lines += [f"{i},{float(v):.12g}" for i, v in enumerate(self.probabilities)]
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -277,29 +264,16 @@ def _order_finding_distribution(a: int, n: int) -> tuple[int, np.ndarray]:
     return m, probs
 
 
-def _distinct_primes(x: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            out.append(f)
-            while x % f == 0:
-                x //= f
-        f += 1
-    if x > 1:
-        out.append(x)
-    return out
-
-
 def _reduce_to_exact_order(a: int, n: int, multiple: int) -> int:
     """Shrink a verified multiple of the order to the order itself.
 
     One pass per distinct prime suffices: a prime's multiplicity can only
     drop during its own pass, and the pass only stops once it has reached
-    the multiplicity the true order requires.
+    the multiplicity the true order requires. order_finding_run's restart
+    rule keeps the multiple at most n**2, within prime_factors' bound.
     """
     r = multiple
-    for p in _distinct_primes(multiple):
+    for p in prime_factors(multiple):
         while r % p == 0 and mod_pow(a, r // p, n) == 1:
             r //= p
     return r

@@ -14,7 +14,8 @@ for the overall winner. Chaining gate outputs into later controls is where
 Toffoli cascades come from. Whatever the greedy pass cannot clear is
 finished off from the algebraic normal form of the residual, so synthesis
 always terminates with a verified circuit; an optional iterative-deepening
-fallback covers tight budgets on tiny tables.
+fallback covers tight budgets on tiny tables, searching sequences of the
+single-line candidates (NOT, CNOT and Toffoli gates on plain lines).
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
 bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
@@ -50,7 +51,6 @@ __all__ = [
     "AffineForm",
     "BitFit",
     "LinearFit",
-    "PlanStep",
     "CascadePlan",
     "SynthesisBudget",
     "SynthesisError",
@@ -91,14 +91,8 @@ class LinearFit:
 
 
 @dataclass(frozen=True)
-class PlanStep:
-    gate: Gate
-    flips: int  # packed rows (bit x = input x) whose target-line bit this gate flips
-
-
-@dataclass(frozen=True)
 class CascadePlan:
-    steps: tuple[PlanStep, ...]
+    steps: tuple[Gate, ...]
 
 
 @dataclass(frozen=True)
@@ -373,7 +367,7 @@ def plan_cascades(
     for g in _emit_linear(fit, n_in, allow_negative_controls):
         apply_packed(vecs, g, full)
     targets = output_vectors(table)
-    steps: list[PlanStep] = []
+    steps: list[Gate] = []
 
     def errors() -> dict[int, int]:
         e = {}
@@ -386,7 +380,8 @@ def plan_cascades(
 
     def record(gates: list[Gate]):
         for g in gates:
-            steps.append(PlanStep(g, apply_packed(vecs, g, full)))
+            apply_packed(vecs, g, full)
+            steps.append(g)
 
     while True:
         errs = errors()
@@ -403,29 +398,19 @@ def plan_cascades(
 
 
 def _iddfs(table: TruthTable, budget: SynthesisBudget) -> Circuit | None:
-    """Cost-bounded iterative deepening over raw gate sequences."""
+    """Cost-bounded iterative deepening over sequences of single-line candidates."""
     n_in, n_out = table.n_in, table.n_out
     width = n_in + n_out
     full = (1 << (1 << n_in)) - 1
     targets = tuple(output_vectors(table))
     start = tuple(input_vectors(n_in)) + (0,) * n_out
-    polarities = (False, True) if budget.allow_negative_controls else (False,)
-
-    moves: list[tuple[Gate, int]] = []
-    for j in range(n_in, width):
-        moves.append((not_gate(j), 1))
-        for c in range(width):
-            if c == j:
-                continue
-            for neg in polarities:
-                moves.append((cnot(c, j, neg=neg), 1))
-        for a in range(width):
-            for b in range(a + 1, width):
-                if j in (a, b):
-                    continue
-                for na in polarities:
-                    for nb in polarities:
-                        moves.append((toffoli(a, b, j, neg1=na, neg2=nb), 6))
+    # the greedy candidates whose factors are single lines: NOT, CNOT and Toffoli gates
+    moves = [
+        (_realize(j, f)[0], q)
+        for j in range(n_in, width)
+        for f, q in _candidates(n_in, width, j, budget.allow_negative_controls)
+        if all(len(lines) == 1 for lines, _ in f)
+    ]
 
     cap = min(budget.max_quantum_cost, FALLBACK_COST_CAP)
 
@@ -490,7 +475,7 @@ def synthesize(table: TruthTable, budget: SynthesisBudget | None = None) -> Circ
         table.n_in + table.n_out,
         tuple(range(table.n_in)),
         tuple(range(table.n_in, table.n_in + table.n_out)),
-        tuple(lin_gates) + tuple(s.gate for s in plan.steps),
+        tuple(lin_gates) + plan.steps,
     )
     report = cost(circ)
     if (

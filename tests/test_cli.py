@@ -3,6 +3,7 @@
 import csv
 import json
 import shutil
+import time
 
 import pytest
 
@@ -364,6 +365,38 @@ def test_factor_json_document(capsys):
     assert doc["factors"] == [3, 5]
     assert doc["attempts"][0]["recovered_order"] == 4
     assert doc["manifest"]["params"]["N"] == 15
+
+
+@pytest.mark.parametrize(
+    "argv, code, factors, n_attempts",
+    [
+        (("--N", "15", "--a", "2", "--shots", "64", "--seed", "11"), EXIT_OK, [3, 5], 1),
+        (("--N", "33", "--a", "4", "--shots", "200", "--seed", "3"), EXIT_MISMATCH, None, 1),
+        (("--N", "15", "--a", "6"), EXIT_OK, [3, 5], 0),  # gcd shortcut, no order finding
+    ],
+)
+def test_factor_json_output_is_one_document(capsys, argv, code, factors, n_attempts):
+    got, out, _ = run(capsys, "factor", *argv, "--format", "json")
+    assert got == code
+    doc = json.loads(out)
+    assert doc["factors"] == factors
+    assert len(doc["attempts"]) == n_attempts
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("factor", "--N", str(2**61 - 1), "--a", "2"), "2**40"),  # prime: trial division
+        (("synth", "--a", "2", "--N", "1000000007"), "2**20"),  # order walk
+    ],
+)
+def test_numtheory_bounds_fail_fast_with_usage_exit(capsys, argv, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert bound in err
+    assert out == ""
 
 
 def test_build_parser_returns_one_parser():

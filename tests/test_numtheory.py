@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shorcompile.numtheory import (
     OrderRecord,
@@ -19,6 +21,7 @@ from shorcompile.numtheory import (
     is_prime_power,
     mod_pow,
     multiplicative_order,
+    prime_factors,
     shor_postprocess,
 )
 
@@ -141,6 +144,53 @@ def test_is_prime_power_exhaustive():
     assert is_prime_power(8) == (2, 3)
     assert is_prime_power(27) == (3, 3)
     assert is_prime_power(33) is None
+
+
+def _is_prime_brute(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@given(st.integers(1, 2**40 - 1))
+def test_prime_factors_property(n):
+    factors = prime_factors(n)
+    assert math.prod(p**e for p, e in factors.items()) == n
+    assert list(factors) == sorted(factors)
+    assert all(e >= 1 for e in factors.values())
+    for p in factors:
+        if p < 10**6:
+            assert _is_prime_brute(p), p
+
+
+def test_prime_factors_known_values():
+    assert prime_factors(1) == {}
+    assert prime_factors(2) == {2: 1}
+    assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
+    assert prime_factors(2**40 - 1) == {3: 1, 5: 2, 11: 1, 17: 1, 31: 1, 41: 1, 61681: 1}
+    assert prime_factors(2**40 - 87) == {2**40 - 87: 1}  # the largest prime below the bound
+
+
+@pytest.mark.parametrize("n", [0, -7, 2**40, 2**61 - 1, 2**1100])
+def test_prime_factors_refuses_outside_its_bound(n):
+    with pytest.raises(ValueError, match=r"2\*\*40"):
+        prime_factors(n)
+
+
+def test_prime_helpers_refuse_large_inputs_with_value_error():
+    # the float k-th-root search this replaced raised OverflowError here
+    with pytest.raises(ValueError, match=r"2\*\*40"):
+        is_prime_power(2**1100)
+    with pytest.raises(ValueError, match=r"2\*\*40"):
+        is_prime(2**61 - 1)
+    with pytest.raises(ValueError):
+        factor_semiprime(2**61 - 1)
+
+
+def test_multiplicative_order_refuses_moduli_at_its_bound():
+    assert multiplicative_order(2, 2**20 - 1) == 20
+    with pytest.raises(ValueError, match=r"2\*\*20"):
+        multiplicative_order(2, 2**20 + 1)
+    with pytest.raises(ValueError, match=r"2\*\*20"):
+        multiplicative_order(2, 1_000_000_007)
 
 
 def test_shor_postprocess_even_order():
