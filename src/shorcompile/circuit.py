@@ -243,7 +243,8 @@ def basis_permutation(circuit: Circuit, order: tuple[int, ...]) -> np.ndarray:
     return _read_register(lines, order, 1 << n)
 
 
-def circuit_to_json(circuit: Circuit) -> str:
+def circuit_to_dict(circuit: Circuit) -> dict:
+    """The circuit document as plain JSON data; circuit_to_json encodes it."""
     gates = [
         {
             "kind": g.kind.value,
@@ -252,14 +253,16 @@ def circuit_to_json(circuit: Circuit) -> str:
         }
         for g in circuit.gates
     ]
-    return json.dumps(
-        {
-            "width": circuit.width,
-            "input_lines": list(circuit.input_lines),
-            "output_lines": list(circuit.output_lines),
-            "gates": gates,
-        }
-    )
+    return {
+        "width": circuit.width,
+        "input_lines": list(circuit.input_lines),
+        "output_lines": list(circuit.output_lines),
+        "gates": gates,
+    }
+
+
+def circuit_to_json(circuit: Circuit) -> str:
+    return json.dumps(circuit_to_dict(circuit))
 
 
 def _json_bool(value: object) -> bool:

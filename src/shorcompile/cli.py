@@ -34,7 +34,7 @@ from .circuit import (
     Circuit,
     CostReport,
     circuit_from_json,
-    circuit_to_json,
+    circuit_to_dict,
     compare_cost,
     cost,
     render_gates,
@@ -279,7 +279,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     texts = {
         "text": _text_table(table.header, rows) + "\n",
         "csv": csv_text,
-        "json": json.dumps(doc, indent=2) + "\n",
+        "json": json.dumps(doc) + "\n",
     }
     if not args.out:
         sys.stdout.write(texts[args.format])
@@ -368,18 +368,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     circ = synthesize(table, budget)
     report = cost(circ)
 
-    circ_json = circuit_to_json(circ)
+    circ_doc = circuit_to_dict(circ)
     doc = {
         "manifest": _manifest(
             "synth",
             {"a": a, "N": n, "compile": strategy, "n_in": table.n_in},
             None,
-            {"circuit": _sha256(circ_json)},
+            {"circuit": _sha256(json.dumps(circ_doc))},
         ),
         "level": compiled.level.value,
         "g": compiled.g.kind.value,
         "table": json.loads(table.to_json()),
-        "circuit": json.loads(circ_json),
+        "circuit": circ_doc,
         "cost": {
             "n_toffoli": report.n_toffoli,
             "n_cnot": report.n_cnot,
@@ -400,10 +400,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    if args.format == "json" and not args.out:
-        print(json.dumps(doc, indent=2))
+            # json.dump would stream through the pure-Python encoder; dumps uses the C one
+            fh.write(json.dumps(doc) + "\n")
+    elif args.format == "json":
+        print(json.dumps(doc))
         return EXIT_OK
 
     print(f"f(x) = {a}**x mod {n}, r={r}, level={compiled.level.value}, g={compiled.g.kind.value}")
@@ -425,8 +425,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _fmt_dist(dist: ProbDist) -> str:
-    return " ".join(f"{float(v):.6f}" for v in dist.probabilities)
+def _fmt_dist(values: list[float]) -> str:
+    return " ".join(f"{v:.6f}" for v in values)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -449,37 +449,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "s_theory": s_theory,
         "s_noisy_predicted": s_pred,
     }
-    lines = [
-        f"p={p} m={m} k={k} epsilon={noise.epsilon}",
-        f"theoretical: {_fmt_dist(clean)}",
-    ]
-    if noise.epsilon < 1.0:
-        lines.append(f"noisy:       {_fmt_dist(noisy)}")
-    lines.append(f"S_theory={s_theory:.6f} S_noisy_predicted={s_pred:.6f}")
-
     if args.shots:
         empirical = sample(noisy, args.shots, args.seed)
         s_obs = separability_index(empirical)
         payload["shots"] = args.shots
         payload["empirical"] = [float(v) for v in empirical.probabilities]
         payload["s_observed"] = s_obs
-        lines.append(f"empirical:   {_fmt_dist(empirical)}  (shots={args.shots} seed={args.seed})")
-        lines.append(f"S_observed={s_obs:.6f}")
-        if s_theory > floor + 1e-12:
-            est = estimate_epsilon(s_theory, s_obs, m)
-            payload["epsilon_estimate"] = est
-            lines.append(f"epsilon_estimate={est:.6f}")
-        else:
-            payload["epsilon_estimate"] = None
-            lines.append("epsilon_estimate: n/a (separability already at the 1/2^m floor)")
+        payload["epsilon_estimate"] = estimate_epsilon(s_theory, s_obs, m) if s_theory > floor + 1e-12 else None
 
     if args.rho:
         rho = reduce_to_input(state)
-        entries = rho.entries.tolist()
-        payload["rho"] = {"dim": rho.dim, "entries": [[[z.real, z.imag] for z in row] for row in entries]}
-        lines.append("reduced input density matrix:")
-        for row in entries:
-            lines.append("  " + " ".join(f"{z.real:+.4f}{z.imag:+.4f}j" for z in row))
+        entries = [[[z.real, z.imag] for z in row] for row in rho.entries.tolist()]
+        payload["rho"] = {"dim": rho.dim, "entries": entries}
 
     if args.format == "json":
         doc = {
@@ -491,9 +472,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ),
             **payload,
         }
-        print(json.dumps(doc, indent=2))
-    else:
-        print("\n".join(lines))
+        print(json.dumps(doc))
+        return EXIT_OK
+
+    # text lines are formatted only here, from the payload, so JSON mode never builds them
+    lines = [f"p={p} m={m} k={k} epsilon={noise.epsilon}", f"theoretical: {_fmt_dist(payload['theoretical'])}"]
+    if noise.epsilon < 1.0:
+        lines.append(f"noisy:       {_fmt_dist(payload['noisy'])}")
+    lines.append(f"S_theory={s_theory:.6f} S_noisy_predicted={s_pred:.6f}")
+    if args.shots:
+        lines.append(f"empirical:   {_fmt_dist(payload['empirical'])}  (shots={args.shots} seed={args.seed})")
+        lines.append(f"S_observed={payload['s_observed']:.6f}")
+        est = payload["epsilon_estimate"]
+        if est is None:
+            lines.append("epsilon_estimate: n/a (separability already at the 1/2^m floor)")
+        else:
+            lines.append(f"epsilon_estimate={est:.6f}")
+    if args.rho:
+        lines.append("reduced input density matrix:")
+        for row in payload["rho"]["entries"]:
+            lines.append("  " + " ".join(f"{re:+.4f}{im:+.4f}j" for re, im in row))
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -565,7 +564,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
             "attempts": attempts,
             "factors": factors,
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     elif factors:
         print(f"factors: {factors[0]} {factors[1]}")
     else:

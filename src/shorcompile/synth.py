@@ -15,7 +15,8 @@ Toffoli cascades come from. Whatever the greedy pass cannot clear is
 finished off from the algebraic normal form of the residual, so synthesis
 always terminates with a verified circuit; an optional iterative-deepening
 fallback covers tight budgets on tiny tables, searching sequences of the
-single-line candidates (NOT, CNOT and Toffoli gates on plain lines).
+single-line candidates (NOT, CNOT and Toffoli gates on plain lines) and
+memoizing the states that fail, so that no failing subtree is searched twice.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
 bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
@@ -413,11 +414,18 @@ def _iddfs(table: TruthTable, budget: SynthesisBudget) -> Circuit | None:
     ]
 
     cap = min(budget.max_quantum_cost, FALLBACK_COST_CAP)
+    # dfs reads acc only through its last gate and its length, and a state that
+    # fails with cost budget L fails with any smaller one, whatever the limit:
+    # per (lines, last gate, gates left), the largest budget known to fail
+    failed: dict[tuple, int] = {}
 
     def dfs(vecs: tuple[int, ...], left: int, acc: list[Gate]) -> list[Gate] | None:
         if all(vecs[n_in + ol] == targets[ol] for ol in range(n_out)):
             return list(acc)
         if left <= 0 or len(acc) >= budget.max_gates:
+            return None
+        key = (vecs, acc[-1] if acc else None, budget.max_gates - len(acc))
+        if failed.get(key, -1) >= left:
             return None
         for gate, gc in moves:
             if gc > left:
@@ -431,6 +439,7 @@ def _iddfs(table: TruthTable, budget: SynthesisBudget) -> Circuit | None:
             if found is not None:
                 return found
             acc.pop()
+        failed[key] = left
         return None
 
     for limit in range(1, cap + 1):

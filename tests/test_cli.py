@@ -1,6 +1,7 @@
 """CLI surface: formats, manifests, exit codes, golden diffing."""
 
 import csv
+import hashlib
 import json
 import shutil
 import time
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from shorcompile import cli
+from shorcompile.circuit import circuit_from_json, circuit_to_json
 from shorcompile.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -397,6 +399,88 @@ def test_numtheory_bounds_fail_fast_with_usage_exit(capsys, argv, bound):
     assert code == EXIT_USAGE
     assert bound in err
     assert out == ""
+
+
+def test_synth_fallback_gives_up_quickly(capsys):
+    # the fallback's search space below cost 8 is large; its memo of failed
+    # states keeps the full search to a fraction of a second
+    start = time.perf_counter()
+    code, out, err = run(capsys, "synth", "--a", "4", "--N", "21", "--fallback", "--max-cost", "8")
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_BUDGET
+    assert "budget" in err
+    assert out == ""
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Checksums as released; each must also follow from the printed document.
+_PINNED_CHECKSUMS = [
+    (
+        ("synth", "--a", "7", "--N", "15"),
+        "circuit",
+        "14cd866741b1e7f3a4f1b437ff88e63325faf47368302e3057f5cc9528c5f1c5",
+        lambda doc: circuit_to_json(circuit_from_json(json.dumps(doc["circuit"]))),
+    ),
+    (
+        ("simulate", "--p", "3", "--shots", "256", "--seed", "1", "--rho"),
+        "payload",
+        "132ef6abbae014f9670f22c0690a1de298f77723a7b433decc526f5b9c8ffe8e",
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "manifest"}, sort_keys=True),
+    ),
+    (
+        ("factor", "--N", "15", "--a", "2", "--seed", "1"),
+        "payload",
+        "82d5e14140682d11665a67c858bdecc5a51b780a1e5763d4f7eb8d3ad09f0290",
+        lambda doc: json.dumps(doc["attempts"], sort_keys=True),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest, hashed", _PINNED_CHECKSUMS)
+def test_manifest_checksums_are_pinned(capsys, argv, name, digest, hashed):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["manifest"]["checksums"] == {name: digest}
+    assert _sha256(hashed(doc)) == digest
+
+
+_JSON_CALLS = [
+    ("tables", "orders", "--N", "21"),
+    ("tables", "allowed-periods"),
+    ("tables", "probabilities"),
+    ("tables", "separability"),
+    ("synth", "--a", "7", "--N", "15"),
+    ("simulate", "--p", "3"),
+    ("simulate", "--p", "3", "--epsilon", "0.8", "--shots", "256", "--seed", "1", "--rho"),
+    ("factor", "--N", "15", "--a", "2", "--shots", "64", "--seed", "11"),
+    ("factor", "--N", "33", "--a", "4", "--shots", "200", "--seed", "3"),  # minus-one failure
+    ("factor", "--N", "15", "--a", "6"),  # gcd shortcut
+]
+
+
+def _assert_one_json_line(text):
+    assert text.endswith("\n")
+    assert text.count("\n") == 1
+    assert "manifest" in json.loads(text)
+
+
+@pytest.mark.parametrize("argv", _JSON_CALLS)
+def test_json_output_is_one_compact_line(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code in (EXIT_OK, EXIT_MISMATCH)
+    _assert_one_json_line(out)
+
+
+def test_json_files_are_one_compact_line(tmp_path, capsys):
+    synth_file = tmp_path / "circ.json"
+    assert run(capsys, "synth", "--a", "7", "--N", "15", "--out", str(synth_file))[0] == EXIT_OK
+    _assert_one_json_line(synth_file.read_text(encoding="utf-8"))
+    assert run(capsys, "tables", "separability", "--out", str(tmp_path))[0] == EXIT_OK
+    _assert_one_json_line((tmp_path / "separability_m3k3.json").read_text(encoding="utf-8"))
 
 
 def test_build_parser_returns_one_parser():
