@@ -268,19 +268,19 @@ def cmd_tables(args: argparse.Namespace) -> int:
         return EXIT_OK if _report(f"golden diff {kind}", _diff(table)) else EXIT_MISMATCH
 
     rows = [list(map(_cell, row)) for row in table.rows(_distributions)]
+    if not args.out and args.format == "text":
+        sys.stdout.write(_text_table(table.header, rows) + "\n")
+        return EXIT_OK
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([table.header, *rows])
-    csv_text = buf.getvalue()
-    doc = {
-        "manifest": _manifest("tables", {"kind": kind, **params}, None, {"csv": _sha256(csv_text)}),
-        "header": table.header,
-        "rows": rows,
-    }
-    texts = {
-        "text": _text_table(table.header, rows) + "\n",
-        "csv": csv_text,
-        "json": json.dumps(doc) + "\n",
-    }
+    texts = {"csv": buf.getvalue()}
+    if args.out or args.format == "json":
+        doc = {
+            "manifest": _manifest("tables", {"kind": kind, **params}, None, {"csv": _sha256(texts["csv"])}),
+            "header": table.header,
+            "rows": rows,
+        }
+        texts["json"] = json.dumps(doc) + "\n"
     if not args.out:
         sys.stdout.write(texts[args.format])
         return EXIT_OK
@@ -345,12 +345,12 @@ def cmd_circuit(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     a, n, strategy = args.a, args.n, args.compile
     r = multiplicative_order(a, n)
+    entry = find_entry(a, n, strategy)
     if strategy == "full":
         compiled = full_compile(a, n)
     else:
         n_in = args.n_in
         if n_in is None:
-            entry = find_entry(a, n, strategy)
             n_in = entry.circuit.n_in if entry else max(1, (r - 1).bit_length())
         if strategy == "none":
             compiled = uncompiled(a, n, n_in)
@@ -368,27 +368,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     circ = synthesize(table, budget)
     report = cost(circ)
 
-    circ_doc = circuit_to_dict(circ)
-    doc = {
-        "manifest": _manifest(
-            "synth",
-            {"a": a, "N": n, "compile": strategy, "n_in": table.n_in},
-            None,
-            {"circuit": _sha256(json.dumps(circ_doc))},
-        ),
-        "level": compiled.level.value,
-        "g": compiled.g.kind.value,
-        "table": json.loads(table.to_json()),
-        "circuit": circ_doc,
-        "cost": {
-            "n_toffoli": report.n_toffoli,
-            "n_cnot": report.n_cnot,
-            "n_not": report.n_not,
-            "quantum_cost": report.quantum_cost,
-        },
-    }
-
-    entry = find_entry(a, n, strategy)
     comparison = None
     if entry is not None:
         if entry.table == table:
@@ -396,22 +375,42 @@ def cmd_synth(args: argparse.Namespace) -> int:
         else:
             delta = compare_cost(circ, entry.circuit)
         comparison = {"library": entry.name, "library_qcost": cost(entry.circuit).quantum_cost, "delta": delta}
-        doc["comparison"] = comparison
 
-    if args.out:
+    if args.out or args.format == "json":
+        circ_doc = circuit_to_dict(circ)
+        doc = {
+            "manifest": _manifest(
+                "synth",
+                {"a": a, "N": n, "compile": strategy, "n_in": table.n_in},
+                None,
+                {"circuit": _sha256(json.dumps(circ_doc))},
+            ),
+            "level": compiled.level.value,
+            "g": compiled.g.kind.value,
+            "table": json.loads(table.to_json()),
+            "circuit": circ_doc,
+            "cost": {
+                "n_toffoli": report.n_toffoli,
+                "n_cnot": report.n_cnot,
+                "n_not": report.n_not,
+                "quantum_cost": report.quantum_cost,
+            },
+        }
+        if comparison:
+            doc["comparison"] = comparison
+        if not args.out:
+            print(json.dumps(doc))
+            return EXIT_OK
         with open(args.out, "w", encoding="utf-8") as fh:
             # json.dump would stream through the pure-Python encoder; dumps uses the C one
             fh.write(json.dumps(doc) + "\n")
-    elif args.format == "json":
-        print(json.dumps(doc))
-        return EXIT_OK
 
     print(f"f(x) = {a}**x mod {n}, r={r}, level={compiled.level.value}, g={compiled.g.kind.value}")
     print(f"table: n_in={table.n_in} n_out={table.n_out} rows={list(table.rows)}")
     print(render_gates(circ))
     print(_cost_line(report))
     if comparison:
-        if entry is not None and entry.table != table:
+        if entry.table != table:
             print(f"note: bundled {comparison['library']} realizes a different table for this triple")
         print(
             f"library {comparison['library']}: qcost={comparison['library_qcost']} "

@@ -30,6 +30,11 @@ _MAX_QUBITS = 20
 _S_TOLERANCE = 1e-12
 
 
+def _check_registers(m: int, k: int) -> None:
+    if m < 0 or k < 0 or m + k > _MAX_QUBITS:
+        raise ValueError(f"register sizes {m}+{k} out of range")
+
+
 @dataclass(frozen=True)
 class StateVector:
     m: int
@@ -37,8 +42,7 @@ class StateVector:
     amplitudes: np.ndarray  # complex128, length 2**(m+k)
 
     def __post_init__(self) -> None:
-        if self.m < 0 or self.k < 0 or self.m + self.k > _MAX_QUBITS:
-            raise ValueError(f"register sizes {self.m}+{self.k} out of range")
+        _check_registers(self.m, self.k)
         if self.amplitudes.shape != (1 << (self.m + self.k),):
             raise ValueError("amplitude array length must be 2**(m+k)")
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
@@ -96,6 +100,7 @@ class NoiseParams:
 
 def uniform_input_state(m: int, k: int) -> StateVector:
     """Every input value in equal superposition, output register at |0>."""
+    _check_registers(m, k)  # before allocating 2**(m+k) amplitudes
     amps = np.zeros(1 << (m + k), dtype=np.complex128)
     amps[np.arange(1 << m) << k] = 1.0 / math.sqrt(1 << m)
     return StateVector(m, k, amps)

@@ -6,17 +6,18 @@ entries greedily. A candidate is a target line and up to two control
 factors, each the XOR of one or two lines with a polarity (a two-line
 Toffoli factor is an input-line pair borrowed in place and restored). Its
 shape does not depend on the line values, so _candidates is enumerated once
-per (n_in, width, polarity setting, target) into an int16 catalogue sorted
-by the tie-break key. Each round packs every line (at most 64 rows) into a
-uint64, scores each target's catalogue in one numpy popcount pass, and
-compares the per-target winners on the one full key; gates are built only
-for the overall winner. Chaining gate outputs into later controls is where
-Toffoli cascades come from. Whatever the greedy pass cannot clear is
-finished off from the algebraic normal form of the residual, so synthesis
-always terminates with a verified circuit; an optional iterative-deepening
-fallback covers tight budgets on tiny tables, searching sequences of the
-single-line candidates (NOT, CNOT and Toffoli gates on plain lines) and
-memoizing the states that fail, so that no failing subtree is searched twice.
+per (n_in, width, polarity setting), over every target line, into one int16
+catalogue sorted by the tie-break key. Each round packs every line (at most
+64 rows) into a uint64 and scores the whole catalogue in one numpy popcount
+pass against each target's error mask; the first best score is the winner,
+and gates are built only for it. Chaining gate outputs into later controls
+is where Toffoli cascades come from. Whatever the greedy pass cannot clear
+is finished off from the algebraic normal form of the residual, so
+synthesis always terminates with a verified circuit; an optional
+iterative-deepening fallback covers tight budgets on tiny tables, searching
+sequences of the single-line candidates (NOT, CNOT and Toffoli gates on
+plain lines), memoizing the states that fail, so that no failing subtree is
+searched twice, and giving up after FALLBACK_EXPANSION_CAP search steps.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
 bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
@@ -85,7 +86,6 @@ class LinearFit:
 
     n_in: int
     bits: tuple[BitFit, ...]
-    rank: int
 
     def total_mismatches(self) -> int:
         return sum(len(b.mismatches) for b in self.bits)
@@ -115,21 +115,10 @@ class SynthesisError(RuntimeError):
         self.mismatches = mismatches
 
 
-# The iterative-deepening fallback never deepens past this total quantum cost.
+# The iterative-deepening fallback never deepens past this total quantum cost,
+# and gives up after this many calls of its depth-first step.
 FALLBACK_COST_CAP = 64
-
-
-def _gf2_rank(masks: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
-    for m in masks:
-        for b in basis:
-            m = min(m, m ^ b)
-        if m:
-            basis.append(m)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+FALLBACK_EXPANSION_CAP = 500_000
 
 
 def fit_linear(table: TruthTable) -> LinearFit:
@@ -147,21 +136,15 @@ def fit_linear(table: TruthTable) -> LinearFit:
         span += [v ^ vec for v in span]
     bits = []
     for target in output_vectors(table):
-        best: tuple[tuple[int, int, int, int], AffineForm, int] | None = None
-        for mask, v in enumerate(span):
-            for const in (0, 1):
-                vv = v ^ (full if const else 0)
-                miss = vv ^ target
-                form = AffineForm(mask, bool(const))
-                key = (miss.bit_count(), form.terms(), mask, const)
-                if best is None or key < best[0]:
-                    best = (key, form, miss)
-        assert best is not None
-        _, form, miss = best
+        _, _, mask, const = min(
+            ((v ^ (full * const) ^ target).bit_count(), mask.bit_count() + const, mask, const)
+            for mask, v in enumerate(span)
+            for const in (0, 1)
+        )
+        miss = span[mask] ^ (full * const) ^ target
         mism = frozenset(x for x in range(1 << n) if (miss >> x) & 1)
-        bits.append(BitFit(form, mism))
-    rank = _gf2_rank([b.form.mask for b in bits])
-    return LinearFit(n, tuple(bits), rank)
+        bits.append(BitFit(AffineForm(mask, bool(const)), mism))
+    return LinearFit(n, tuple(bits))
 
 
 def _emit_linear(fit: LinearFit, n_in: int, allow_neg: bool = True) -> list[Gate]:
@@ -238,33 +221,37 @@ def _slot_lines(width: int) -> list[tuple[int, ...]]:
 
 
 @cache
-def _catalogue(n_in: int, width: int, allow_neg: bool, j: int) -> np.ndarray:
-    """Every _candidates shape for target j as int16 rows (i1, i2, qcost).
+def _catalogue(n_in: int, width: int, allow_neg: bool) -> np.ndarray:
+    """Every _candidates shape for every target line as int16 rows (i1, i2, j).
 
     i1 and i2 index a round's factor table (see _best_candidate): entry s is
     the value of slot s of _slot_lines, s + len(slots) its complement and
     2*len(slots) all ones, where a lone factor's i2 and both of a NOT's
-    indices point. Columns are sorted by the greedy key after score
-    and target: (qcost, negative controls, factor count, lines,
-    polarities), then enumeration order. With n_in, n_out <= 6 there are at
-    most 252 keys, each holding at most about 9 kB.
+    indices point. Columns are sorted by the greedy key after score:
+    (qcost, negative controls, factor count, j, lines, polarities), then
+    enumeration order. With n_in, n_out <= 6 there are at most 72 keys,
+    each holding at most about 52 kB.
     """
     slots = _slot_lines(width)
     index = {lines: s for s, lines in enumerate(slots)}
     n, ones = len(slots), 2 * len(slots)
 
-    def columns(factors: tuple, qcost: int) -> Iterator[int]:
-        # i1, i2, qcost, then the sort key padded to fixed width: shorter
-        # line tuples sort first, as -1 sorts before any line
+    def columns(j: int, factors: tuple, qcost: int) -> Iterator[int]:
+        # i1, i2, then the sort key padded to fixed width: shorter line
+        # tuples sort first, as -1 sorts before any line
         refs = [index[lines] + n * neg for lines, neg in factors] + [ones, ones]
         lines = [ln for f, _ in factors for ln in f] + [-1] * 4
         pols = [neg for _, neg in factors] + [0, 0]
-        yield from (refs[0], refs[1], qcost, sum(pols), len(factors), *lines[:4], *pols[:2])
+        yield from (refs[0], refs[1], qcost, sum(pols), len(factors), j, *lines[:4], *pols[:2])
 
-    flat = chain.from_iterable(columns(f, q) for f, q in _candidates(n_in, width, j, allow_neg))
-    rows = np.fromiter(flat, dtype=np.int16).reshape(-1, 11).T
+    flat = chain.from_iterable(
+        columns(j, f, q) for j in range(n_in, width) for f, q in _candidates(n_in, width, j, allow_neg)
+    )
+    rows = np.fromiter(flat, dtype=np.int16).reshape(-1, 12).T
     order = np.lexsort(rows[:1:-1])  # primary key last; stable, so ties keep enumeration order
-    cat = np.ascontiguousarray(rows[:3, order])
+    # pick the three rows before reordering columns: indexing both axes at
+    # once (np.ix_) more than doubles the build's peak memory
+    cat = rows[[0, 1, 5]].take(order, axis=1)
     cat.flags.writeable = False
     return cat
 
@@ -274,34 +261,28 @@ def _best_candidate(
 ) -> tuple[int, tuple] | None:
     """The greedy winner (j, factors) among every candidate, or None.
 
-    A candidate's score is the wrong entries it fixes minus the right ones
-    it breaks; only positive scores qualify. The key is (-score, qcost,
-    negative controls, factor count, j, lines, polarities). Each target's
-    catalogue is already in key order after score and j, so one argmax per
-    target finds that target's winner; the winners then meet on the full key.
-    Line values pack at most 64 rows (n_in <= 6), one uint64 each.
+    A candidate's score is the wrong entries of its target line j it fixes
+    minus the right ones it breaks; only positive scores qualify, so the
+    candidates of a line absent from errs (error mask 0) never do. The key
+    is (-score, qcost, negative controls, factor count, j, lines,
+    polarities); the catalogue is already in key order after score, so the
+    first argmax is the winner. Line values pack at most 64 rows
+    (n_in <= 6), one uint64 each.
     """
     slots = _slot_lines(len(vecs))
     n, ones = len(slots), 2 * len(slots)
     held = [vecs[ln[0]] ^ (vecs[ln[1]] if len(ln) == 2 else 0) for ln in slots]
     tab = np.array(held + [v ^ full for v in held] + [full], dtype=np.uint64)
-    best: tuple[tuple, int, tuple] | None = None
-    for j, err in errs.items():
-        i1, i2, qcost = _catalogue(n_in, len(vecs), allow_neg, j)
-        act = tab[i1] & tab[i2]
-        # each active row is fixed where it was wrong and broken elsewhere
-        fixed = np.bitwise_count(act & np.uint64(err)).astype(np.int16)
-        score = 2 * fixed - np.bitwise_count(act)
-        k = int(np.argmax(score))
-        if score[k] <= 0:
-            continue
-        factors = tuple((slots[i % n], bool(i >= n)) for i in (int(i1[k]), int(i2[k])) if i != ones)
-        pols = tuple(neg for _, neg in factors)
-        lines = tuple(ln for f, _ in factors for ln in f)
-        key = (-int(score[k]), int(qcost[k]), sum(pols), len(factors), j, lines, pols)
-        if best is None or key < best[0]:
-            best = (key, j, factors)
-    return None if best is None else best[1:]
+    err = np.array([errs.get(ln, 0) for ln in range(len(vecs))], dtype=np.uint64)
+    i1, i2, j = _catalogue(n_in, len(vecs), allow_neg)
+    act = tab[i1] & tab[i2]
+    # each active row is fixed where it was wrong and broken elsewhere
+    fixed = np.bitwise_count(act & err[j]).astype(np.int16)
+    score = 2 * fixed - np.bitwise_count(act)
+    k = int(np.argmax(score))
+    if score[k] <= 0:
+        return None
+    return int(j[k]), tuple((slots[i % n], bool(i >= n)) for i in (int(i1[k]), int(i2[k])) if i != ones)
 
 
 def _anf_monomials(err: int, n_in: int) -> list[int]:
@@ -399,7 +380,10 @@ def plan_cascades(
 
 
 def _iddfs(table: TruthTable, budget: SynthesisBudget) -> Circuit | None:
-    """Cost-bounded iterative deepening over sequences of single-line candidates."""
+    """Cost-bounded iterative deepening over sequences of single-line candidates.
+
+    Raises SynthesisError once dfs has been called FALLBACK_EXPANSION_CAP times.
+    """
     n_in, n_out = table.n_in, table.n_out
     width = n_in + n_out
     full = (1 << (1 << n_in)) - 1
@@ -418,8 +402,15 @@ def _iddfs(table: TruthTable, budget: SynthesisBudget) -> Circuit | None:
     # fails with cost budget L fails with any smaller one, whatever the limit:
     # per (lines, last gate, gates left), the largest budget known to fail
     failed: dict[tuple, int] = {}
+    expansions = 0
 
     def dfs(vecs: tuple[int, ...], left: int, acc: list[Gate]) -> list[Gate] | None:
+        nonlocal expansions
+        expansions += 1
+        if expansions > FALLBACK_EXPANSION_CAP:
+            raise SynthesisError(
+                f"fallback search stopped at its cap of {FALLBACK_EXPANSION_CAP} expansions", 0, 0
+            )
         if all(vecs[n_in + ol] == targets[ol] for ol in range(n_out)):
             return list(acc)
         if left <= 0 or len(acc) >= budget.max_gates:

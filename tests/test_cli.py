@@ -10,6 +10,7 @@ import pytest
 
 from shorcompile import cli
 from shorcompile.circuit import circuit_from_json, circuit_to_json
+from shorcompile.synth import FALLBACK_EXPANSION_CAP
 from shorcompile.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -398,6 +399,32 @@ def test_numtheory_bounds_fail_fast_with_usage_exit(capsys, argv, bound):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE
     assert bound in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--p", "3", "--m", "52", "--k", "4"),
+        ("tables", "probabilities", "--m", "52", "--k", "4"),
+    ],
+)
+def test_oversize_registers_exit_with_usage_before_allocating(capsys, argv):
+    # 2**56 complex amplitudes would take 1 EiB; the sizes are refused first
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "register sizes 52+4 out of range" in err
+    assert out == ""
+
+
+def test_synth_fallback_stops_at_its_expansion_cap(capsys):
+    # without the cap this search was still running after 300 s
+    start = time.perf_counter()
+    argv = ("synth", "--a", "4", "--N", "33", "--compile", "full", "--fallback", "--max-cost", "12")
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_BUDGET
+    assert f"cap of {FALLBACK_EXPANSION_CAP} expansions" in err
     assert out == ""
 
 

@@ -21,12 +21,21 @@ from shorcompile.circuit import (
     cost,
     evaluate,
     input_vectors,
+    output_vectors,
     to_permutation,
     verify,
 )
 from shorcompile.library import LIBRARY
 from shorcompile.modexp import TruthTable
-from shorcompile.synth import _best_candidate, _candidates, _realize, synthesize
+from shorcompile.synth import (
+    AffineForm,
+    BitFit,
+    _best_candidate,
+    _candidates,
+    _realize,
+    fit_linear,
+    synthesize,
+)
 
 KINDS = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)
 
@@ -137,6 +146,54 @@ def periodic_tables(draw) -> TruthTable:
 @given(periodic_tables())
 def test_synthesized_circuit_verifies(table):
     assert verify(synthesize(table), table) == []
+
+
+def reference_fit_linear(table: TruthTable) -> tuple[BitFit, ...]:
+    """The exhaustive per-form loop fit_linear used to run, as the agreement reference."""
+    n = table.n_in
+    full = (1 << (1 << n)) - 1
+    span = [0]
+    for vec in input_vectors(n):
+        span += [v ^ vec for v in span]
+    bits = []
+    for target in output_vectors(table):
+        best = None
+        for mask, v in enumerate(span):
+            for const in (0, 1):
+                vv = v ^ (full if const else 0)
+                miss = vv ^ target
+                form = AffineForm(mask, bool(const))
+                key = (miss.bit_count(), form.terms(), mask, const)
+                if best is None or key < best[0]:
+                    best = (key, form, miss)
+        _, form, miss = best
+        bits.append(BitFit(form, frozenset(x for x in range(1 << n) if (miss >> x) & 1)))
+    return tuple(bits)
+
+
+@st.composite
+def near_affine_tables(draw) -> TruthTable:
+    """Random rows, or an affine map with a few rows flipped, where ties and exact fits are common."""
+    n_in, n_out = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    size, top = 1 << n_in, (1 << n_out) - 1
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+    else:
+        cols = draw(st.lists(st.integers(0, top), min_size=n_in + 1, max_size=n_in + 1))
+        rows = [cols[-1] for _ in range(size)]
+        for x in range(size):
+            for i in range(n_in):
+                if (x >> i) & 1:
+                    rows[x] ^= cols[i]
+        for x in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+            rows[x] ^= draw(st.integers(0, top))
+    return TruthTable(n_in, n_out, tuple(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_affine_tables())
+def test_fit_linear_matches_the_exhaustive_reference(table):
+    assert fit_linear(table).bits == reference_fit_linear(table)
 
 
 def activation(vecs: list[int], factors: tuple, full: int) -> int:
