@@ -222,15 +222,6 @@ def cost(circuit: Circuit) -> CostReport:
     return CostReport(n_t, n_c, n_n, 6 * n_t + n_c + n_n)
 
 
-def to_permutation(circuit: Circuit) -> np.ndarray:
-    """Basis-state permutation of the whole line register.
-
-    State index convention: line i holds bit (width - 1 - i), so the top
-    line is the most significant bit.
-    """
-    return basis_permutation(circuit, tuple(range(circuit.width)))
-
-
 def basis_permutation(circuit: Circuit, order: tuple[int, ...]) -> np.ndarray:
     """Basis-state permutation with state bit i, counted from the most
     significant, on line order[i]; order lists every line once."""

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable
@@ -68,7 +69,7 @@ from .qsim import (
     separability_index,
     uniform_input_state,
 )
-from .synth import SynthesisBudget, SynthesisError, synthesize
+from .synth import SynthesisBudget, SynthesisError, check_register_widths, synthesize
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -346,24 +347,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
     a, n, strategy = args.a, args.n, args.compile
     r = multiplicative_order(a, n)
     entry = find_entry(a, n, strategy)
+    n_in = args.n_in if strategy != "full" else None
+    if n_in is None:
+        n_in = entry.circuit.n_in if entry else max(1, (r - 1).bit_length())
+    # refused before any 2**n_in-row table is built
+    check_register_widths(n_in)
     if strategy == "full":
         compiled = full_compile(a, n)
+    elif strategy == "none":
+        compiled = uncompiled(a, n, n_in)
     else:
-        n_in = args.n_in
-        if n_in is None:
-            n_in = entry.circuit.n_in if entry else max(1, (r - 1).bit_length())
-        if strategy == "none":
-            compiled = uncompiled(a, n, n_in)
-        else:
-            base = build_modexp_table(a, n, n_in)
-            compiled = classical_compile(base, a, n, GKind(strategy))
+        compiled = classical_compile(build_modexp_table(a, n, n_in), a, n, GKind(strategy))
     table = compiled.table
 
     budget = SynthesisBudget(
         max_quantum_cost=args.max_cost,
         max_gates=args.max_gates,
         allow_negative_controls=not args.no_negative_controls,
-        exhaustive_fallback=args.fallback,
     )
     circ = synthesize(table, budget)
     report = cost(circ)
@@ -454,7 +454,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         payload["shots"] = args.shots
         payload["empirical"] = [float(v) for v in empirical.probabilities]
         payload["s_observed"] = s_obs
-        payload["epsilon_estimate"] = estimate_epsilon(s_theory, s_obs, m) if s_theory > floor + 1e-12 else None
+        payload["epsilon_estimate"] = None
+        if s_theory > floor + 1e-12:
+            # a clamping warning becomes one plain stderr line on every call
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                payload["epsilon_estimate"] = estimate_epsilon(s_theory, s_obs, m)
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
     if args.rho:
         rho = reduce_to_input(state)
@@ -627,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--max-cost", dest="max_cost", type=int, default=1_000_000)
     synth.add_argument("--max-gates", dest="max_gates", type=int, default=1_000_000)
     synth.add_argument("--no-negative-controls", action="store_true")
-    synth.add_argument("--fallback", action="store_true", help="enable the bounded exhaustive fallback")
     synth.add_argument("--out", help="write the result document to this JSON file")
     synth.add_argument("--format", choices=("text", "json"), default="text")
     synth.set_defaults(func=cmd_synth)

@@ -238,15 +238,3 @@ def full_compile(a: int, n: int) -> CompiledFunction:
     table = _apply_g(TruthTable(n_in, n_out_raw, raw), g)
     return CompiledFunction(a, n, r, g, table, CompileLevel.FULL)
 
-
-def period_of(table: TruthTable) -> int:
-    """Smallest r with rows(x) = rows(x + r) wherever both sides exist.
-
-    An aperiodic table reports its full domain size.
-    """
-    rows = table.rows
-    size = len(rows)
-    for r in range(1, size):
-        if all(rows[x] == rows[x + r] for x in range(size - r)):
-            return r
-    return size

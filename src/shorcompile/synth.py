@@ -13,11 +13,8 @@ pass against each target's error mask; the first best score is the winner,
 and gates are built only for it. Chaining gate outputs into later controls
 is where Toffoli cascades come from. Whatever the greedy pass cannot clear
 is finished off from the algebraic normal form of the residual, so
-synthesis always terminates with a verified circuit; an optional
-iterative-deepening fallback covers tight budgets on tiny tables, searching
-sequences of the single-line candidates (NOT, CNOT and Toffoli gates on
-plain lines), memoizing the states that fail, so that no failing subtree is
-searched twice, and giving up after FALLBACK_EXPANSION_CAP search steps.
+synthesis always terminates with a verified circuit. A circuit over the
+budget is refused; nothing searches for a cheaper one.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
 bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
@@ -39,7 +36,6 @@ from .circuit import (
     Gate,
     apply_packed,
     cnot,
-    compare_cost,
     cost,
     input_vectors,
     not_gate,
@@ -56,10 +52,10 @@ __all__ = [
     "CascadePlan",
     "SynthesisBudget",
     "SynthesisError",
+    "check_register_widths",
     "fit_linear",
     "plan_cascades",
     "synthesize",
-    "compare_cost",
 ]
 
 
@@ -101,7 +97,6 @@ class SynthesisBudget:
     max_quantum_cost: int = 1_000_000
     max_gates: int = 1_000_000
     allow_negative_controls: bool = True
-    exhaustive_fallback: bool = False
 
     def __post_init__(self) -> None:
         if self.max_quantum_cost < 1 or self.max_gates < 1:
@@ -113,12 +108,6 @@ class SynthesisError(RuntimeError):
         super().__init__(message)
         self.quantum_cost = quantum_cost
         self.mismatches = mismatches
-
-
-# The iterative-deepening fallback never deepens past this total quantum cost,
-# and gives up after this many calls of its depth-first step.
-FALLBACK_COST_CAP = 64
-FALLBACK_EXPANSION_CAP = 500_000
 
 
 def fit_linear(table: TruthTable) -> LinearFit:
@@ -379,77 +368,21 @@ def plan_cascades(
     return CascadePlan(tuple(steps))
 
 
-def _iddfs(table: TruthTable, budget: SynthesisBudget) -> Circuit | None:
-    """Cost-bounded iterative deepening over sequences of single-line candidates.
+def check_register_widths(n_in: int, n_out: int = 1) -> None:
+    """Raise ValueError for more than 6 input or output bits.
 
-    Raises SynthesisError once dfs has been called FALLBACK_EXPANSION_CAP times.
+    Callers that know n_in before building a 2**n_in-row table can check it
+    first; synthesize checks both widths again.
     """
-    n_in, n_out = table.n_in, table.n_out
-    width = n_in + n_out
-    full = (1 << (1 << n_in)) - 1
-    targets = tuple(output_vectors(table))
-    start = tuple(input_vectors(n_in)) + (0,) * n_out
-    # the greedy candidates whose factors are single lines: NOT, CNOT and Toffoli gates
-    moves = [
-        (_realize(j, f)[0], q)
-        for j in range(n_in, width)
-        for f, q in _candidates(n_in, width, j, budget.allow_negative_controls)
-        if all(len(lines) == 1 for lines, _ in f)
-    ]
-
-    cap = min(budget.max_quantum_cost, FALLBACK_COST_CAP)
-    # dfs reads acc only through its last gate and its length, and a state that
-    # fails with cost budget L fails with any smaller one, whatever the limit:
-    # per (lines, last gate, gates left), the largest budget known to fail
-    failed: dict[tuple, int] = {}
-    expansions = 0
-
-    def dfs(vecs: tuple[int, ...], left: int, acc: list[Gate]) -> list[Gate] | None:
-        nonlocal expansions
-        expansions += 1
-        if expansions > FALLBACK_EXPANSION_CAP:
-            raise SynthesisError(
-                f"fallback search stopped at its cap of {FALLBACK_EXPANSION_CAP} expansions", 0, 0
-            )
-        if all(vecs[n_in + ol] == targets[ol] for ol in range(n_out)):
-            return list(acc)
-        if left <= 0 or len(acc) >= budget.max_gates:
-            return None
-        key = (vecs, acc[-1] if acc else None, budget.max_gates - len(acc))
-        if failed.get(key, -1) >= left:
-            return None
-        for gate, gc in moves:
-            if gc > left:
-                continue
-            if acc and acc[-1] == gate:  # self-inverse, pointless
-                continue
-            nxt = list(vecs)
-            apply_packed(nxt, gate, full)
-            acc.append(gate)
-            found = dfs(tuple(nxt), left - gc, acc)
-            if found is not None:
-                return found
-            acc.pop()
-        failed[key] = left
-        return None
-
-    for limit in range(1, cap + 1):
-        found = dfs(start, limit, [])
-        if found is not None:
-            return Circuit(
-                width,
-                tuple(range(n_in)),
-                tuple(range(n_in, width)),
-                tuple(found),
-            )
-    return None
+    if n_in > 6 or n_out > 6:
+        raise ValueError("synthesis supports at most 6 input and 6 output bits")
 
 
 def synthesize(table: TruthTable, budget: SynthesisBudget | None = None) -> Circuit:
     """Verified circuit for the table, within the budget.
 
     Raises SynthesisError carrying cost and residual diagnostics when the
-    budget is exhausted (after trying the exhaustive fallback if enabled).
+    budget is exhausted.
 
     Raises ValueError for more than 6 input or output bits, and for a
     single-output table on 3 or more inputs whose output column has an odd
@@ -460,8 +393,7 @@ def synthesize(table: TruthTable, budget: SynthesisBudget | None = None) -> Circ
     """
     if budget is None:
         budget = SynthesisBudget()
-    if table.n_in > 6 or table.n_out > 6:
-        raise ValueError("synthesis supports at most 6 input and 6 output bits")
+    check_register_widths(table.n_in, table.n_out)
     if table.n_out == 1 and table.n_in >= 3 and sum(table.rows) % 2:
         raise ValueError(
             f"y ^= f(x) for a single-output table with an odd number of ones ({sum(table.rows)}) is an odd "
@@ -478,22 +410,13 @@ def synthesize(table: TruthTable, budget: SynthesisBudget | None = None) -> Circ
         tuple(lin_gates) + plan.steps,
     )
     report = cost(circ)
-    if (
-        report.quantum_cost <= budget.max_quantum_cost
-        and len(circ.gates) <= budget.max_gates
-    ):
-        bad = verify(circ, table)
-        if bad:
-            raise SynthesisError(
-                f"internal planning error, first mismatch at x={bad[0].x}",
-                report.quantum_cost,
-                len(bad),
-            )
-        return circ
-    if budget.exhaustive_fallback:
-        found = _iddfs(table, budget)
-        if found is not None and not verify(found, table):
-            return found
-    raise SynthesisError(
-        "synthesis budget exhausted", report.quantum_cost, 0
-    )
+    if report.quantum_cost > budget.max_quantum_cost or len(circ.gates) > budget.max_gates:
+        raise SynthesisError("synthesis budget exhausted", report.quantum_cost, 0)
+    bad = verify(circ, table)
+    if bad:
+        raise SynthesisError(
+            f"internal planning error, first mismatch at x={bad[0].x}",
+            report.quantum_cost,
+            len(bad),
+        )
+    return circ

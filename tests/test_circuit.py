@@ -19,7 +19,6 @@ from shorcompile.circuit import (
     cost,
     evaluate,
     not_gate,
-    to_permutation,
     toffoli,
     verify,
 )
@@ -138,7 +137,7 @@ def test_to_permutation_matches_evaluate():
     for _ in range(60):
         width = RNG.randint(2, 6)
         circ = _random_circuit(width, RNG.randint(0, 12))
-        perm = to_permutation(circ)
+        perm = basis_permutation(circ, tuple(range(circ.width)))
         assert sorted(perm.tolist()) == list(range(1 << width))  # a permutation
         for state in range(1 << width):
             bits = [(state >> (width - 1 - i)) & 1 for i in range(width)]
@@ -154,7 +153,7 @@ def test_to_permutation_matches_evaluate():
 def test_to_permutation_width_cap():
     wide = Circuit(21, tuple(range(10)), tuple(range(10, 21)), ())
     with pytest.raises(ValueError):
-        to_permutation(wide)
+        basis_permutation(wide, tuple(range(wide.width)))
 
 
 def test_basis_permutation_needs_every_line():
@@ -165,7 +164,7 @@ def test_basis_permutation_needs_every_line():
 
 
 def test_permutation_dtype():
-    perm = to_permutation(LIBRARY["f2_15"].circuit)
+    perm = basis_permutation(LIBRARY["f2_15"].circuit, tuple(range(6)))
     assert perm.dtype == np.int64
     assert perm.shape == (64,)
 

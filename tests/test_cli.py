@@ -10,7 +10,6 @@ import pytest
 
 from shorcompile import cli
 from shorcompile.circuit import circuit_from_json, circuit_to_json
-from shorcompile.synth import FALLBACK_EXPANSION_CAP
 from shorcompile.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -417,26 +416,44 @@ def test_oversize_registers_exit_with_usage_before_allocating(capsys, argv):
     assert out == ""
 
 
-def test_synth_fallback_stops_at_its_expansion_cap(capsys):
-    # without the cap this search was still running after 300 s
-    start = time.perf_counter()
-    argv = ("synth", "--a", "4", "--N", "33", "--compile", "full", "--fallback", "--max-cost", "12")
-    code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 5.0
-    assert code == EXIT_BUDGET
-    assert f"cap of {FALLBACK_EXPANSION_CAP} expansions" in err
+_CAP_MESSAGE = "synthesis supports at most 6 input and 6 output bits"
+
+
+def _refuse(*_):
+    raise AssertionError("built a table past the 6-bit cap")
+
+
+@pytest.mark.parametrize("strategy", ["none", "log"])
+def test_synth_refuses_a_wide_input_before_building_its_table(monkeypatch, capsys, strategy):
+    monkeypatch.setattr(cli, "build_modexp_table", _refuse)
+    monkeypatch.setattr(cli, "uncompiled", _refuse)
+    code, out, err = run(capsys, "synth", "--a", "2", "--N", "15", "--compile", strategy, "--n-in", "7")
+    assert code == EXIT_USAGE
+    assert _CAP_MESSAGE in err
     assert out == ""
 
 
-def test_synth_fallback_gives_up_quickly(capsys):
-    # the fallback's search space below cost 8 is large; its memo of failed
-    # states keeps the full search to a fraction of a second
+def test_synth_refuses_a_wide_full_compile_quickly(monkeypatch, capsys):
+    # the order of 2 mod 1048571 is 1048570: a 20-bit input register
+    monkeypatch.setattr(cli, "full_compile", _refuse)
     start = time.perf_counter()
-    code, out, err = run(capsys, "synth", "--a", "4", "--N", "21", "--fallback", "--max-cost", "8")
-    assert time.perf_counter() - start < 5.0
-    assert code == EXIT_BUDGET
-    assert "budget" in err
+    code, out, err = run(capsys, "synth", "--a", "2", "--N", "1048571")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert _CAP_MESSAGE in err
     assert out == ""
+
+
+def test_simulate_clamp_warning_is_one_plain_line_on_every_call(capsys):
+    argv = ("simulate", "--p", "7", "--m", "3", "--k", "3", "--epsilon", "0.7", "--shots", "300", "--seed", "2")
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == EXIT_OK
+        assert out
+        assert err.startswith("warning: observed S=")
+        assert err.endswith(", clamping\n")
+        assert err.count("\n") == 1
+        assert "UserWarning" not in err and ".py:" not in err
 
 
 def _sha256(text):

@@ -2,7 +2,6 @@
 
 import json
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +16,9 @@ from shorcompile.modexp import (
     build_modexp_table,
     classical_compile,
     full_compile,
-    period_of,
     uncompiled,
 )
 from shorcompile.numtheory import factor_semiprime, multiplicative_order
-
-RNG = random.Random(40961)
 
 
 def test_truth_table_validation():
@@ -221,21 +217,3 @@ def output_sets(draw) -> tuple[int, ...]:
 def test_affine_descriptor_matches_brute_force(outputs, n):
     assert _affine_descriptor(outputs, n) == reference_affine_descriptor(outputs, n)
 
-
-def test_period_of():
-    assert period_of(TruthTable(3, 5, (1, 4, 16, 1, 4, 16, 1, 4))) == 3
-    assert period_of(TruthTable(2, 4, (1, 2, 4, 8))) == 4
-    assert period_of(TruthTable(2, 2, (0, 1, 0, 1))) == 2
-    assert period_of(TruthTable(1, 1, (1, 1))) == 1
-
-
-def test_period_of_random_tables():
-    for _ in range(200):
-        n_in = RNG.randint(1, 4)
-        p = RNG.randint(1, 1 << n_in)
-        vals = [RNG.randrange(16) for _ in range(p)]
-        rows = tuple(vals[x % p] for x in range(1 << n_in))
-        got = period_of(TruthTable(n_in, 4, rows))
-        # got is the minimal period, which divides or equals the planted one
-        assert got <= p
-        assert all(rows[x] == rows[x % got] for x in range(1 << n_in))

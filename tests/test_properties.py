@@ -22,7 +22,6 @@ from shorcompile.circuit import (
     evaluate,
     input_vectors,
     output_vectors,
-    to_permutation,
     verify,
 )
 from shorcompile.library import LIBRARY
@@ -114,7 +113,6 @@ def test_packed_evaluator_matches_reference(circ, data):
         drawn = data.draw(st.lists(row, min_size=size, max_size=size))
         table = TruthTable(circ.n_in, circ.n_out, tuple(drawn))
     assert verify(circ, table) == reference_verify(circ, table)
-    assert to_permutation(circ).tolist() == reference_permutation(circ, list(range(circ.width)))
     order = data.draw(st.permutations(range(circ.width)))
     assert basis_permutation(circ, tuple(order)).tolist() == reference_permutation(circ, order)
 

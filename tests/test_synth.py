@@ -1,23 +1,18 @@
-"""Two-stage synthesis: linear fitting, greedy repair, fallback search."""
+"""Two-stage synthesis: linear fitting, greedy repair, budget and width refusals."""
 
 import hashlib
-import itertools
 import math
 import random
 
 import pytest
 
-from shorcompile.circuit import apply_packed, cost, input_vectors, output_vectors, render_gates, verify
+from shorcompile.circuit import cost, render_gates, verify
 from shorcompile.library import FIGURE_IDS, LIBRARY
 from shorcompile.modexp import TruthTable, full_compile
 from shorcompile.numtheory import factor_semiprime
 from shorcompile.synth import (
-    FALLBACK_COST_CAP,
     SynthesisBudget,
     SynthesisError,
-    _candidates,
-    _iddfs,
-    _realize,
     fit_linear,
     plan_cascades,
     synthesize,
@@ -110,87 +105,6 @@ def test_budget_exhaustion_raises():
     assert "budget" in str(exc.value)
     with pytest.raises(SynthesisError):
         synthesize(table, SynthesisBudget(max_gates=2))
-
-
-def test_fallback_finds_cheaper_circuit_than_greedy():
-    # OR of two inputs without negative controls: the greedy route costs 10
-    # (stage A constant plus a four-term polynomial), the optimum is 8
-    table = TruthTable(2, 1, (0, 1, 1, 1))
-    tight = SynthesisBudget(max_quantum_cost=8, allow_negative_controls=False)
-    with pytest.raises(SynthesisError):
-        synthesize(table, tight)
-    found = synthesize(
-        table,
-        SynthesisBudget(
-            max_quantum_cost=8, allow_negative_controls=False, exhaustive_fallback=True
-        ),
-    )
-    assert verify(found, table) == []
-    assert cost(found).quantum_cost <= 8
-
-
-def test_fallback_honors_the_cap_and_fails_honestly():
-    # AND needs a Toffoli; nothing under quantum cost 5 can realize it
-    table = TruthTable(2, 1, (0, 0, 0, 1))
-    with pytest.raises(SynthesisError):
-        synthesize(
-            table,
-            SynthesisBudget(max_quantum_cost=5, exhaustive_fallback=True),
-        )
-
-
-def _reference_iddfs_gates(table, budget):
-    """The fallback search without its memo of failed states, as the agreement reference."""
-    n_in, n_out = table.n_in, table.n_out
-    width = n_in + n_out
-    full = (1 << (1 << n_in)) - 1
-    targets = tuple(output_vectors(table))
-    start = tuple(input_vectors(n_in)) + (0,) * n_out
-    moves = [
-        (_realize(j, f)[0], q)
-        for j in range(n_in, width)
-        for f, q in _candidates(n_in, width, j, budget.allow_negative_controls)
-        if all(len(lines) == 1 for lines, _ in f)
-    ]
-
-    def dfs(vecs, left, acc):
-        if all(vecs[n_in + ol] == targets[ol] for ol in range(n_out)):
-            return list(acc)
-        if left <= 0 or len(acc) >= budget.max_gates:
-            return None
-        for gate, gc in moves:
-            if gc > left:
-                continue
-            if acc and acc[-1] == gate:
-                continue
-            nxt = list(vecs)
-            apply_packed(nxt, gate, full)
-            acc.append(gate)
-            found = dfs(tuple(nxt), left - gc, acc)
-            if found is not None:
-                return found
-            acc.pop()
-        return None
-
-    for limit in range(1, min(budget.max_quantum_cost, FALLBACK_COST_CAP) + 1):
-        found = dfs(start, limit, [])
-        if found is not None:
-            return found
-    return None
-
-
-def test_fallback_memo_returns_the_unmemoized_search_result():
-    # every table on (1,1), (1,2) and (2,1) lines, both polarity settings, caps 4 and 6
-    for n_in, n_out in ((1, 1), (1, 2), (2, 1)):
-        for rows in itertools.product(range(1 << n_out), repeat=1 << n_in):
-            table = TruthTable(n_in, n_out, rows)
-            for allow_neg, cap in itertools.product((False, True), (4, 6)):
-                budget = SynthesisBudget(
-                    max_quantum_cost=cap, allow_negative_controls=allow_neg, exhaustive_fallback=True
-                )
-                found = _iddfs(table, budget)
-                gates = None if found is None else list(found.gates)
-                assert gates == _reference_iddfs_gates(table, budget), (rows, allow_neg, cap)
 
 
 def test_synthesize_rejects_wide_tables():
