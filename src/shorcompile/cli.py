@@ -11,7 +11,7 @@ factor       end-to-end order finding plus classical post-processing
 diff-golden  recompute every bundled table and circuit and compare
 
 Exit codes: 0 success, 1 verification or diff failure, 2 invalid input,
-3 synthesis budget exhausted.
+3 a synthesized circuit failed its own verification (a program fault).
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ from .qsim import (
     separability_index,
     uniform_input_state,
 )
-from .synth import SynthesisBudget, SynthesisError, check_register_widths, synthesize
+from .synth import SynthesisError, check_register_widths, synthesize
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-EXIT_BUDGET = 3
+EXIT_SYNTHESIS = 3
 
 # guard against float dust right at a golden tolerance boundary
 _TOL_SLACK = 1e-9
@@ -344,10 +344,11 @@ def cmd_circuit(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    a, n, strategy = args.a, args.n, args.compile
+    a, n, strategy, n_in = args.a, args.n, args.compile, args.n_in
+    if strategy == "full" and n_in is not None:
+        raise ValueError("--n-in does not apply to --compile full, which picks its own input width")
     r = multiplicative_order(a, n)
     entry = find_entry(a, n, strategy)
-    n_in = args.n_in if strategy != "full" else None
     if n_in is None:
         n_in = entry.circuit.n_in if entry else max(1, (r - 1).bit_length())
     # refused before any 2**n_in-row table is built
@@ -360,12 +361,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         compiled = classical_compile(build_modexp_table(a, n, n_in), a, n, GKind(strategy))
     table = compiled.table
 
-    budget = SynthesisBudget(
-        max_quantum_cost=args.max_cost,
-        max_gates=args.max_gates,
-        allow_negative_controls=not args.no_negative_controls,
-    )
-    circ = synthesize(table, budget)
+    circ = synthesize(table, allow_negative_controls=not args.no_negative_controls)
     report = cost(circ)
 
     comparison = None
@@ -431,7 +427,7 @@ def _fmt_dist(values: list[float]) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     m, k, p = args.m, args.k, args.p
     noise = NoiseParams(args.epsilon)
-    state = qft_input(apply_period_map(uniform_input_state(m, k), p), inverse=args.inverse_qft)
+    state = qft_input(apply_period_map(uniform_input_state(m, k), p))
     clean = input_probabilities(state)
     s_theory = separability_index(clean)
     noisy = depolarize(clean, noise)
@@ -630,9 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--a", type=int, required=True)
     synth.add_argument("--N", dest="n", type=int, required=True)
     synth.add_argument("--compile", choices=("none", "log", "affine", "rank", "full"), default="full")
-    synth.add_argument("--n-in", dest="n_in", type=int, help="input register width (defaults per strategy)")
-    synth.add_argument("--max-cost", dest="max_cost", type=int, default=1_000_000)
-    synth.add_argument("--max-gates", dest="max_gates", type=int, default=1_000_000)
+    synth.add_argument(
+        "--n-in", dest="n_in", type=int, help="input register width (defaults per strategy; not for --compile full)"
+    )
     synth.add_argument("--no-negative-controls", action="store_true")
     synth.add_argument("--out", help="write the result document to this JSON file")
     synth.add_argument("--format", choices=("text", "json"), default="text")
@@ -646,7 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--shots", type=int, default=0, help="0 reports the theoretical distribution only")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--rho", action="store_true", help="include the reduced input density matrix")
-    sim.add_argument("--inverse-qft", dest="inverse_qft", action="store_true")
     sim.add_argument("--format", choices=("text", "json"), default="text")
     sim.set_defaults(func=cmd_simulate)
 
@@ -675,7 +670,7 @@ def entrypoint(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SynthesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_SYNTHESIS
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -174,12 +174,8 @@ ERRATA: dict[str, dict[str, int]] = {
 }
 
 
-def library_circuit(name: str) -> Circuit:
-    """Bundled circuit by figure id; raises ValueError on an unknown id."""
-    return library_entry(name).circuit
-
-
 def library_entry(name: str) -> LibraryEntry:
+    """Bundled entry by figure id; raises ValueError on an unknown id."""
     try:
         return LIBRARY[name]
     except KeyError:

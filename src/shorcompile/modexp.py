@@ -49,17 +49,6 @@ class TruthTable:
                 raise ValueError(f"truth table numbers must be JSON integers, got {v!r}")
         return cls(n_in, n_out, rows)
 
-    def render_text(self) -> str:
-        """Aligned binary columns, most significant bit first, for table diffing."""
-        head = [f"x{i}" for i in range(self.n_in, 0, -1)]
-        head += ["|"] + [f"y{i}" for i in range(self.n_out, 0, -1)]
-        out = [" ".join(c.ljust(2) for c in head).rstrip()]
-        for x, y in enumerate(self.rows):
-            cells = list(format(x, f"0{self.n_in}b"))
-            cells += ["|"] + list(format(y, f"0{self.n_out}b"))
-            out.append(" ".join(c.ljust(2) for c in cells).rstrip())
-        return "\n".join(out)
-
 
 class GKind(Enum):
     NONE = "none"
@@ -74,8 +63,8 @@ class GDescriptor:
 
     kind LOG uses g(y) = log_base(y) over plain integers, AFFINE uses
     g(y) = (y - c) / d, RANK maps the i-th smallest realized output to i.
-    RANK is not a closed-form map, so it is flagged non-simple and is
-    only selected when explicitly requested or when nothing else fits.
+    RANK is not a closed-form map, so full_compile picks it only when
+    nothing else fits.
     """
 
     kind: GKind
@@ -83,10 +72,6 @@ class GDescriptor:
     c: int = 0
     d: int = 1
     sorted_outputs: tuple[int, ...] = ()
-
-    @property
-    def simple(self) -> bool:
-        return self.kind is not GKind.RANK
 
     def apply(self, y: int) -> int:
         if self.kind is GKind.NONE:

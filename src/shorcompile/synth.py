@@ -13,8 +13,10 @@ pass against each target's error mask; the first best score is the winner,
 and gates are built only for it. Chaining gate outputs into later controls
 is where Toffoli cascades come from. Whatever the greedy pass cannot clear
 is finished off from the algebraic normal form of the residual, so
-synthesis always terminates with a verified circuit. A circuit over the
-budget is refused; nothing searches for a cheaper one.
+synthesis always terminates, and exactly one circuit comes out per table
+and polarity setting; nothing searches for a cheaper one. A circuit that
+fails its own verification raises SynthesisError, a fault of this module;
+the command line exits 3 on it.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
 bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
@@ -36,7 +38,6 @@ from .circuit import (
     Gate,
     apply_packed,
     cnot,
-    cost,
     input_vectors,
     not_gate,
     output_vectors,
@@ -50,7 +51,6 @@ __all__ = [
     "BitFit",
     "LinearFit",
     "CascadePlan",
-    "SynthesisBudget",
     "SynthesisError",
     "check_register_widths",
     "fit_linear",
@@ -92,22 +92,8 @@ class CascadePlan:
     steps: tuple[Gate, ...]
 
 
-@dataclass(frozen=True)
-class SynthesisBudget:
-    max_quantum_cost: int = 1_000_000
-    max_gates: int = 1_000_000
-    allow_negative_controls: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_quantum_cost < 1 or self.max_gates < 1:
-            raise ValueError("budget bounds must be positive")
-
-
 class SynthesisError(RuntimeError):
-    def __init__(self, message: str, quantum_cost: int, mismatches: int):
-        super().__init__(message)
-        self.quantum_cost = quantum_cost
-        self.mismatches = mismatches
+    """The synthesized circuit does not realize its table: a fault here, not in the input."""
 
 
 def fit_linear(table: TruthTable) -> LinearFit:
@@ -306,7 +292,7 @@ def _multi_controlled_flip(controls: list[int], j: int, n_in: int, width: int) -
     spare = [ln for ln in range(width) if ln != j and ln not in controls]
     spare.sort(key=lambda ln: (ln < n_in, ln))  # prefer output lines as dirty
     if not spare:
-        raise SynthesisError(f"no spare line for a degree-{deg} flip", 0, 1)
+        raise SynthesisError(f"no spare line for a degree-{deg} flip")
     d = spare[0]
     head = toffoli(controls[0], controls[1], d)
     inner = _multi_controlled_flip([d] + controls[2:], j, n_in, width)
@@ -378,11 +364,8 @@ def check_register_widths(n_in: int, n_out: int = 1) -> None:
         raise ValueError("synthesis supports at most 6 input and 6 output bits")
 
 
-def synthesize(table: TruthTable, budget: SynthesisBudget | None = None) -> Circuit:
-    """Verified circuit for the table, within the budget.
-
-    Raises SynthesisError carrying cost and residual diagnostics when the
-    budget is exhausted.
+def synthesize(table: TruthTable, *, allow_negative_controls: bool = True) -> Circuit:
+    """Verified circuit for the table; negative controls only if allowed.
 
     Raises ValueError for more than 6 input or output bits, and for a
     single-output table on 3 or more inputs whose output column has an odd
@@ -390,33 +373,25 @@ def synthesize(table: TruthTable, budget: SynthesisBudget | None = None) -> Circ
     of its lines to (x, y XOR f(x)); for such a table that map swaps an odd
     number of state pairs, an odd permutation, while a NOT, CNOT or Toffoli
     gate on 4 or more lines is an even one.
+
+    Raises SynthesisError if the circuit fails its own verification.
     """
-    if budget is None:
-        budget = SynthesisBudget()
     check_register_widths(table.n_in, table.n_out)
     if table.n_out == 1 and table.n_in >= 3 and sum(table.rows) % 2:
         raise ValueError(
             f"y ^= f(x) for a single-output table with an odd number of ones ({sum(table.rows)}) is an odd "
             f"permutation of its {table.n_in + 1} lines; NOT, CNOT and Toffoli gates build only even ones there"
         )
-    allow_neg = budget.allow_negative_controls
     fit = fit_linear(table)
-    lin_gates = _emit_linear(fit, table.n_in, allow_neg)
-    plan = plan_cascades(fit, table, allow_neg)
+    lin_gates = _emit_linear(fit, table.n_in, allow_negative_controls)
+    plan = plan_cascades(fit, table, allow_negative_controls)
     circ = Circuit(
         table.n_in + table.n_out,
         tuple(range(table.n_in)),
         tuple(range(table.n_in, table.n_in + table.n_out)),
         tuple(lin_gates) + plan.steps,
     )
-    report = cost(circ)
-    if report.quantum_cost > budget.max_quantum_cost or len(circ.gates) > budget.max_gates:
-        raise SynthesisError("synthesis budget exhausted", report.quantum_cost, 0)
     bad = verify(circ, table)
     if bad:
-        raise SynthesisError(
-            f"internal planning error, first mismatch at x={bad[0].x}",
-            report.quantum_cost,
-            len(bad),
-        )
+        raise SynthesisError(f"internal planning error, first mismatch at x={bad[0].x}")
     return circ

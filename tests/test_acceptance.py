@@ -37,7 +37,7 @@ from shorcompile.qsim import (
     separability_index,
     uniform_input_state,
 )
-from shorcompile.synth import SynthesisBudget, synthesize
+from shorcompile.synth import synthesize
 
 
 class _report:

@@ -22,7 +22,7 @@ from shorcompile.circuit import (
     toffoli,
     verify,
 )
-from shorcompile.library import FIGURE_IDS, LIBRARY, library_circuit, library_entry
+from shorcompile.library import FIGURE_IDS, LIBRARY, library_entry
 from shorcompile.modexp import TruthTable
 
 RNG = random.Random(777)
@@ -69,10 +69,9 @@ def test_evaluate_all_library_entries():
 
 
 def test_library_lookup_rejects_unknown_id():
-    assert library_circuit("f4_21") is LIBRARY["f4_21"].circuit
-    for lookup in (library_circuit, library_entry):
-        with pytest.raises(ValueError, match="unknown circuit id"):
-            lookup("nope")
+    assert library_entry("f4_21") is LIBRARY["f4_21"]
+    with pytest.raises(ValueError, match="unknown circuit id"):
+        library_entry("nope")
 
 
 def test_verify_reports_mismatches():

@@ -8,12 +8,12 @@ import time
 
 import pytest
 
-from shorcompile import cli
-from shorcompile.circuit import circuit_from_json, circuit_to_json
+from shorcompile import cli, synth
+from shorcompile.circuit import Mismatch, circuit_from_json, circuit_to_json
 from shorcompile.cli import (
-    EXIT_BUDGET,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_SYNTHESIS,
     EXIT_USAGE,
     entrypoint,
 )
@@ -256,12 +256,35 @@ def test_synth_json_document(tmp_path, capsys):
     assert doc["comparison"]["library"] == "f2_15_full"
 
 
-def test_synth_budget_exhaustion_exit_code(capsys):
-    code, _, err = run(
-        capsys, "synth", "--a", "4", "--N", "21", "--compile", "none", "--max-cost", "2"
-    )
-    assert code == EXIT_BUDGET
-    assert "budget" in err
+def test_synth_circuit_failing_its_own_verification_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(synth, "verify", lambda circ, table: [Mismatch(1, 1, 0, 1)])
+    code, out, err = run(capsys, "synth", "--a", "4", "--N", "21", "--compile", "full")
+    assert code == EXIT_SYNTHESIS
+    assert "internal planning error" in err
+    assert out == ""
+
+
+def test_synth_refuses_n_in_with_full_compile(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "full_compile", _refuse)
+    code, out, err = run(capsys, "synth", "--a", "4", "--N", "21", "--compile", "full", "--n-in", "5")
+    assert code == EXIT_USAGE
+    assert "--n-in does not apply to --compile full" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--a", "4", "--N", "21", "--max-cost", "5"),
+        ("synth", "--a", "4", "--N", "21", "--max-gates", "5"),
+        ("simulate", "--p", "3", "--inverse-qft"),
+    ],
+)
+def test_deleted_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        entrypoint(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_synth_rejects_bad_base(capsys):

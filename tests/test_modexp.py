@@ -53,15 +53,6 @@ def test_truth_table_json_rejects_non_integers(doc):
         TruthTable.from_json(doc)
 
 
-def test_truth_table_render_text():
-    text = TruthTable(1, 2, (1, 2)).render_text()
-    lines = [ln.replace(" ", "") for ln in text.splitlines()]
-    # header, then one row per input, MSB first on both sides
-    assert lines[0] == "x1|y2y1"
-    assert lines[1] == "0|01"
-    assert lines[2] == "1|10"
-
-
 def test_build_modexp_table_matches_pow():
     for a, n in [(2, 15), (4, 15), (4, 21), (2, 21), (4, 33), (5, 33)]:
         for n_in in (1, 2, 3):
@@ -84,8 +75,6 @@ def test_gdescriptor_roundtrips():
     assert aff.apply(10) == 3 and aff.invert(3) == 10
     rank = GDescriptor(GKind.RANK, sorted_outputs=(1, 4, 16))
     assert rank.apply(16) == 2 and rank.invert(2) == 16
-    assert rank.simple is False
-    assert log.simple and aff.simple
 
 
 def test_uncompiled_known_tables():
@@ -125,7 +114,6 @@ def test_classical_compile_rank_always_works():
         base = build_modexp_table(a, n, 3)
         cf = classical_compile(base, a, n, GKind.RANK)
         assert tuple(cf.g.invert(v) for v in cf.table.rows) == base.rows
-        assert not cf.g.simple
 
 
 def test_full_compile_known_cases():

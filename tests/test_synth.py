@@ -1,4 +1,4 @@
-"""Two-stage synthesis: linear fitting, greedy repair, budget and width refusals."""
+"""Two-stage synthesis: linear fitting, greedy repair, width refusals."""
 
 import hashlib
 import math
@@ -10,13 +10,7 @@ from shorcompile.circuit import cost, render_gates, verify
 from shorcompile.library import FIGURE_IDS, LIBRARY
 from shorcompile.modexp import TruthTable, full_compile
 from shorcompile.numtheory import factor_semiprime
-from shorcompile.synth import (
-    SynthesisBudget,
-    SynthesisError,
-    fit_linear,
-    plan_cascades,
-    synthesize,
-)
+from shorcompile.synth import fit_linear, plan_cascades, synthesize
 
 RNG = random.Random(90210)
 
@@ -93,18 +87,9 @@ def test_synthesize_random_periodic_tables():
 def test_synthesize_without_negative_controls():
     for name in ("f4_21", "f4_21_partial", "f4_33_full"):
         table = LIBRARY[name].table
-        circ = synthesize(table, SynthesisBudget(allow_negative_controls=False))
+        circ = synthesize(table, allow_negative_controls=False)
         assert verify(circ, table) == [], name
         assert all(not c.neg for g in circ.gates for c in g.controls), name
-
-
-def test_budget_exhaustion_raises():
-    table = LIBRARY["f4_21"].table
-    with pytest.raises(SynthesisError) as exc:
-        synthesize(table, SynthesisBudget(max_quantum_cost=3))
-    assert "budget" in str(exc.value)
-    with pytest.raises(SynthesisError):
-        synthesize(table, SynthesisBudget(max_gates=2))
 
 
 def test_synthesize_rejects_wide_tables():
@@ -178,7 +163,7 @@ PINNED_CIRCUITS = {
 )
 def test_synthesized_circuits_are_pinned(source, allow_neg):
     table = LIBRARY[source].table if isinstance(source, str) else full_compile(*source).table
-    circ = synthesize(table, SynthesisBudget(allow_negative_controls=allow_neg))
+    circ = synthesize(table, allow_negative_controls=allow_neg)
     digest = hashlib.sha256(render_gates(circ).encode()).hexdigest()
     assert (cost(circ).quantum_cost, digest) == PINNED_CIRCUITS[source, allow_neg]
 
