@@ -300,17 +300,3 @@ def render_gates(circuit: Circuit) -> str:
             out.append(f"{g.kind.value}(-> {g.target})")
     return "\n".join(out)
 
-
-def compare_cost(
-    circuit: Circuit, reference: Circuit, table: TruthTable | None = None
-) -> int:
-    """quantum_cost(circuit) - quantum_cost(reference).
-
-    When a table is supplied both circuits must verify against it.
-    """
-    if table is not None:
-        for name, c in (("circuit", circuit), ("reference", reference)):
-            bad = verify(c, table)
-            if bad:
-                raise ValueError(f"{name} fails verification at x={bad[0].x}")
-    return cost(circuit).quantum_cost - cost(reference).quantum_cost

@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Callable, Iterable
 
@@ -36,13 +36,12 @@ from .circuit import (
     CostReport,
     circuit_from_json,
     circuit_to_dict,
-    compare_cost,
     cost,
     render_gates,
     verify,
 )
 from .library import FIGURE_IDS, find_entry, library_entry
-from .modexp import GKind, TruthTable, build_modexp_table, classical_compile, full_compile, uncompiled
+from .modexp import GKind, TruthTable, compile_modexp, full_compile
 from .numtheory import (
     PostProcessStatus,
     TrivialFactorError,
@@ -133,8 +132,9 @@ class Table:
 
 def _distributions(m: int, k: int) -> list[tuple[int, ProbDist]]:
     """The post-transform input distribution for every period p the registers allow."""
+    start = uniform_input_state(m, k)  # refuses bad sizes before 1 << m is evaluated
     return [
-        (p, input_probabilities(qft_input(apply_period_map(uniform_input_state(m, k), p))))
+        (p, input_probabilities(qft_input(apply_period_map(start, p))))
         for p in range(1, min(1 << m, 1 << k) + 1)
     ]
 
@@ -353,12 +353,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_in = entry.circuit.n_in if entry else max(1, (r - 1).bit_length())
     # refused before any 2**n_in-row table is built
     check_register_widths(n_in)
-    if strategy == "full":
-        compiled = full_compile(a, n)
-    elif strategy == "none":
-        compiled = uncompiled(a, n, n_in)
-    else:
-        compiled = classical_compile(build_modexp_table(a, n, n_in), a, n, GKind(strategy))
+    compiled = full_compile(a, n) if strategy == "full" else compile_modexp(a, n, n_in, GKind(strategy))
     table = compiled.table
 
     circ = synthesize(table, allow_negative_controls=not args.no_negative_controls)
@@ -366,11 +361,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     comparison = None
     if entry is not None:
-        if entry.table == table:
-            delta = compare_cost(circ, entry.circuit, table)
-        else:
-            delta = compare_cost(circ, entry.circuit)
-        comparison = {"library": entry.name, "library_qcost": cost(entry.circuit).quantum_cost, "delta": delta}
+        library_qcost = cost(entry.circuit).quantum_cost
+        comparison = {
+            "library": entry.name,
+            "library_qcost": library_qcost,
+            "delta": report.quantum_cost - library_qcost,
+        }
 
     if args.out or args.format == "json":
         circ_doc = circuit_to_dict(circ)
@@ -383,7 +379,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             ),
             "level": compiled.level.value,
             "g": compiled.g.kind.value,
-            "table": json.loads(table.to_json()),
+            "table": asdict(table),
             "circuit": circ_doc,
             "cost": {
                 "n_toffoli": report.n_toffoli,

@@ -1,16 +1,20 @@
-"""Modular-exponentiation truth tables and the classical output-compression layer.
+"""Modular-exponentiation truth tables and the classical compile layer.
 
-The compression step replaces each raw residue y = a**x mod N by g(y) for a
+One path builds every level. The rows are a**x mod N for each n_in-bit x;
+since a**x = a**(x mod r) (mod N), an input register wider than the order r
+just repeats the period. Each raw residue y is then replaced by g(y) for a
 small injective map g, shrinking the output register before any circuit is
 synthesized. Three map families are supported: integer logarithm base a,
-affine (y - c) / d, and rank order.
+affine (y - c) / d, and rank order. ``compile_modexp`` applies one family
+(or none) at a chosen input width; ``full_compile`` also picks the width,
+ceil(log2 r), and the first family of LOG, AFFINE, RANK that fits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .numtheory import mod_pow, multiplicative_order
@@ -34,7 +38,7 @@ class TruthTable:
                 raise ValueError(f"output {y} at x={x} does not fit in {self.n_out} bits")
 
     def to_json(self) -> str:
-        return json.dumps({"n_in": self.n_in, "n_out": self.n_out, "rows": list(self.rows)})
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> TruthTable:
@@ -126,22 +130,6 @@ def _int_log(y: int, base: int) -> int | None:
     return e if v == y else None
 
 
-def build_modexp_table(a: int, n: int, n_in: int) -> TruthTable:
-    """Truth table of x -> a**x mod n over all n_in-bit inputs."""
-    if n_in < 1:
-        raise ValueError("n_in must be positive")
-    multiplicative_order(a, n)  # validates coprimality and 1 < a < n
-    n_out = (n - 1).bit_length()
-    rows = tuple(mod_pow(a, x, n) for x in range(1 << n_in))
-    return TruthTable(n_in, n_out, rows)
-
-
-def _log_descriptor(outputs: tuple[int, ...], a: int) -> GDescriptor | None:
-    if any(_int_log(y, a) is None for y in set(outputs)):
-        return None
-    return GDescriptor(GKind.LOG, base=a)
-
-
 def _affine_descriptor(outputs: tuple[int, ...], n: int) -> GDescriptor | None:
     """Best (c, d) by (max mapped value, d, c); d in 1..n, c in 0..d.
 
@@ -166,60 +154,58 @@ def _affine_descriptor(outputs: tuple[int, ...], n: int) -> GDescriptor | None:
     return GDescriptor(GKind.AFFINE, c=c, d=d)
 
 
-def _rank_descriptor(outputs: tuple[int, ...]) -> GDescriptor:
+def _fit_g(kind: GKind, outputs: tuple[int, ...], a: int, n: int) -> GDescriptor | None:
+    """The kind's g map for these outputs, or None when the family does not fit."""
+    if kind is GKind.NONE:
+        return GDescriptor(GKind.NONE)
+    if kind is GKind.LOG:
+        if any(_int_log(y, a) is None for y in set(outputs)):
+            return None
+        return GDescriptor(GKind.LOG, base=a)
+    if kind is GKind.AFFINE:
+        return _affine_descriptor(outputs, n)
     return GDescriptor(GKind.RANK, sorted_outputs=tuple(sorted(set(outputs))))
 
 
-def _apply_g(table: TruthTable, g: GDescriptor) -> TruthTable:
-    mapped = tuple(g.apply(y) for y in table.rows)
-    n_out = max(1, max(mapped).bit_length())
-    return TruthTable(table.n_in, n_out, mapped)
-
-
-def uncompiled(a: int, n: int, n_in: int) -> CompiledFunction:
-    """The raw table wrapped with an identity g."""
-    table = build_modexp_table(a, n, n_in)
-    r = multiplicative_order(a, n)
-    return CompiledFunction(a, n, r, GDescriptor(GKind.NONE), table, CompileLevel.UNCOMPILED)
-
-
-def classical_compile(
-    table: TruthTable, a: int, n: int, strategy: GKind
+def _compile(
+    a: int, n: int, n_in: int | None, kinds: tuple[GKind, ...], level: CompileLevel
 ) -> CompiledFunction:
-    """Compress the output register of a raw table with the requested g family.
+    """Table of x -> g(a**x mod n) with g from the first family in kinds that fits.
 
-    The input register is untouched, so the result is the partially
-    compiled function. Raises ValueError when the strategy does not fit
+    n_in None means ceil(log2 r), one period of the function. GKind.NONE
+    keeps the raw (n-1).bit_length() output register; every other family
+    narrows it to the widest mapped value.
+    """
+    if n_in is not None and n_in < 1:
+        raise ValueError("n_in must be positive")
+    r = multiplicative_order(a, n)  # validates coprimality and 1 < a < n
+    if n_in is None:
+        n_in = max(1, (r - 1).bit_length())
+    raw = tuple(mod_pow(a, x % r, n) for x in range(1 << n_in))
+    for kind in kinds:
+        g = _fit_g(kind, raw, a, n)
+        if g is not None:
+            break
+    else:  # only a lone LOG or AFFINE request can miss
+        if kind is GKind.LOG:
+            raise ValueError(f"some output is not an integer power of {a}")
+        raise ValueError(f"no affine (c, d) with d <= {n} fits the outputs")
+    rows = tuple(g.apply(y) for y in raw)
+    n_out = (n - 1).bit_length() if kind is GKind.NONE else max(1, max(rows).bit_length())
+    return CompiledFunction(a, n, r, g, TruthTable(n_in, n_out, rows), level)
+
+
+def compile_modexp(a: int, n: int, n_in: int, kind: GKind) -> CompiledFunction:
+    """The n_in-bit table of a**x mod n, its outputs mapped by the g family kind.
+
+    GKind.NONE gives the uncompiled level; LOG, AFFINE and RANK give the
+    partially compiled one. Raises ValueError when the family does not fit
     the realized outputs.
     """
-    if strategy is GKind.LOG:
-        g = _log_descriptor(table.rows, a)
-        if g is None:
-            raise ValueError(f"some output is not an integer power of {a}")
-    elif strategy is GKind.AFFINE:
-        g = _affine_descriptor(table.rows, n)
-        if g is None:
-            raise ValueError(f"no affine (c, d) with d <= {n} fits the outputs")
-    elif strategy is GKind.RANK:
-        g = _rank_descriptor(table.rows)
-    else:
-        raise ValueError(f"unsupported compile strategy {strategy}")
-    r = multiplicative_order(a, n)
-    return CompiledFunction(a, n, r, g, _apply_g(table, g), CompileLevel.PARTIAL)
+    level = CompileLevel.UNCOMPILED if kind is GKind.NONE else CompileLevel.PARTIAL
+    return _compile(a, n, n_in, (kind,), level)
 
 
 def full_compile(a: int, n: int) -> CompiledFunction:
-    """Shrink both registers: n_in = ceil(log2 r) and x wraps modulo r.
-
-    Wrapping makes the table carry exactly one period of the function even
-    when 2**n_in exceeds r. The g family is the best valid one in priority
-    order LOG, AFFINE, RANK.
-    """
-    r = multiplicative_order(a, n)
-    n_in = max(1, (r - 1).bit_length())
-    raw = tuple(mod_pow(a, x % r, n) for x in range(1 << n_in))
-    g = _log_descriptor(raw, a) or _affine_descriptor(raw, n) or _rank_descriptor(raw)
-    n_out_raw = (n - 1).bit_length()
-    table = _apply_g(TruthTable(n_in, n_out_raw, raw), g)
-    return CompiledFunction(a, n, r, g, table, CompileLevel.FULL)
-
+    """Shrink both registers: n_in = ceil(log2 r), g the first of LOG, AFFINE, RANK that fits."""
+    return _compile(a, n, None, (GKind.LOG, GKind.AFFINE, GKind.RANK), CompileLevel.FULL)

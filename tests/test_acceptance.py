@@ -14,7 +14,7 @@ import numpy as np
 
 from shorcompile.circuit import cost, evaluate, verify
 from shorcompile.library import ERRATA, FIGURE_IDS, LIBRARY, PRINTED_F4_33_TABLE
-from shorcompile.modexp import GKind, build_modexp_table, classical_compile, full_compile, uncompiled
+from shorcompile.modexp import GKind, compile_modexp, full_compile
 from shorcompile.numtheory import (
     PostProcessStatus,
     allowed_periods,
@@ -104,12 +104,12 @@ def test_criterion_03_circuits_match_captions_and_tables():
 
 def test_criterion_04_derived_tables_and_recorded_erratum():
     with _report(4, "derived tables match the transcribed ones; the one discrepancy stays detected"):
-        assert uncompiled(2, 15, 2).table.rows == LIBRARY["f2_15"].table.rows
+        assert compile_modexp(2, 15, 2, GKind.NONE).table.rows == LIBRARY["f2_15"].table.rows
         assert full_compile(2, 15).table.rows == LIBRARY["f2_15_full"].table.rows
-        assert uncompiled(4, 15, 1).table.rows == LIBRARY["f4_15"].table.rows
+        assert compile_modexp(4, 15, 1, GKind.NONE).table.rows == LIBRARY["f4_15"].table.rows
         assert full_compile(4, 15).table.rows == LIBRARY["f4_15_full"].table.rows
-        assert uncompiled(4, 21, 3).table.rows == LIBRARY["f4_21"].table.rows
-        partial = classical_compile(build_modexp_table(4, 21, 3), 4, 21, GKind.LOG)
+        assert compile_modexp(4, 21, 3, GKind.NONE).table.rows == LIBRARY["f4_21"].table.rows
+        partial = compile_modexp(4, 21, 3, GKind.LOG)
         assert partial.table.rows == LIBRARY["f4_21_partial"].table.rows
         assert full_compile(4, 21).table.rows == LIBRARY["f4_21_full"].table.rows
 

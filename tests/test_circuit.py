@@ -15,7 +15,6 @@ from shorcompile.circuit import (
     circuit_from_json,
     circuit_to_json,
     cnot,
-    compare_cost,
     cost,
     evaluate,
     not_gate,
@@ -178,21 +177,6 @@ def test_circuit_json_roundtrip():
 def test_circuit_json_rejects_garbage():
     with pytest.raises(ValueError):
         circuit_from_json('{"width": 2}')
-
-
-def test_compare_cost_plain_arithmetic():
-    a = Circuit(3, (0,), (1, 2), (toffoli(0, 1, 2),))
-    b = Circuit(3, (0,), (1, 2), (cnot(0, 1),))
-    assert compare_cost(a, b) == 5
-    assert compare_cost(b, a) == -5
-
-
-def test_compare_cost_with_table_guards_both():
-    e = LIBRARY["f4_21_full"]
-    assert compare_cost(e.circuit, e.circuit, e.table) == 0
-    wrong = Circuit(e.circuit.width, e.circuit.input_lines, e.circuit.output_lines, ())
-    with pytest.raises(ValueError):
-        compare_cost(wrong, e.circuit, e.table)
 
 
 def test_circuit_validation():

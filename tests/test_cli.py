@@ -425,17 +425,19 @@ def test_numtheory_bounds_fail_fast_with_usage_exit(capsys, argv, bound):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "message"),
     [
-        ("simulate", "--p", "3", "--m", "52", "--k", "4"),
-        ("tables", "probabilities", "--m", "52", "--k", "4"),
+        (("simulate", "--p", "3", "--m", "52", "--k", "4"), "register sizes 52+4 out of range"),
+        (("tables", "probabilities", "--m", "52", "--k", "4"), "register sizes 52+4 out of range"),
+        (("tables", "probabilities", "--m", "-1", "--k", "2"), "register sizes -1+2 out of range"),
     ],
+    ids=("simulate", "probabilities", "probabilities-negative-m"),
 )
-def test_oversize_registers_exit_with_usage_before_allocating(capsys, argv):
+def test_oversize_registers_exit_with_usage_before_allocating(capsys, argv, message):
     # 2**56 complex amplitudes would take 1 EiB; the sizes are refused first
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
-    assert "register sizes 52+4 out of range" in err
+    assert message in err
     assert out == ""
 
 
@@ -448,8 +450,7 @@ def _refuse(*_):
 
 @pytest.mark.parametrize("strategy", ["none", "log"])
 def test_synth_refuses_a_wide_input_before_building_its_table(monkeypatch, capsys, strategy):
-    monkeypatch.setattr(cli, "build_modexp_table", _refuse)
-    monkeypatch.setattr(cli, "uncompiled", _refuse)
+    monkeypatch.setattr(cli, "compile_modexp", _refuse)
     code, out, err = run(capsys, "synth", "--a", "2", "--N", "15", "--compile", strategy, "--n-in", "7")
     assert code == EXIT_USAGE
     assert _CAP_MESSAGE in err

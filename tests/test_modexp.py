@@ -1,5 +1,7 @@
-"""Truth tables and the two compression stages."""
+"""Truth tables and the classical compile layer."""
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -13,10 +15,8 @@ from shorcompile.modexp import (
     GKind,
     TruthTable,
     _affine_descriptor,
-    build_modexp_table,
-    classical_compile,
+    compile_modexp,
     full_compile,
-    uncompiled,
 )
 from shorcompile.numtheory import factor_semiprime, multiplicative_order
 
@@ -56,16 +56,16 @@ def test_truth_table_json_rejects_non_integers(doc):
 def test_build_modexp_table_matches_pow():
     for a, n in [(2, 15), (4, 15), (4, 21), (2, 21), (4, 33), (5, 33)]:
         for n_in in (1, 2, 3):
-            t = build_modexp_table(a, n, n_in)
+            t = compile_modexp(a, n, n_in, GKind.NONE).table
             assert t.n_out == (n - 1).bit_length()
             assert t.rows == tuple(pow(a, x, n) for x in range(1 << n_in))
 
 
 def test_build_modexp_table_rejects_bad_base():
     with pytest.raises(ValueError):
-        build_modexp_table(6, 15, 2)  # shares a factor
+        compile_modexp(6, 15, 2, GKind.NONE)  # shares a factor
     with pytest.raises(ValueError):
-        build_modexp_table(1, 15, 2)
+        compile_modexp(1, 15, 2, GKind.NONE)
 
 
 def test_gdescriptor_roundtrips():
@@ -78,17 +78,17 @@ def test_gdescriptor_roundtrips():
 
 
 def test_uncompiled_known_tables():
-    assert uncompiled(2, 15, 2).table.rows == (1, 2, 4, 8)
-    assert uncompiled(4, 15, 1).table.rows == (1, 4)
-    assert uncompiled(4, 21, 3).table.rows == (1, 4, 16, 1, 4, 16, 1, 4)
-    cf = uncompiled(2, 15, 2)
+    assert compile_modexp(2, 15, 2, GKind.NONE).table.rows == (1, 2, 4, 8)
+    assert compile_modexp(4, 15, 1, GKind.NONE).table.rows == (1, 4)
+    assert compile_modexp(4, 21, 3, GKind.NONE).table.rows == (1, 4, 16, 1, 4, 16, 1, 4)
+    cf = compile_modexp(2, 15, 2, GKind.NONE)
     assert cf.level is CompileLevel.UNCOMPILED
     assert cf.g.kind is GKind.NONE
 
 
 def test_classical_compile_log():
-    base = build_modexp_table(4, 21, 3)
-    cf = classical_compile(base, 4, 21, GKind.LOG)
+    base = compile_modexp(4, 21, 3, GKind.NONE).table
+    cf = compile_modexp(4, 21, 3, GKind.LOG)
     assert cf.level is CompileLevel.PARTIAL
     assert cf.table.rows == (0, 1, 2, 0, 1, 2, 0, 1)
     assert cf.table.n_out == 2
@@ -97,22 +97,21 @@ def test_classical_compile_log():
 
 
 def test_classical_compile_log_rejected_when_not_powers():
-    base = build_modexp_table(2, 21, 3)  # hits 11, not a power of 2
     with pytest.raises(ValueError):
-        classical_compile(base, 2, 21, GKind.LOG)
+        compile_modexp(2, 21, 3, GKind.LOG)  # hits 11, not a power of 2
 
 
 def test_classical_compile_affine():
-    base = build_modexp_table(2, 21, 3)
-    cf = classical_compile(base, 2, 21, GKind.AFFINE)
+    base = compile_modexp(2, 21, 3, GKind.NONE).table
+    cf = compile_modexp(2, 21, 3, GKind.AFFINE)
     assert tuple(cf.g.invert(v) for v in cf.table.rows) == base.rows
     assert max(cf.table.rows).bit_length() == cf.table.n_out
 
 
 def test_classical_compile_rank_always_works():
     for a, n in [(2, 15), (4, 21), (5, 33), (2, 33)]:
-        base = build_modexp_table(a, n, 3)
-        cf = classical_compile(base, a, n, GKind.RANK)
+        base = compile_modexp(a, n, 3, GKind.NONE).table
+        cf = compile_modexp(a, n, 3, GKind.RANK)
         assert tuple(cf.g.invert(v) for v in cf.table.rows) == base.rows
 
 
@@ -153,6 +152,52 @@ def test_full_compile_input_width_is_minimal():
 def test_full_compile_prefers_log_then_affine():
     assert full_compile(2, 15).g.kind is GKind.LOG
     assert full_compile(4, 33).g.kind is GKind.AFFINE
+
+
+def _sweep_pairs():
+    """Each coprime (a, N), N an odd semiprime below 90: 455 pairs."""
+    for n in range(15, 90, 2):
+        try:
+            factor_semiprime(n)
+        except ValueError:
+            continue
+        yield from ((a, n) for a in range(2, n) if math.gcd(a, n) == 1)
+
+
+def test_compiled_tables_are_pinned():
+    """One digest over full_compile and every kind at n_in 1..3 on the sweep pairs.
+
+    Each case contributes its rows, n_out, g fields, level and period, or
+    the ValueError text when the family is refused.
+    """
+    digest, picks = hashlib.sha256(), {}
+    for a, n in _sweep_pairs():
+        cases = [(("full", a, n), lambda: full_compile(a, n))]
+        cases += [
+            ((kind.value, a, n, n_in), lambda kind=kind, n_in=n_in: compile_modexp(a, n, n_in, kind))
+            for kind in GKind
+            for n_in in (1, 2, 3)
+        ]
+        for key, compile_case in cases:
+            try:
+                cf = compile_case()
+            except ValueError as exc:
+                record, pick = (key, str(exc)), "refused"
+            else:
+                record = (key, cf.table.rows, cf.table.n_out, dataclasses.astuple(cf.g), cf.level.value, cf.period)
+                pick = cf.g.kind.value
+            digest.update((repr(record) + "\n").encode())
+            picks[key[0], pick] = picks.get((key[0], pick), 0) + 1
+    assert picks == {
+        ("full", "log"): 43,
+        ("full", "affine"): 412,
+        ("none", "none"): 1365,
+        ("log", "log"): 562,
+        ("log", "refused"): 803,
+        ("affine", "affine"): 1365,
+        ("rank", "rank"): 1365,
+    }
+    assert digest.hexdigest() == "1ebd3cc9e1a5a938e648c994eabf743a19bcbafd39b3c9765e9248f15afc5222"
 
 
 def reference_affine_descriptor(outputs: tuple[int, ...], n: int) -> GDescriptor | None:
