@@ -225,6 +225,9 @@ def sample(dist: ProbDist, shots: int, seed: int) -> ProbDist:
 
 @dataclass(frozen=True)
 class OrderFindingResult:
+    """One seeded run; ``samples`` holds every drawn shot, including those
+    after the shot that verified the order."""
+
     samples: tuple[int, ...]
     recovered_order: int | None
     m: int  # input-register qubits; M = 2**m
@@ -238,9 +241,8 @@ def _register_sizes(n: int) -> tuple[int, int]:
     return m, k
 
 
-@lru_cache(maxsize=32)
-def _order_finding_distribution(a: int, n: int) -> tuple[int, np.ndarray]:
-    """Measurement distribution of the input register, cached per (a, n).
+def _order_finding_probabilities(a: int, n: int) -> tuple[int, np.ndarray]:
+    """Measurement distribution of the input register, as (m, probabilities).
 
     Closed form of superpose, exponentiate, QFT and trace out the output
     register (Shor 1997; Nielsen & Chuang 5.3.1). With r the order of a and
@@ -248,7 +250,9 @@ def _order_finding_distribution(a: int, n: int) -> tuple[int, np.ndarray]:
     combs of q + 1 teeth and r - s combs of q teeth; the QFT's |amplitude|**2
     on a comb does not depend on its offset x0, so
     P = (s |fft(comb_(q+1))|**2 + (r - s) |fft(comb_q)|**2) / M**2.
-    No array is longer than M; the dense 2**(m+k) statevector is never built.
+    A comb is real, so one real FFT per comb gives P[0..M/2] and the mirror
+    P[M - k] = P[k] gives the rest. No array is longer than M; the dense
+    2**(m+k) statevector is never built.
     """
     m, k = _register_sizes(n)
     if m + k > _MAX_QUBITS:
@@ -260,13 +264,32 @@ def _order_finding_distribution(a: int, n: int) -> tuple[int, np.ndarray]:
     q, s = divmod(size, r)
     comb = np.zeros(size)
     comb[: q * r : r] = 1.0
-    probs = (r - s) * np.abs(np.fft.fft(comb)) ** 2
+    probs = np.empty(size)
+    power = probs[: size // 2 + 1]
+    power[:] = (r - s) * np.abs(np.fft.rfft(comb)) ** 2
     if s:
         comb[q * r] = 1.0
-        probs += s * np.abs(np.fft.fft(comb)) ** 2
-    probs = ProbDist(np.clip(probs / size**2, 0.0, None)).probabilities
-    probs.setflags(write=False)
-    return m, probs
+        power += s * np.abs(np.fft.rfft(comb)) ** 2
+    probs[size // 2 + 1 :] = power[-2:0:-1]
+    probs /= size**2
+    return m, ProbDist(np.clip(probs, 0.0, None, out=probs)).probabilities
+
+
+@lru_cache(maxsize=32)
+def _order_finding_distribution(a: int, n: int) -> tuple[int, np.ndarray]:
+    """(m, cdf) of the input register's measurement, cached per (a, n).
+
+    The probabilities are ``_order_finding_probabilities``: one real FFT per
+    comb, mirrored to length M. The read-only CDF is built as numpy's
+    ``Generator.choice`` builds it (cumsum, then divide by the last entry),
+    so ``cdf.searchsorted(rng.random(shots), side="right")`` draws exactly
+    ``rng.choice(M, size=shots, p=probabilities)`` without re-validating p.
+    """
+    m, cdf = _order_finding_probabilities(a, n)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return m, cdf
 
 
 def _reduce_to_exact_order(a: int, n: int, multiple: int) -> int:
@@ -287,7 +310,8 @@ def _reduce_to_exact_order(a: int, n: int, multiple: int) -> int:
 def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResult:
     """Simulated order finding: superpose, exponentiate, QFT, sample, recover.
 
-    Each sampled k feeds the continued-fraction extractor; candidates are
+    All shots are drawn first, as ``Generator.choice`` would draw them.
+    Each sampled k then feeds the continued-fraction extractor; candidates are
     lcm-combined until a**L = 1 (mod n) verifies, then L is reduced to the
     exact order by dividing out primes while the congruence still holds.
     """
@@ -295,10 +319,9 @@ def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResu
         raise ValueError("a must be coprime to n")
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    m, probs = _order_finding_distribution(a, n)
-    rng = np.random.default_rng(seed)
-    ks = rng.choice(1 << m, size=shots, p=probs)
-    samples = tuple(int(k) for k in ks)
+    m, cdf = _order_finding_distribution(a, n)
+    ks = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
+    samples = tuple(ks.tolist())
     big = 1
     recovered = None
     for k in samples:

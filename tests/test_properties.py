@@ -1,9 +1,12 @@
 """Property tests: the packed evaluator against the row-at-a-time reference,
-the synthesizer's candidates against the gates built for them, and its
-vectorized candidate scorer against a plain-Python one."""
+the synthesizer's candidates against the gates built for them, its
+vectorized candidate scorer against a plain-Python one, and the
+order-finding sampler against numpy's own weighted draw."""
 
+import math
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +29,7 @@ from shorcompile.circuit import (
 )
 from shorcompile.library import LIBRARY
 from shorcompile.modexp import TruthTable
+from shorcompile.qsim import _order_finding_probabilities, order_finding_run
 from shorcompile.synth import (
     AffineForm,
     BitFit,
@@ -294,3 +298,21 @@ def test_vectorized_scorer_at_the_64_bit_edges():
             assert _best_candidate(6, vecs, errs, allow_neg, full) == want, (errs, allow_neg)
             winners += want is not None
     assert winners == 8
+
+
+@st.composite
+def coprime_pairs(draw) -> tuple[int, int]:
+    n = draw(st.integers(2, 90))
+    a = draw(st.integers(1, n - 1).filter(lambda a: math.gcd(a, n) == 1))
+    return a, n
+
+
+@settings(max_examples=60)
+@given(coprime_pairs(), st.integers(0, 2**32 - 1), st.integers(1, 512))
+def test_order_finding_draws_equal_numpy_choice(pair, seed, shots):
+    """The cached-CDF sampler reproduces Generator.choice on the same probabilities,
+    so a numpy release that changes choice's algorithm fails here."""
+    a, n = pair
+    m, probs = _order_finding_probabilities(a, n)
+    want = np.random.default_rng(seed).choice(1 << m, size=shots, p=probs)
+    assert order_finding_run(a, n, shots, seed).samples == tuple(want.tolist())

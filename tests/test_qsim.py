@@ -1,5 +1,6 @@
 """Dense simulator: states, transform, noise, sampling, order finding."""
 
+import hashlib
 import math
 import warnings
 
@@ -8,12 +9,13 @@ import pytest
 
 from shorcompile.cli import EXIT_USAGE, entrypoint
 from shorcompile.library import LIBRARY
+from shorcompile.numtheory import prime_factors
 from shorcompile.qsim import (
     DensityMatrix,
     NoiseParams,
     ProbDist,
     StateVector,
-    _order_finding_distribution,
+    _order_finding_probabilities,
     _register_sizes,
     apply_circuit,
     apply_period_map,
@@ -235,7 +237,7 @@ def test_order_finding_known_pairs():
     for a, n, want in [(2, 15, 4), (4, 15, 2), (7, 15, 4), (4, 21, 3), (2, 21, 6), (4, 33, 5), (5, 33, 10)]:
         res = order_finding_run(a, n, shots=300, seed=5)
         assert res.recovered_order == want, (a, n)
-        assert len(res.samples) <= 300  # stops once the order is verified
+        assert len(res.samples) == 300  # every shot is drawn before recovery starts
         assert pow(a, res.recovered_order, n) == 1
 
 
@@ -284,7 +286,7 @@ def _coprime_pairs(max_n: int) -> list[tuple[int, int]]:
 @pytest.mark.parametrize("pairs", [_coprime_pairs(35), [(2, 77)]], ids=["n<=35", "a2_n77"])
 def test_order_finding_distribution_matches_dense_path(pairs):
     for a, n in pairs:
-        m, probs = _order_finding_distribution(a, n)
+        m, probs = _order_finding_probabilities(a, n)
         assert m == _register_sizes(n)[0]
         assert np.max(np.abs(probs - _dense_order_finding(a, n))) <= 1e-15, (a, n)
 
@@ -294,6 +296,34 @@ def test_order_finding_samples_equal_dense_draws():
         dense = _dense_order_finding(a, n)
         want = np.random.default_rng(seed).choice(len(dense), size=200, p=dense)
         assert order_finding_run(a, n, 200, seed).samples == tuple(want.tolist()), (a, n)
+
+
+# sha256 over the exit code and stdout of `factor --N n --a a --seed seed
+# --shots 128 --format json`, for every coprime (a, N), N an odd semiprime
+# below 90 (455 pairs). Like PINNED_CIRCUITS in test_synth, it must not change.
+PINNED_FACTOR_OUTPUTS = {
+    0: "674c2cefe54dc37b4ad68db431df51f81d0f985731c45a67e30c27004bf0a63a",
+    2013: "4e11dbc8fe99380c44e1650d4122da113c43a6afb9fbafa0e956323af85a4a98",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_FACTOR_OUTPUTS))
+def test_factor_outputs_are_pinned(capsys, seed):
+    digest = hashlib.sha256()
+    pairs = 0
+    for n in range(15, 90, 2):
+        if list(prime_factors(n).values()) != [1, 1]:
+            continue
+        for a in range(2, n):
+            if math.gcd(a, n) != 1:
+                continue
+            argv = ["factor", "--N", str(n), "--a", str(a), "--seed", str(seed),
+                    "--shots", "128", "--format", "json"]
+            code = entrypoint(argv)
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+            pairs += 1
+    assert pairs == 455
+    assert digest.hexdigest() == PINNED_FACTOR_OUTPUTS[seed]
 
 
 def test_order_finding_keeps_the_qubit_cap(capsys):
