@@ -1,5 +1,9 @@
 """Reversible-circuit IR: NOT/CNOT/Toffoli gates, bit-exact evaluation, costs.
 
+Circuits are evaluated classically, on packed bit vectors that hold every
+input row at once (``verify``) or one row (``evaluate``); nothing here
+builds a statevector.
+
 Line 0 is the top line of a circuit diagram. Bit significance is carried by
 the input_lines/output_lines orderings (first element = most significant),
 never by the line index itself.
@@ -157,10 +161,10 @@ def apply_packed(lines: list[int], gate: Gate, full: int) -> int:
     return act
 
 
-def _run(circuit: Circuit, loaded: tuple[int, ...], vecs: list[int], full: int) -> list[int]:
-    """Packed line values after the gates, vecs on the loaded lines, zero elsewhere."""
+def _run(circuit: Circuit, vecs: list[int], full: int) -> list[int]:
+    """Packed line values after the gates, vecs on the input lines, zero elsewhere."""
     lines = [0] * circuit.width
-    for line, v in zip(loaded, vecs):
+    for line, v in zip(circuit.input_lines, vecs):
         lines[line] = v
     for g in circuit.gates:
         apply_packed(lines, g, full)
@@ -176,7 +180,7 @@ def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
     n_in = circuit.n_in
     if not 0 <= x < 1 << n_in:
         raise ValueError(f"x={x} does not fit in {n_in} input bits")
-    bits = _run(circuit, circuit.input_lines, [(x >> (n_in - 1 - i)) & 1 for i in range(n_in)], 1)
+    bits = _run(circuit, [(x >> (n_in - 1 - i)) & 1 for i in range(n_in)], 1)
     y = 0
     for line in circuit.output_lines:
         y = (y << 1) | bits[line]
@@ -199,7 +203,7 @@ def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
         )
     n_rows = len(table.rows)
     in_vecs = input_vectors(circuit.n_in)
-    lines = _run(circuit, circuit.input_lines, in_vecs, (1 << n_rows) - 1)
+    lines = _run(circuit, in_vecs, (1 << n_rows) - 1)
     diff = 0
     for line, want in zip(circuit.output_lines + circuit.input_lines, output_vectors(table) + in_vecs):
         diff |= lines[line] ^ want
@@ -220,18 +224,6 @@ def cost(circuit: Circuit) -> CostReport:
     n_c = sum(1 for g in circuit.gates if g.kind is GateKind.CNOT)
     n_n = sum(1 for g in circuit.gates if g.kind is GateKind.NOT)
     return CostReport(n_t, n_c, n_n, 6 * n_t + n_c + n_n)
-
-
-def basis_permutation(circuit: Circuit, order: tuple[int, ...]) -> np.ndarray:
-    """Basis-state permutation with state bit i, counted from the most
-    significant, on line order[i]; order lists every line once."""
-    n = circuit.width
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} does not list each of the {n} lines once")
-    if n > 20:
-        raise ValueError("width above 20 not supported")
-    lines = _run(circuit, order, input_vectors(n), (1 << (1 << n)) - 1)
-    return _read_register(lines, order, 1 << n)
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

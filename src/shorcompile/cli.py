@@ -381,12 +381,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "g": compiled.g.kind.value,
             "table": asdict(table),
             "circuit": circ_doc,
-            "cost": {
-                "n_toffoli": report.n_toffoli,
-                "n_cnot": report.n_cnot,
-                "n_not": report.n_not,
-                "quantum_cost": report.quantum_cost,
-            },
+            "cost": asdict(report),
         }
         if comparison:
             doc["comparison"] = comparison
@@ -435,8 +430,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "m": m,
         "k": k,
         "epsilon": noise.epsilon,
-        "theoretical": [float(v) for v in clean.probabilities],
-        "noisy": [float(v) for v in noisy.probabilities],
+        "theoretical": clean.probabilities.tolist(),
+        "noisy": noisy.probabilities.tolist(),
         "s_theory": s_theory,
         "s_noisy_predicted": s_pred,
     }
@@ -444,7 +439,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         empirical = sample(noisy, args.shots, args.seed)
         s_obs = separability_index(empirical)
         payload["shots"] = args.shots
-        payload["empirical"] = [float(v) for v in empirical.probabilities]
+        payload["empirical"] = empirical.probabilities.tolist()
         payload["s_observed"] = s_obs
         payload["epsilon_estimate"] = None
         if s_theory > floor + 1e-12:

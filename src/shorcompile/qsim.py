@@ -2,12 +2,15 @@
 
 Registers: m input qubits and k output qubits; basis index of |x>|y> is
 x * 2**k + y. The QFT acts on the input register only. The dense
-statevector path (state preparation, transform, probabilities, reduced
-density matrices, depolarizing noise, the separability index) serves
-``simulate`` and the m = 3 figures. Order finding samples the input
-register's distribution from its closed form in the order and M = 2**m,
-without building the statevector, then recovers the multiplicative order
-from the seeded measurements.
+statevector path (state preparation, the period map, transform,
+probabilities, reduced density matrices, depolarizing noise, the
+separability index) serves ``simulate``, ``tables probabilities`` and
+``tables separability``, and the m = 3 figures. The period map writes
+x mod p into the output register directly; compiled circuits are checked
+classically by ``circuit.verify``, so this module does not use the circuit
+IR. Order finding samples the input register's distribution from its
+closed form in the order and M = 2**m, without building the statevector,
+then recovers the multiplicative order from the seeded measurements.
 
 Sampling uses numpy's default PCG64 generator; all sampling entry points
 take an explicit seed and are bit-reproducible.
@@ -22,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, basis_permutation
 from .numtheory import continued_fraction_order, mod_pow, multiplicative_order, prime_factors
 
 _MAX_QUBITS = 20
@@ -121,32 +123,10 @@ def apply_period_map(state: StateVector, p: int) -> StateVector:
     return StateVector(state.m, state.k, amps)
 
 
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Permute amplitudes by the circuit's basis-state action."""
-    if circuit.width != state.m + state.k:
-        raise ValueError(
-            f"circuit width {circuit.width} does not match {state.m}+{state.k} qubits"
-        )
-    if circuit.n_in != state.m or circuit.n_out != state.k:
-        raise ValueError("circuit register split does not match the state")
-    # state index bits, most significant first: input register, then output
-    final = basis_permutation(circuit, circuit.input_lines + circuit.output_lines)
-    amps = np.zeros_like(state.amplitudes)
-    amps[final] = state.amplitudes
-    return StateVector(state.m, state.k, amps)
-
-
-def qft_input(state: StateVector, inverse: bool = False) -> StateVector:
-    """QFT on the input register: |j> -> sum_k omega^(jk) |k> / sqrt(2**m).
-
-    The forward direction uses omega = exp(+2 pi i / 2**m); pass inverse=True
-    for the conjugate transform.
-    """
-    grid = state.grid()
-    if inverse:
-        out = np.fft.fft(grid, axis=0, norm="ortho")
-    else:
-        out = np.fft.ifft(grid, axis=0, norm="ortho")
+def qft_input(state: StateVector) -> StateVector:
+    """QFT on the input register: |j> -> sum_k omega^(jk) |k> / sqrt(2**m),
+    omega = exp(+2 pi i / 2**m)."""
+    out = np.fft.ifft(state.grid(), axis=0, norm="ortho")
     return StateVector(state.m, state.k, out.reshape(-1))
 
 
@@ -157,12 +137,9 @@ def reduce_to_input(state: StateVector) -> DensityMatrix:
     return DensityMatrix(1 << state.m, rho)
 
 
-def input_probabilities(source: StateVector | DensityMatrix) -> ProbDist:
+def input_probabilities(state: StateVector) -> ProbDist:
     """Measurement distribution of the input register."""
-    if isinstance(source, StateVector):
-        probs = np.sum(np.abs(source.grid()) ** 2, axis=1)
-    else:
-        probs = np.real(np.diag(source.entries)).copy()
+    probs = np.sum(np.abs(state.grid()) ** 2, axis=1)
     return ProbDist(np.clip(probs, 0.0, None))
 
 

@@ -1,8 +1,5 @@
-"""Reversible gate IR: evaluation, verification, cost, permutation export."""
+"""Reversible gate IR: evaluation, verification, cost, JSON documents."""
 
-import random
-
-import numpy as np
 import pytest
 
 from shorcompile.circuit import (
@@ -11,7 +8,6 @@ from shorcompile.circuit import (
     Gate,
     GateKind,
     apply_gate,
-    basis_permutation,
     circuit_from_json,
     circuit_to_json,
     cnot,
@@ -23,8 +19,6 @@ from shorcompile.circuit import (
 )
 from shorcompile.library import FIGURE_IDS, LIBRARY, library_entry
 from shorcompile.modexp import TruthTable
-
-RNG = random.Random(777)
 
 
 def test_gate_constructors_and_validation():
@@ -111,60 +105,6 @@ def test_cost_weights():
 def test_caption_costs():
     assert cost(LIBRARY["f4_21"].circuit).quantum_cost == 24
     assert cost(LIBRARY["f4_21_partial"].circuit).quantum_cost == 18
-
-
-def _random_circuit(width: int, n_gates: int) -> Circuit:
-    gates = []
-    for _ in range(n_gates):
-        kind = RNG.choice(("not", "cnot", "tof") if width >= 3 else ("not", "cnot"))
-        lines = RNG.sample(range(width), min(3, width))
-        if kind == "not":
-            gates.append(not_gate(lines[0]))
-        elif kind == "cnot":
-            gates.append(cnot(lines[0], lines[1], neg=RNG.random() < 0.3))
-        else:
-            gates.append(
-                toffoli(lines[0], lines[1], lines[2],
-                        neg1=RNG.random() < 0.3, neg2=RNG.random() < 0.3)
-            )
-    n_in = RNG.randint(1, width - 1)
-    return Circuit(width, tuple(range(n_in)), tuple(range(n_in, width)), tuple(gates))
-
-
-def test_to_permutation_matches_evaluate():
-    for _ in range(60):
-        width = RNG.randint(2, 6)
-        circ = _random_circuit(width, RNG.randint(0, 12))
-        perm = basis_permutation(circ, tuple(range(circ.width)))
-        assert sorted(perm.tolist()) == list(range(1 << width))  # a permutation
-        for state in range(1 << width):
-            bits = [(state >> (width - 1 - i)) & 1 for i in range(width)]
-            out = bits[:]
-            for g in circ.gates:
-                out = apply_gate(out, g)
-            want = 0
-            for i, b in enumerate(out):
-                want |= b << (width - 1 - i)
-            assert perm[state] == want
-
-
-def test_to_permutation_width_cap():
-    wide = Circuit(21, tuple(range(10)), tuple(range(10, 21)), ())
-    with pytest.raises(ValueError):
-        basis_permutation(wide, tuple(range(wide.width)))
-
-
-def test_basis_permutation_needs_every_line():
-    circ = LIBRARY["f2_15"].circuit
-    for order in ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 4)):
-        with pytest.raises(ValueError):
-            basis_permutation(circ, order)
-
-
-def test_permutation_dtype():
-    perm = basis_permutation(LIBRARY["f2_15"].circuit, tuple(range(6)))
-    assert perm.dtype == np.int64
-    assert perm.shape == (64,)
 
 
 def test_circuit_json_roundtrip():

@@ -17,6 +17,7 @@ from shorcompile.cli import (
     EXIT_USAGE,
     entrypoint,
 )
+from shorcompile.library import LIBRARY
 
 
 def run(capsys, *argv):
@@ -587,3 +588,34 @@ def test_entrypoint_calls_do_not_leak_into_each_other(capsys):
         assert code == EXIT_OK and out, argv
         for pos, got in by_pos.items():
             assert got == (code, out), (argv, pos)
+
+
+def _dense_path_calls():
+    for m, k in ((3, 3), (4, 2), (2, 5), (5, 5)):
+        for kind in ("probabilities", "separability"):
+            for fmt in ("csv", "json", "text"):
+                yield ("tables", kind, "--m", str(m), "--k", str(k), "--format", fmt)
+    for p in range(1, 9):
+        for fmt in ("text", "json"):
+            yield ("simulate", "--p", str(p), "--epsilon", "0.7", "--shots", "500", "--seed", "3",
+                   "--rho", "--format", fmt)
+    yield ("diff-golden",)
+    for e in LIBRARY.values():
+        yield ("synth", "--a", str(e.base), "--N", str(e.modulus), "--compile", e.strategy, "--format", "json")
+
+
+# sha256 over (argv, exit code, stdout, stderr) of every _dense_path_calls
+# call: the statevector path behind tables, simulate and diff-golden, and the
+# synth JSON document. Like PINNED_FACTOR_OUTPUTS in test_qsim, it must not change.
+PINNED_DENSE_PATH_OUTPUTS = "a1ce882fefa89d7405be4c404fc4be8fbd4778c0973f0d7ad59179e195fedf22"
+
+
+def test_dense_path_outputs_are_pinned(capsys):
+    digest = hashlib.sha256()
+    calls = 0
+    for argv in _dense_path_calls():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
+        calls += 1
+    assert calls == 24 + 16 + 1 + 8
+    assert digest.hexdigest() == PINNED_DENSE_PATH_OUTPUTS

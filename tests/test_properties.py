@@ -18,7 +18,6 @@ from shorcompile.circuit import (
     Mismatch,
     apply_gate,
     apply_packed,
-    basis_permutation,
     circuit_from_json,
     circuit_to_json,
     cost,
@@ -82,18 +81,6 @@ def reference_evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
     return y, x_after
 
 
-def reference_permutation(circuit: Circuit, order: list[int]) -> list[int]:
-    """State bit i, counted from the most significant, lives on order[i]."""
-    n, perm = len(order), []
-    for state in range(1 << n):
-        bits = [0] * circuit.width
-        for i, line in enumerate(order):
-            bits[line] = (state >> (n - 1 - i)) & 1
-        bits = reference_run(circuit, bits)
-        perm.append(sum(bits[line] << (n - 1 - i) for i, line in enumerate(order)))
-    return perm
-
-
 def reference_verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
     bad = []
     for x, want in enumerate(table.rows):
@@ -117,8 +104,6 @@ def test_packed_evaluator_matches_reference(circ, data):
         drawn = data.draw(st.lists(row, min_size=size, max_size=size))
         table = TruthTable(circ.n_in, circ.n_out, tuple(drawn))
     assert verify(circ, table) == reference_verify(circ, table)
-    order = data.draw(st.permutations(range(circ.width)))
-    assert basis_permutation(circ, tuple(order)).tolist() == reference_permutation(circ, order)
 
 
 def test_verify_matches_reference_on_every_dropped_library_gate():
