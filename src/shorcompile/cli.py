@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable
 
@@ -35,7 +35,7 @@ from .circuit import (
     Circuit,
     CostReport,
     circuit_from_json,
-    circuit_to_dict,
+    circuit_to_json,
     cost,
     render_gates,
     verify,
@@ -77,10 +77,17 @@ EXIT_SYNTHESIS = 3
 
 # guard against float dust right at a golden tolerance boundary
 _TOL_SLACK = 1e-9
+# ``simulate --rho`` builds a 2**m x 2**m complex matrix: 16 MiB at this bound
+_MAX_RHO_QUBITS = 10
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _object(members: dict[str, str]) -> str:
+    """A JSON object from its members' encoded values, as ``json.dumps`` joins them."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in members.items()) + "}"
 
 
 def _manifest(command: str, params: dict, seed: int | None, checksums: dict[str, str]) -> dict:
@@ -369,28 +376,37 @@ def cmd_synth(args: argparse.Namespace) -> int:
         }
 
     if args.out or args.format == "json":
-        circ_doc = circuit_to_dict(circ)
-        doc = {
-            "manifest": _manifest(
-                "synth",
-                {"a": a, "N": n, "compile": strategy, "n_in": table.n_in},
-                None,
-                {"circuit": _sha256(json.dumps(circ_doc))},
+        # the circuit is encoded once: checksums.circuit hashes the very bytes printed
+        circ_text = circuit_to_json(circ)
+        manifest = _manifest(
+            "synth",
+            {"a": a, "N": n, "compile": strategy, "n_in": table.n_in},
+            None,
+            {"circuit": _sha256(circ_text)},
+        )
+        members = {
+            "manifest": json.dumps(manifest),
+            "level": json.dumps(compiled.level.value),
+            "g": json.dumps(compiled.g.kind.value),
+            "table": json.dumps({"n_in": table.n_in, "n_out": table.n_out, "rows": table.rows}),
+            "circuit": circ_text,
+            "cost": json.dumps(
+                {
+                    "n_toffoli": report.n_toffoli,
+                    "n_cnot": report.n_cnot,
+                    "n_not": report.n_not,
+                    "quantum_cost": report.quantum_cost,
+                }
             ),
-            "level": compiled.level.value,
-            "g": compiled.g.kind.value,
-            "table": asdict(table),
-            "circuit": circ_doc,
-            "cost": asdict(report),
         }
         if comparison:
-            doc["comparison"] = comparison
+            members["comparison"] = json.dumps(comparison)
+        text = _object(members) + "\n"
         if not args.out:
-            print(json.dumps(doc))
+            sys.stdout.write(text)
             return EXIT_OK
         with open(args.out, "w", encoding="utf-8") as fh:
-            # json.dump would stream through the pure-Python encoder; dumps uses the C one
-            fh.write(json.dumps(doc) + "\n")
+            fh.write(text)
 
     print(f"f(x) = {a}**x mod {n}, r={r}, level={compiled.level.value}, g={compiled.g.kind.value}")
     print(f"table: n_in={table.n_in} n_out={table.n_out} rows={list(table.rows)}")
@@ -417,6 +433,8 @@ def _fmt_dist(values: list[float]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     m, k, p = args.m, args.k, args.p
+    if args.rho and m > _MAX_RHO_QUBITS:
+        raise ValueError(f"--rho supports at most m={_MAX_RHO_QUBITS} input qubits, got m={m}")
     noise = NoiseParams(args.epsilon)
     state = qft_input(apply_period_map(uniform_input_state(m, k), p))
     clean = input_probabilities(state)
@@ -456,16 +474,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         payload["rho"] = {"dim": rho.dim, "entries": entries}
 
     if args.format == "json":
-        doc = {
-            "manifest": _manifest(
-                "simulate",
-                {"p": p, "m": m, "k": k, "epsilon": noise.epsilon, "shots": args.shots},
-                args.seed,
-                {"payload": _sha256(json.dumps(payload, sort_keys=True))},
-            ),
-            **payload,
-        }
-        print(json.dumps(doc))
+        # Each member is encoded once. Joined in sorted key order, the encodings
+        # are json.dumps(payload, sort_keys=True), the bytes the checksum has
+        # always hashed: rho, the one nested object, has its keys in sorted order.
+        encoded = {key: json.dumps(value) for key, value in payload.items()}
+        manifest = _manifest(
+            "simulate",
+            {"p": p, "m": m, "k": k, "epsilon": noise.epsilon, "shots": args.shots},
+            args.seed,
+            {"payload": _sha256(_object({key: encoded[key] for key in sorted(encoded)}))},
+        )
+        print(_object({"manifest": json.dumps(manifest), **encoded}))
         return EXIT_OK
 
     # text lines are formatted only here, from the payload, so JSON mode never builds them

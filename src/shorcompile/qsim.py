@@ -28,6 +28,8 @@ import numpy as np
 from .numtheory import continued_fraction_order, mod_pow, multiplicative_order, prime_factors
 
 _MAX_QUBITS = 20
+# order_finding_run draws every shot up front: 8 bytes each, plus a Python int per sample
+_MAX_SHOTS = 1 << 20
 # estimate_epsilon clamps an observed S this far outside its interval without a warning.
 _S_TOLERANCE = 1e-12
 
@@ -287,15 +289,18 @@ def _reduce_to_exact_order(a: int, n: int, multiple: int) -> int:
 def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResult:
     """Simulated order finding: superpose, exponentiate, QFT, sample, recover.
 
-    All shots are drawn first, as ``Generator.choice`` would draw them.
-    Each sampled k then feeds the continued-fraction extractor; candidates are
-    lcm-combined until a**L = 1 (mod n) verifies, then L is reduced to the
-    exact order by dividing out primes while the congruence still holds.
+    All shots, at most 2**20, are drawn first, as ``Generator.choice`` would
+    draw them. Each sampled k then feeds the continued-fraction extractor;
+    candidates are lcm-combined until a**L = 1 (mod n) verifies, then L is
+    reduced to the exact order by dividing out primes while the congruence
+    still holds.
     """
     if math.gcd(a, n) != 1:
         raise ValueError("a must be coprime to n")
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2**20, got {shots}")
     m, cdf = _order_finding_distribution(a, n)
     ks = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
     samples = tuple(ks.tolist())

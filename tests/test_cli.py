@@ -619,3 +619,65 @@ def test_dense_path_outputs_are_pinned(capsys):
         calls += 1
     assert calls == 24 + 16 + 1 + 8
     assert digest.hexdigest() == PINNED_DENSE_PATH_OUTPUTS
+
+
+def _simulate_encoding_calls():
+    for p in range(1, 9):
+        for shots in ("0", "256"):
+            for rho in ((), ("--rho",)):
+                yield ("simulate", "--p", str(p), "--epsilon", "1.0", "--shots", shots, "--seed", "4", *rho)
+
+
+# separability at the 1/2**m floor, so epsilon_estimate is null
+_FLOOR_CALL = ("simulate", "--p", "8", "--epsilon", "0.3", "--shots", "500", "--rho")
+
+
+@pytest.mark.parametrize("argv", [*_simulate_encoding_calls(), _FLOOR_CALL])
+def test_simulate_checksum_hashes_the_printed_encoding(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert out == json.dumps(doc) + "\n"
+    payload = {k: v for k, v in doc.items() if k != "manifest"}
+    assert doc["manifest"]["checksums"] == {"payload": _sha256(json.dumps(payload, sort_keys=True))}
+    if argv == _FLOOR_CALL:
+        assert doc["epsilon_estimate"] is None
+
+
+@pytest.mark.parametrize("a, n, compared", [(4, 21, True), (7, 15, False)])
+def test_synth_checksum_hashes_the_printed_circuit(tmp_path, capsys, a, n, compared):
+    argv = ("synth", "--a", str(a), "--N", str(n))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert out == json.dumps(doc) + "\n"
+    assert ("comparison" in doc) == compared
+    circuit = circuit_from_json(json.dumps(doc["circuit"]))
+    assert doc["manifest"]["checksums"] == {"circuit": _sha256(circuit_to_json(circuit))}
+    out_file = tmp_path / "synth.json"
+    assert run(capsys, *argv, "--out", str(out_file))[0] == EXIT_OK
+    assert out_file.read_text(encoding="utf-8") == out
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*_):
+    raise _Reached
+
+
+def test_simulate_rho_refuses_a_wide_input_register_before_building_the_state(monkeypatch, capsys):
+    # a 2**20 x 2**20 complex matrix would take 16 TiB
+    monkeypatch.setattr(cli, "uniform_input_state", _reached)
+    monkeypatch.setattr(cli, "reduce_to_input", _reached)
+    code, out, err = run(capsys, "simulate", "--m", "20", "--k", "0", "--p", "1", "--rho")
+    assert code == EXIT_USAGE
+    assert err == "error: --rho supports at most m=10 input qubits, got m=20\n"
+    assert out == ""
+
+
+def test_simulate_rho_accepts_the_widest_input_register(monkeypatch):
+    monkeypatch.setattr(cli, "reduce_to_input", _reached)
+    with pytest.raises(_Reached):
+        entrypoint(["simulate", "--m", "10", "--k", "0", "--p", "1", "--rho"])

@@ -52,3 +52,13 @@ def test_traced_factor_op_runs_order_finding_cold():
     assert tracer.counts["numtheory.cf_calls"] > 0
     info = cached.cache_info()
     assert (info.hits, info.misses) == (0, 1)
+
+
+def test_traced_simulate_op_records_every_figure_layer():
+    run = _perfbench_run()
+    tracer = run.Tracer()
+    # the figures workload's simulate op: p=3, epsilon 0.5, 256 shots, seed 1, --rho
+    res = run.run_cold(run.workloads.Op("simulate", (3, 0.5, 256, 1)), run.load_program(), tracer, {})
+    assert res.error is None and res.rc == 0, res.error or res.stderr
+    for name in ("qsim.figure_state", "qsim.reduce_to_input", "qsim.sample", "qsim.estimate_epsilon"):
+        assert tracer.total_ms(name) > 0, name

@@ -251,6 +251,25 @@ def test_order_finding_validates_shots(capsys, shots):
     assert "shots must be at least 1" in capsys.readouterr().err
 
 
+def test_order_finding_refuses_too_many_shots_before_drawing(monkeypatch, capsys):
+    def no_draw(*_):
+        raise AssertionError("drew shots past the bound")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=r"shots must be at most 2\*\*20"):
+        order_finding_run(7, 15, (1 << 20) + 1, seed=0)
+    for extra in ((), ("--a", "7")):
+        code = entrypoint(["factor", "--N", "15", "--shots", "1000000000000", *extra])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: shots must be at most 2**20, got 1000000000000\n"
+
+
+def test_order_finding_accepts_the_shot_bound():
+    assert len(order_finding_run(7, 15, 1 << 20, seed=0).samples) == 1 << 20
+
+
 def _dense_order_finding(a: int, n: int) -> np.ndarray:
     """Dense oracle: superpose, write a**x mod n to the output register, QFT, marginal."""
     m, k = _register_sizes(n)
