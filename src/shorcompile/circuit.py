@@ -74,7 +74,9 @@ class Circuit:
             raise ValueError("input and output lines must be disjoint")
         if any(not 0 <= ln < self.width for ln in lines):
             raise ValueError("register line out of range")
-        for g in self.gates:
+        # gates are frozen, so a gate object repeated at several positions
+        # (synthesis reuses them) is checked once
+        for g in {id(g): g for g in self.gates}.values():
             touched = [g.target] + [c.line for c in g.controls]
             if any(not 0 <= ln < self.width for ln in touched):
                 raise ValueError(f"gate {g} uses a line outside width {self.width}")
@@ -234,22 +236,19 @@ def cost(circuit: Circuit) -> CostReport:
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    gates = [
-        {
-            "kind": g.kind.value,
-            "controls": [{"line": c.line, "neg": c.neg} for c in g.controls],
-            "target": g.target,
-        }
-        for g in circuit.gates
-    ]
-    return json.dumps(
-        {
-            "width": circuit.width,
-            "input_lines": list(circuit.input_lines),
-            "output_lines": list(circuit.output_lines),
-            "gates": gates,
-        }
-    )
+    """The circuit document, byte for byte the text json.dumps writes for it.
+
+    Each gate is written from a template, once per distinct gate object, as
+    synthesized circuits repeat gate objects. The template writes what
+    json.dumps would for int lines and bool polarities.
+    """
+    texts = {}
+    for key, g in {id(g): g for g in circuit.gates}.items():
+        ctrl = ", ".join(f'{{"line": {c.line}, "neg": {"true" if c.neg else "false"}}}' for c in g.controls)
+        texts[key] = f'{{"kind": "{g.kind._value_}", "controls": [{ctrl}], "target": {g.target}}}'
+    gates = ", ".join([texts[id(g)] for g in circuit.gates])
+    ins, outs = (", ".join(map(str, lines)) for lines in (circuit.input_lines, circuit.output_lines))
+    return f'{{"width": {circuit.width}, "input_lines": [{ins}], "output_lines": [{outs}], "gates": [{gates}]}}'
 
 
 def _json_bool(value: object) -> bool:

@@ -89,7 +89,10 @@ class LinearFit:
 
 @dataclass(frozen=True)
 class CascadePlan:
+    """The repair steps, after the linear stage's gates the plan started from."""
+
     steps: tuple[Gate, ...]
+    linear: tuple[Gate, ...] = ()
 
 
 class SynthesisError(RuntimeError):
@@ -131,7 +134,7 @@ def _emit_linear(fit: LinearFit, n_in: int, allow_neg: bool = True) -> list[Gate
         if bit.form.const and (not sources or not allow_neg):
             gates.append(not_gate(j))
         for pos, src in enumerate(sources):
-            neg = allow_neg and bit.form.const and pos == 0  # fold the constant in
+            neg = bool(allow_neg) and bit.form.const and pos == 0  # fold the constant in
             gates.append(cnot(src, j, neg=neg))
     return gates
 
@@ -188,11 +191,17 @@ def _realize(j: int, factors: tuple) -> list[Gate]:
     return borrow + [toffoli(c1, c2, j, neg1=n1, neg2=n2)] + borrow[::-1]
 
 
-def _slot_lines(width: int) -> list[tuple[int, ...]]:
-    """The lines of every factor slot: each line, then each line pair."""
-    return [(c,) for c in range(width)] + [
+@cache
+def _slot_lines(width: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+    """The lines of every factor slot (each line, then each line pair) and
+    index arrays sa, sb: slot s holds line sa[s] XOR line sb[s], where a
+    lone line's sb is width, a zero line appended after the last."""
+    slots = tuple((c,) for c in range(width)) + tuple(
         (a, b) for a in range(width) for b in range(a + 1, width)
-    ]
+    )
+    sa = np.array([ln[0] for ln in slots], dtype=np.intp)
+    sb = np.array([ln[1] if len(ln) == 2 else width for ln in slots], dtype=np.intp)
+    return slots, sa, sb
 
 
 @cache
@@ -207,7 +216,7 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> np.ndarray:
     enumeration order. With n_in, n_out <= 6 there are at most 72 keys,
     each holding at most about 52 kB.
     """
-    slots = _slot_lines(width)
+    slots, _, _ = _slot_lines(width)
     index = {lines: s for s, lines in enumerate(slots)}
     n, ones = len(slots), 2 * len(slots)
 
@@ -244,10 +253,12 @@ def _best_candidate(
     first argmax is the winner. Line values pack at most 64 rows
     (n_in <= 6), one uint64 each.
     """
-    slots = _slot_lines(len(vecs))
+    slots, sa, sb = _slot_lines(len(vecs))
     n, ones = len(slots), 2 * len(slots)
-    held = [vecs[ln[0]] ^ (vecs[ln[1]] if len(ln) == 2 else 0) for ln in slots]
-    tab = np.array(held + [v ^ full for v in held] + [full], dtype=np.uint64)
+    v = np.array(vecs + [0], dtype=np.uint64)
+    held = v[sa] ^ v[sb]
+    all_ones = np.array([full], dtype=np.uint64)
+    tab = np.concatenate((held, held ^ all_ones, all_ones))
     err = np.array([errs.get(ln, 0) for ln in range(len(vecs))], dtype=np.uint64)
     i1, i2, j = _catalogue(n_in, len(vecs), allow_neg)
     act = tab[i1] & tab[i2]
@@ -315,13 +326,15 @@ def plan_cascades(
     negative controls, fewer factors, then the lowest target line, factor
     lines and polarities. When no candidate has a
     positive net score, the remaining residual is emitted from its algebraic
-    normal form, which always completes.
+    normal form, which always completes. The plan also carries the linear
+    stage's gates it started from, so synthesize emits them once.
     """
     n_in, n_out = table.n_in, table.n_out
     width = n_in + n_out
     full = (1 << (1 << n_in)) - 1
     vecs = input_vectors(n_in) + [0] * n_out
-    for g in _emit_linear(fit, n_in, allow_negative_controls):
+    linear = _emit_linear(fit, n_in, allow_negative_controls)
+    for g in linear:
         apply_packed(vecs, g, full)
     targets = output_vectors(table)
     steps: list[Gate] = []
@@ -351,7 +364,7 @@ def plan_cascades(
                     record(_monomial_gates(term, n_in, j, width))
             break
         record(_realize(*best))
-    return CascadePlan(tuple(steps))
+    return CascadePlan(tuple(steps), tuple(linear))
 
 
 def check_register_widths(n_in: int, n_out: int = 1) -> None:
@@ -382,14 +395,12 @@ def synthesize(table: TruthTable, *, allow_negative_controls: bool = True) -> Ci
             f"y ^= f(x) for a single-output table with an odd number of ones ({sum(table.rows)}) is an odd "
             f"permutation of its {table.n_in + 1} lines; NOT, CNOT and Toffoli gates build only even ones there"
         )
-    fit = fit_linear(table)
-    lin_gates = _emit_linear(fit, table.n_in, allow_negative_controls)
-    plan = plan_cascades(fit, table, allow_negative_controls)
+    plan = plan_cascades(fit_linear(table), table, allow_negative_controls)
     circ = Circuit(
         table.n_in + table.n_out,
         tuple(range(table.n_in)),
         tuple(range(table.n_in, table.n_in + table.n_out)),
-        tuple(lin_gates) + plan.steps,
+        plan.linear + plan.steps,
     )
     bad = verify(circ, table)
     if bad:

@@ -126,3 +126,16 @@ def test_circuit_validation():
         Circuit(2, (0, 1), (1,), ())  # line 1 used twice
     # a line belonging to neither register is a legal ancilla
     Circuit(3, (0,), (1,), ())
+
+
+def test_circuit_checks_every_distinct_gate_object():
+    """Each distinct gate object is checked once: no case skips a bad gate."""
+    good, bad = cnot(0, 1), toffoli(0, 1, 3)
+    for gates in (
+        (bad,),  # once
+        (bad, good, bad, bad),  # the same bad object repeated
+        (good,) * 50 + (bad,),  # after many repeats of one valid object
+        (good, cnot(0, 1), not_gate(3), not_gate(1)) + (good,) * 5,  # a distinct object, unique value
+    ):
+        with pytest.raises(ValueError, match="outside width 3"):
+            Circuit(3, (0,), (1,), gates)

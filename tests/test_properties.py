@@ -1,8 +1,10 @@
 """Property tests: the packed evaluator against the row-at-a-time reference,
-the synthesizer's candidates against the gates built for them, its
-vectorized candidate scorer against a plain-Python one, and the
-order-finding sampler against numpy's own weighted draw."""
+the template JSON encoder against json.dumps of the document dict, the
+synthesizer's candidates against the gates built for them, its vectorized
+candidate scorer against a plain-Python one, and the order-finding sampler
+against numpy's own weighted draw."""
 
+import json
 import math
 import random
 
@@ -118,6 +120,46 @@ def test_verify_matches_reference_on_every_dropped_library_gate():
 @given(circuits())
 def test_circuit_json_roundtrip(circ):
     assert circuit_from_json(circuit_to_json(circ)) == circ
+
+
+def reference_circuit_dict(circuit: Circuit) -> dict:
+    """The circuit document built as dicts, one per gate and per control;
+    json.dumps of it is the reference encoding."""
+    gates = [
+        {
+            "kind": g.kind.value,
+            "controls": [{"line": c.line, "neg": c.neg} for c in g.controls],
+            "target": g.target,
+        }
+        for g in circuit.gates
+    ]
+    return {
+        "width": circuit.width,
+        "input_lines": list(circuit.input_lines),
+        "output_lines": list(circuit.output_lines),
+        "gates": gates,
+    }
+
+
+@st.composite
+def shared_gate_circuits(draw) -> Circuit:
+    """Width 1-12, possibly empty registers and no gates. Each position takes
+    a gate object from a small pool, so one object can sit at several
+    positions, or an equal copy of it that is a distinct object."""
+    width = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(width)))
+    n_in = draw(st.integers(0, width))
+    n_out = draw(st.integers(0, width - n_in))
+    pool = draw(st.lists(gates(width), min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=24))
+    body = tuple(Gate(g.kind, g.controls, g.target) if copy else g for g, copy in picks)
+    return Circuit(width, tuple(order[:n_in]), tuple(order[n_in : n_in + n_out]), body)
+
+
+@settings(max_examples=200)
+@given(shared_gate_circuits())
+def test_template_encoder_writes_the_reference_encoding(circ):
+    assert circuit_to_json(circ) == json.dumps(reference_circuit_dict(circ))
 
 
 @st.composite

@@ -1,12 +1,14 @@
 """Two-stage synthesis: linear fitting, greedy repair, width refusals."""
 
 import hashlib
+import json
 import math
 import random
 
 import pytest
+from test_properties import reference_circuit_dict
 
-from shorcompile.circuit import cost, render_gates, verify
+from shorcompile.circuit import circuit_from_json, circuit_to_json, cost, render_gates, verify
 from shorcompile.library import FIGURE_IDS, LIBRARY
 from shorcompile.modexp import TruthTable, full_compile
 from shorcompile.numtheory import factor_semiprime
@@ -90,6 +92,15 @@ def test_synthesize_without_negative_controls():
         circ = synthesize(table, allow_negative_controls=False)
         assert verify(circ, table) == [], name
         assert all(not c.neg for g in circ.gates for c in g.controls), name
+
+
+@pytest.mark.parametrize("allow", [0, 1, False, True])
+def test_synthesized_polarities_are_bools_and_round_trip(allow):
+    """A non-bool setting must not leak into a polarity: circuit_from_json
+    refuses "neg": 0."""
+    circ = synthesize(full_compile(2, 21).table, allow_negative_controls=allow)
+    assert all(type(c.neg) is bool for g in circ.gates for c in g.controls)
+    assert circuit_from_json(circuit_to_json(circ)) == circ
 
 
 def test_synthesize_rejects_wide_tables():
@@ -181,7 +192,8 @@ def _odd_semiprimes_below(limit: int) -> list[int]:
 def test_every_small_full_compile_synthesizes_or_hits_the_width_cap():
     """Every coprime (a, N), N an odd semiprime below 90: the fully compiled
     table either synthesizes to a verified circuit or is refused by the
-    documented 6-bit cap."""
+    documented 6-bit cap. Each circuit's template JSON encoding equals the
+    reference encoding."""
     done = capped = 0
     for n in _odd_semiprimes_below(90):
         for a in range(2, n):
@@ -193,6 +205,8 @@ def test_every_small_full_compile_synthesizes_or_hits_the_width_cap():
                     synthesize(table)
                 capped += 1
                 continue
-            assert verify(synthesize(table), table) == [], (a, n)
+            circ = synthesize(table)
+            assert verify(circ, table) == [], (a, n)
+            assert circuit_to_json(circ) == json.dumps(reference_circuit_dict(circ)), (a, n)
             done += 1
     assert (done, capped) == (341, 114)
