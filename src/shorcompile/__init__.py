@@ -7,6 +7,8 @@ gate IR, a two-stage synthesizer, and a dense simulator for the
 period-finding register pair.
 """
 
+from types import ModuleType as _ModuleType
+
 from .circuit import (
     Circuit,
     Control,
@@ -54,7 +56,6 @@ from .numtheory import (
     factor_semiprime,
     is_prime,
     is_prime_power,
-    mod_pow,
     multiplicative_order,
     shor_postprocess,
 )
@@ -89,73 +90,9 @@ from .synth import (
 
 __version__ = "0.1.0"
 
+# every public name imported above; the submodules are bound here too
 __all__ = [
-    "AffineForm",
-    "BitFit",
-    "CascadePlan",
-    "Circuit",
-    "CompileLevel",
-    "CompiledFunction",
-    "Control",
-    "CostReport",
-    "DensityMatrix",
-    "ERRATA",
-    "FIGURE_IDS",
-    "GDescriptor",
-    "GKind",
-    "Gate",
-    "GateKind",
-    "LIBRARY",
-    "LibraryEntry",
-    "LinearFit",
-    "Mismatch",
-    "NoiseParams",
-    "OrderFindingResult",
-    "OrderRecord",
-    "PRINTED_F4_33_TABLE",
-    "PostProcessOutcome",
-    "PostProcessStatus",
-    "ProbDist",
-    "Semiprime",
-    "StateVector",
-    "SynthesisError",
-    "TrivialFactorError",
-    "TruthTable",
-    "allowed_periods",
-    "apply_period_map",
-    "carmichael",
-    "circuit_from_json",
-    "circuit_to_json",
-    "cnot",
-    "compile_modexp",
-    "continued_fraction_order",
-    "coprime_order_table",
-    "cost",
-    "depolarize",
-    "estimate_epsilon",
-    "evaluate",
-    "factor_semiprime",
-    "find_entry",
-    "fit_linear",
-    "full_compile",
-    "input_probabilities",
-    "is_prime",
-    "is_prime_power",
-    "library_entry",
-    "mod_pow",
-    "multiplicative_order",
-    "noisy_separability",
-    "not_gate",
-    "order_finding_run",
-    "plan_cascades",
-    "qft_input",
-    "reduce_to_input",
-    "sample",
-    "separability_index",
-    "shor_postprocess",
-    "synthesize",
-    "toffoli",
-    "uniform_input_state",
-    "verify",
-    "__version__",
-]
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

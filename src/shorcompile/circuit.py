@@ -61,6 +61,19 @@ def toffoli(c1: int, c2: int, target: int, neg1: bool = False, neg2: bool = Fals
     return Gate(GateKind.TOFFOLI, (Control(c1, neg1), Control(c2, neg2)), target)
 
 
+def _checked_int(value: object) -> int:
+    """value, if its type is exactly int: a bool is an int subclass, but JSON writes it as true/false."""
+    if type(value) is not int:
+        raise ValueError(f"circuit lines and width must be integers, got {value!r}")
+    return value
+
+
+def _checked_bool(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"control polarity must be true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Circuit:
     width: int
@@ -69,16 +82,23 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        lines = list(self.input_lines) + list(self.output_lines)
+        on_register = range(_checked_int(self.width))
+        lines = [_checked_int(ln) for ln in (*self.input_lines, *self.output_lines)]
         if len(set(lines)) != len(lines):
             raise ValueError("input and output lines must be disjoint")
-        if any(not 0 <= ln < self.width for ln in lines):
+        if any(ln not in on_register for ln in lines):
             raise ValueError("register line out of range")
         # gates are frozen, so a gate object repeated at several positions
-        # (synthesis reuses them) is checked once
+        # (synthesis reuses them) is checked once; type(...) is int excludes bool
         for g in {id(g): g for g in self.gates}.values():
-            touched = [g.target] + [c.line for c in g.controls]
-            if any(not 0 <= ln < self.width for ln in touched):
+            ok = type(g.target) is int and g.target in on_register
+            for c in g.controls:
+                ok = ok and type(c.line) is int and c.line in on_register and type(c.neg) is bool
+            if not ok:
+                for ln in [g.target] + [c.line for c in g.controls]:
+                    _checked_int(ln)
+                for c in g.controls:
+                    _checked_bool(c.neg)
                 raise ValueError(f"gate {g} uses a line outside width {self.width}")
 
     @property
@@ -251,35 +271,19 @@ def circuit_to_json(circuit: Circuit) -> str:
     return f'{{"width": {circuit.width}, "input_lines": [{ins}], "output_lines": [{outs}], "gates": [{gates}]}}'
 
 
-def _json_bool(value: object) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"control polarity must be true or false, got {value!r}")
-    return value
-
-
-def _json_int(value: object) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"circuit lines and width must be integers, got {value!r}")
-    return value
-
-
 def circuit_from_json(text: str) -> Circuit:
     obj = json.loads(text)
     try:
+        # gate numbers are checked before Gate compares lines, so 1.0 is refused as a float, not as line 1
         gates = tuple(
             Gate(
                 GateKind(g["kind"]),
-                tuple(Control(_json_int(c["line"]), _json_bool(c["neg"])) for c in g["controls"]),
-                _json_int(g["target"]),
+                tuple(Control(_checked_int(c["line"]), _checked_bool(c["neg"])) for c in g["controls"]),
+                _checked_int(g["target"]),
             )
             for g in obj["gates"]
         )
-        return Circuit(
-            _json_int(obj["width"]),
-            tuple(map(_json_int, obj["input_lines"])),
-            tuple(map(_json_int, obj["output_lines"])),
-            gates,
-        )
+        return Circuit(obj["width"], tuple(obj["input_lines"]), tuple(obj["output_lines"]), gates)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit document: {exc}") from exc
 

@@ -50,7 +50,6 @@ from .numtheory import (
     coprime_order_table,
     factor_semiprime,
     is_prime_power,
-    multiplicative_order,
     shor_postprocess,
 )
 from .qsim import (
@@ -68,7 +67,7 @@ from .qsim import (
     separability_index,
     uniform_input_state,
 )
-from .synth import SynthesisError, check_register_widths, synthesize
+from .synth import SynthesisError, synthesize
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -354,12 +353,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     a, n, strategy, n_in = args.a, args.n, args.compile, args.n_in
     if strategy == "full" and n_in is not None:
         raise ValueError("--n-in does not apply to --compile full, which picks its own input width")
-    r = multiplicative_order(a, n)
     entry = find_entry(a, n, strategy)
-    if n_in is None:
-        n_in = entry.circuit.n_in if entry else max(1, (r - 1).bit_length())
-    # refused before any 2**n_in-row table is built
-    check_register_widths(n_in)
+    if n_in is None and entry is not None:
+        n_in = entry.circuit.n_in
     compiled = full_compile(a, n) if strategy == "full" else compile_modexp(a, n, n_in, GKind(strategy))
     table = compiled.table
 
@@ -388,7 +384,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "manifest": json.dumps(manifest),
             "level": json.dumps(compiled.level.value),
             "g": json.dumps(compiled.g.kind.value),
-            "table": json.dumps({"n_in": table.n_in, "n_out": table.n_out, "rows": table.rows}),
+            "table": table.to_json(),
             "circuit": circ_text,
             "cost": json.dumps(
                 {
@@ -408,7 +404,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    print(f"f(x) = {a}**x mod {n}, r={r}, level={compiled.level.value}, g={compiled.g.kind.value}")
+    print(f"f(x) = {a}**x mod {n}, r={compiled.period}, level={compiled.level.value}, g={compiled.g.kind.value}")
     print(f"table: n_in={table.n_in} n_out={table.n_out} rows={list(table.rows)}")
     print(render_gates(circ))
     print(_cost_line(report))

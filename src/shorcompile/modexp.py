@@ -7,17 +7,30 @@ small injective map g, shrinking the output register before any circuit is
 synthesized. Three map families are supported: integer logarithm base a,
 affine (y - c) / d, and rank order. ``compile_modexp`` applies one family
 (or none) at a chosen input width; ``full_compile`` also picks the width,
-ceil(log2 r), and the first family of LOG, AFFINE, RANK that fits.
+ceil(log2 r), and the first family of LOG, AFFINE, RANK that fits. Both
+refuse an input register wider than synthesis supports before building any
+row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
-from .numtheory import mod_pow, multiplicative_order
+from .numtheory import multiplicative_order
+
+# Synthesis packs each line's values over all 2**n_in rows into one uint64.
+_MAX_SYNTH_BITS = 6
+
+
+def check_register_widths(n_in: int, n_out: int = 1) -> None:
+    """Raise ValueError for more than 6 input or output bits, the synthesis cap."""
+    if n_in > _MAX_SYNTH_BITS or n_out > _MAX_SYNTH_BITS:
+        raise ValueError(
+            f"synthesis supports at most {_MAX_SYNTH_BITS} input and {_MAX_SYNTH_BITS} output bits"
+        )
 
 
 @dataclass(frozen=True)
@@ -38,7 +51,7 @@ class TruthTable:
                 raise ValueError(f"output {y} at x={x} does not fit in {self.n_out} bits")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps({"n_in": self.n_in, "n_out": self.n_out, "rows": self.rows})
 
     @classmethod
     def from_json(cls, text: str) -> TruthTable:
@@ -172,16 +185,18 @@ def _compile(
 ) -> CompiledFunction:
     """Table of x -> g(a**x mod n) with g from the first family in kinds that fits.
 
-    n_in None means ceil(log2 r), one period of the function. GKind.NONE
-    keeps the raw (n-1).bit_length() output register; every other family
-    narrows it to the widest mapped value.
+    n_in None means ceil(log2 r), one period of the function. An n_in past
+    the synthesis cap is refused before any row is built. GKind.NONE keeps
+    the raw (n-1).bit_length() output register; every other family narrows
+    it to the widest mapped value.
     """
-    if n_in is not None and n_in < 1:
-        raise ValueError("n_in must be positive")
     r = multiplicative_order(a, n)  # validates coprimality and 1 < a < n
     if n_in is None:
         n_in = max(1, (r - 1).bit_length())
-    raw = tuple(mod_pow(a, x % r, n) for x in range(1 << n_in))
+    elif n_in < 1:
+        raise ValueError("n_in must be positive")
+    check_register_widths(n_in)
+    raw = tuple(pow(a, x % r, n) for x in range(1 << n_in))
     for kind in kinds:
         g = _fit_g(kind, raw, a, n)
         if g is not None:
@@ -195,17 +210,21 @@ def _compile(
     return CompiledFunction(a, n, r, g, TruthTable(n_in, n_out, rows), level)
 
 
-def compile_modexp(a: int, n: int, n_in: int, kind: GKind) -> CompiledFunction:
+def compile_modexp(a: int, n: int, n_in: int | None, kind: GKind) -> CompiledFunction:
     """The n_in-bit table of a**x mod n, its outputs mapped by the g family kind.
 
-    GKind.NONE gives the uncompiled level; LOG, AFFINE and RANK give the
-    partially compiled one. Raises ValueError when the family does not fit
-    the realized outputs.
+    n_in None means ceil(log2 r). GKind.NONE gives the uncompiled level;
+    LOG, AFFINE and RANK give the partially compiled one. Raises ValueError
+    for n_in over 6 bits, before any row is built, and when the family does
+    not fit the realized outputs.
     """
     level = CompileLevel.UNCOMPILED if kind is GKind.NONE else CompileLevel.PARTIAL
     return _compile(a, n, n_in, (kind,), level)
 
 
 def full_compile(a: int, n: int) -> CompiledFunction:
-    """Shrink both registers: n_in = ceil(log2 r), g the first of LOG, AFFINE, RANK that fits."""
+    """Shrink both registers: n_in = ceil(log2 r), g the first of LOG, AFFINE, RANK that fits.
+
+    Raises ValueError when n_in is over 6 bits, before any row is built.
+    """
     return _compile(a, n, None, (GKind.LOG, GKind.AFFINE, GKind.RANK), CompileLevel.FULL)

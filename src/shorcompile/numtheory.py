@@ -7,22 +7,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-def mod_pow(a: int, x: int, n: int) -> int:
-    """a**x mod n by square-and-multiply; the full power a**x is never formed."""
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    if x < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = 1
-    base = a % n
-    while x:
-        if x & 1:
-            result = result * base % n
-        base = base * base % n
-        x >>= 1
-    return result
-
-
 # multiplicative_order walks r steps, r < n; it refuses n >= _ORDER_BOUND.
 _ORDER_BOUND = 1 << 20
 # prime_factors divides up to sqrt(n); it refuses n >= _FACTOR_BOUND. The
@@ -166,12 +150,12 @@ def shor_postprocess(n: int, a: int, r: int) -> PostProcessOutcome:
     if r != multiplicative_order(a, n):
         raise ValueError(f"r={r} is not the multiplicative order of {a} mod {n}")
     if r % 2 == 0:
-        s = mod_pow(a, r // 2, n)
+        s = pow(a, r // 2, n)
     else:
         root = math.isqrt(a)
         if root * root != a:
             return PostProcessOutcome(PostProcessStatus.ODD_ORDER_NO_SQUARE_ROOT)
-        s = mod_pow(root, r, n)
+        s = pow(root, r, n)
     if s == n - 1:
         return PostProcessOutcome(PostProcessStatus.MINUS_ONE_CONGRUENCE)
     f1 = math.gcd(s + 1, n)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numtheory import continued_fraction_order, mod_pow, multiplicative_order, prime_factors
+from .numtheory import continued_fraction_order, multiplicative_order, prime_factors
 
 _MAX_QUBITS = 20
 # order_finding_run draws every shot up front: 8 bytes each, plus a Python int per sample
@@ -281,7 +281,7 @@ def _reduce_to_exact_order(a: int, n: int, multiple: int) -> int:
     """
     r = multiple
     for p in prime_factors(multiple):
-        while r % p == 0 and mod_pow(a, r // p, n) == 1:
+        while r % p == 0 and pow(a, r // p, n) == 1:
             r //= p
     return r
 
@@ -313,7 +313,7 @@ def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResu
         big = math.lcm(big, d)
         if big > n * n:
             big = d  # junk candidates blew the combination up; restart from d
-        if mod_pow(a, big, n) == 1:
+        if pow(a, big, n) == 1:
             recovered = _reduce_to_exact_order(a, n, big)
             break
     return OrderFindingResult(samples, recovered, m)

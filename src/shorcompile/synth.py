@@ -44,7 +44,7 @@ from .circuit import (
     toffoli,
     verify,
 )
-from .modexp import TruthTable
+from .modexp import TruthTable, check_register_widths
 
 __all__ = [
     "AffineForm",
@@ -52,7 +52,6 @@ __all__ = [
     "LinearFit",
     "CascadePlan",
     "SynthesisError",
-    "check_register_widths",
     "fit_linear",
     "plan_cascades",
     "synthesize",
@@ -103,10 +102,10 @@ def fit_linear(table: TruthTable) -> LinearFit:
     """Best affine GF(2) form per output bit, by exhaustive scoring.
 
     Selection key: fewest mismatches, then fewest terms, then lexicographic
-    (mask, const). Constant-0 bits therefore get the empty form.
+    (mask, const). Constant-0 bits therefore get the empty form. Raises
+    ValueError for more than 6 input or output bits.
     """
-    if table.n_in > 8:
-        raise ValueError("linear fitting supports at most 8 input bits")
+    check_register_widths(table.n_in, table.n_out)
     n = table.n_in
     full = (1 << (1 << n)) - 1
     span = [0]  # span[mask]: XOR of the input lines whose bit is set in mask
@@ -365,16 +364,6 @@ def plan_cascades(
             break
         record(_realize(*best))
     return CascadePlan(tuple(steps), tuple(linear))
-
-
-def check_register_widths(n_in: int, n_out: int = 1) -> None:
-    """Raise ValueError for more than 6 input or output bits.
-
-    Callers that know n_in before building a 2**n_in-row table can check it
-    first; synthesize checks both widths again.
-    """
-    if n_in > 6 or n_out > 6:
-        raise ValueError("synthesis supports at most 6 input and 6 output bits")
 
 
 def synthesize(table: TruthTable, *, allow_negative_controls: bool = True) -> Circuit:

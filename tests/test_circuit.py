@@ -139,3 +139,20 @@ def test_circuit_checks_every_distinct_gate_object():
     ):
         with pytest.raises(ValueError, match="outside width 3"):
             Circuit(3, (0,), (1,), gates)
+
+
+@pytest.mark.parametrize(
+    ("make", "message"),
+    [
+        (lambda: Circuit(3, (0,), (1,), (cnot(True, 2), not_gate(1.0))), "integers, got True"),
+        (lambda: Circuit(3, (0,), (1,), (cnot(0, 2), not_gate(1.0))), "integers, got 1.0"),
+        (lambda: Circuit(3, (0.0,), (True,), ()), "integers, got 0.0"),
+        (lambda: Circuit(3.0, (0,), (1,), ()), "integers, got 3.0"),
+        (lambda: Circuit(3, (0,), (1,), (cnot(0, 2, neg=0),)), "polarity must be true or false, got 0"),
+    ],
+    ids=("bool-gate-line", "float-gate-line", "register-lines", "width", "int-polarity"),
+)
+def test_circuit_refuses_non_int_lines_and_non_bool_polarities(make, message):
+    """circuit_to_json would write True as a bare name and 1.0 as a float."""
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from shorcompile import cli, synth
+from shorcompile import cli, modexp, numtheory, synth
 from shorcompile.circuit import Mismatch, circuit_from_json, circuit_to_json
 from shorcompile.cli import (
     EXIT_MISMATCH,
@@ -449,9 +449,14 @@ def _refuse(*_):
     raise AssertionError("built a table past the 6-bit cap")
 
 
+def _refuse_rows(monkeypatch):
+    # modexp computes each row a**(x mod r) mod N with the builtin pow
+    monkeypatch.setattr(modexp, "pow", _refuse, raising=False)
+
+
 @pytest.mark.parametrize("strategy", ["none", "log"])
 def test_synth_refuses_a_wide_input_before_building_its_table(monkeypatch, capsys, strategy):
-    monkeypatch.setattr(cli, "compile_modexp", _refuse)
+    _refuse_rows(monkeypatch)
     code, out, err = run(capsys, "synth", "--a", "2", "--N", "15", "--compile", strategy, "--n-in", "7")
     assert code == EXIT_USAGE
     assert _CAP_MESSAGE in err
@@ -460,13 +465,37 @@ def test_synth_refuses_a_wide_input_before_building_its_table(monkeypatch, capsy
 
 def test_synth_refuses_a_wide_full_compile_quickly(monkeypatch, capsys):
     # the order of 2 mod 1048571 is 1048570: a 20-bit input register
-    monkeypatch.setattr(cli, "full_compile", _refuse)
+    _refuse_rows(monkeypatch)
     start = time.perf_counter()
     code, out, err = run(capsys, "synth", "--a", "2", "--N", "1048571")
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE
     assert _CAP_MESSAGE in err
     assert out == ""
+
+
+def test_synth_refuses_a_nonpositive_input_width(capsys):
+    code, out, err = run(capsys, "synth", "--a", "2", "--N", "15", "--compile", "none", "--n-in", "0")
+    assert code == EXIT_USAGE
+    assert err == "error: n_in must be positive\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("strategy", ["none", "full"])
+def test_one_synth_op_computes_the_order_once(monkeypatch, capsys, strategy):
+    calls = []
+
+    def counted(a, n):
+        calls.append((a, n))
+        return numtheory.multiplicative_order(a, n)
+
+    for module in (cli, modexp):
+        if hasattr(module, "multiplicative_order"):
+            monkeypatch.setattr(module, "multiplicative_order", counted)
+    code, out, _ = run(capsys, "synth", "--a", "2", "--N", "21", "--compile", strategy)
+    assert code == EXIT_OK
+    assert out.startswith("f(x) = 2**x mod 21, r=6,")
+    assert calls == [(2, 21)]
 
 
 def test_simulate_clamp_warning_is_one_plain_line_on_every_call(capsys):

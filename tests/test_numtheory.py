@@ -19,7 +19,6 @@ from shorcompile.numtheory import (
     factor_semiprime,
     is_prime,
     is_prime_power,
-    mod_pow,
     multiplicative_order,
     prime_factors,
     shor_postprocess,
@@ -34,14 +33,6 @@ def _order_oracle(a: int, n: int) -> int:
         v = (v * a) % n
         r += 1
     return r
-
-
-def test_mod_pow_matches_builtin_pow():
-    for _ in range(500):
-        a = RNG.randrange(0, 10**4)
-        x = RNG.randrange(0, 10**4)
-        n = RNG.randrange(2, 10**4)
-        assert mod_pow(a, x, n) == pow(a, x, n)
 
 
 def test_is_prime_exhaustive_small():

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import hashlib
 from pathlib import Path
 
 import shorcompile
@@ -10,6 +11,14 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(shorcompile, name)]
     assert missing == []
+
+
+def test_exported_names_are_pinned():
+    """The 67 public names, a digest over them sorted; re-record it only on a deliberate API change."""
+    names = sorted(shorcompile.__all__)
+    assert len(names) == 67
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert digest == "018fcf671f962dc5d77bcd75208525739c26937750753cdcad32abcf5097a2a3"
 
 
 def _readme_python_block() -> str:
