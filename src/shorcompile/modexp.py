@@ -42,6 +42,10 @@ class TruthTable:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for v in (self.n_in, self.n_out, *self.rows):
+            # exactly int: a bool is an int subclass, and JSON writes it as true/false
+            if type(v) is not int:
+                raise ValueError(f"truth table numbers must be JSON integers, got {v!r}")
         if self.n_in < 1 or self.n_out < 1:
             raise ValueError("register widths must be positive")
         if len(self.rows) != 1 << self.n_in:
@@ -60,10 +64,6 @@ class TruthTable:
             n_in, n_out, rows = obj["n_in"], obj["n_out"], tuple(obj["rows"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed truth table document: {exc}") from exc
-        for v in (n_in, n_out, *rows):
-            # bool is an int subclass; JSON true/false is not a number
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"truth table numbers must be JSON integers, got {v!r}")
         return cls(n_in, n_out, rows)
 
 

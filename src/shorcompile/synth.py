@@ -1,34 +1,40 @@
 """Two-stage reversible synthesis from truth tables.
 
 Stage one fits each output bit with the best affine XOR form over the input
-bits and emits it as CNOT copies. Stage two repairs the remaining wrong
-entries greedily. A candidate is a target line and up to two control
+bits, scoring every form of the input width from a cached table in one
+numpy argmin, and emits it as CNOT copies. Stage two repairs the remaining
+wrong entries greedily. A candidate is a target line and up to two control
 factors, each the XOR of one or two lines with a polarity (a two-line
 Toffoli factor is an input-line pair borrowed in place and restored). Its
 shape does not depend on the line values, so _candidates is enumerated once
 per (n_in, width, polarity setting), over every target line, into one int16
-catalogue sorted by the tie-break key. Each round packs every line (at most
-64 rows) into a uint64 and scores the whole catalogue in one numpy popcount
-pass against each target's error mask; the first best score is the winner,
-and gates are built only for it. Chaining gate outputs into later controls
-is where Toffoli cascades come from. Whatever the greedy pass cannot clear
-is finished off from the algebraic normal form of the residual, so
-synthesis always terminates, and exactly one circuit comes out per table
-and polarity setting; nothing searches for a cheaper one. A circuit that
-fails its own verification raises SynthesisError, a fault of this module;
-the command line exits 3 on it.
+catalogue sorted by the tie-break key, which stores each distinct factor
+pair once. Each round packs every line (at most 64 rows) into a uint64,
+ANDs each factor pair once and popcounts it against every output line's
+error mask in one numpy pass; each candidate gathers its score from that
+matrix, the first best score is the winner, and gates are built only for
+it. Chaining gate outputs into later controls is where Toffoli cascades
+come from. Whatever the greedy pass cannot clear is finished off from the
+algebraic normal form of the residual, so synthesis always terminates, and
+exactly one circuit comes out per table and polarity setting; nothing
+searches for a cheaper one. A monomial's mop-up gates depend only on the
+register shape, so each sequence is built once and appended unsimulated.
+Gates are built through interned constructors, so equal gates are one
+object. A circuit that fails its own verification, which runs on every row
+of every circuit, raises SynthesisError, a fault of this module; the
+command line exits 3 on it.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
 bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
-act on them through circuit.apply_packed; only the greedy scorer copies
-them into uint64 arrays.
+act on them through circuit.apply_packed; only the affine fit and the
+greedy scorer copy them into uint64 arrays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -56,6 +62,15 @@ __all__ = [
     "plan_cascades",
     "synthesize",
 ]
+
+# Interned gate builders: equal arguments return the same frozen Gate, so a
+# circuit's repeated gates are one object, checked and encoded once. typed,
+# as neg=0 and neg=False hash alike. Synthesis passes every argument
+# positionally; on at most 12 lines these hold at most 12, 12*11*2 = 264
+# and 12*11*10*4 = 5280 gates.
+_not = lru_cache(maxsize=None, typed=True)(not_gate)
+_cnot = lru_cache(maxsize=None, typed=True)(cnot)
+_toffoli = lru_cache(maxsize=None, typed=True)(toffoli)
 
 
 @dataclass(frozen=True)
@@ -98,6 +113,25 @@ class SynthesisError(RuntimeError):
     """The synthesized circuit does not realize its table: a fault here, not in the input."""
 
 
+@cache
+def _affine_forms(n_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed value and tie-break key of every affine form over n_in inputs.
+
+    Form 2*mask + const is the XOR of the input lines in mask, complemented
+    when const. Its key, terms<<8 | mask<<1 | const, orders forms by fewest
+    terms, then lexicographic (mask, const); fit_linear adds the mismatch
+    count above them, at bit 16.
+    """
+    full = (1 << (1 << n_in)) - 1
+    span = [0]  # span[mask]: XOR of the input lines whose bit is set in mask
+    for vec in input_vectors(n_in):
+        span += [v ^ vec for v in span]
+    values = np.array([v ^ (full * const) for v in span for const in (0, 1)], dtype=np.uint64)
+    keys = np.array([((f >> 1).bit_count() + (f & 1)) << 8 | f for f in range(len(values))], dtype=np.int32)
+    values.flags.writeable = keys.flags.writeable = False
+    return values, keys
+
+
 def fit_linear(table: TruthTable) -> LinearFit:
     """Best affine GF(2) form per output bit, by exhaustive scoring.
 
@@ -107,20 +141,14 @@ def fit_linear(table: TruthTable) -> LinearFit:
     """
     check_register_widths(table.n_in, table.n_out)
     n = table.n_in
-    full = (1 << (1 << n)) - 1
-    span = [0]  # span[mask]: XOR of the input lines whose bit is set in mask
-    for vec in input_vectors(n):
-        span += [v ^ vec for v in span]
+    values, keys = _affine_forms(n)
+    targets = output_vectors(table)
+    miss = np.bitwise_count(values ^ np.array(targets, dtype=np.uint64)[:, None])
     bits = []
-    for target in output_vectors(table):
-        _, _, mask, const = min(
-            ((v ^ (full * const) ^ target).bit_count(), mask.bit_count() + const, mask, const)
-            for mask, v in enumerate(span)
-            for const in (0, 1)
-        )
-        miss = span[mask] ^ (full * const) ^ target
-        mism = frozenset(x for x in range(1 << n) if (miss >> x) & 1)
-        bits.append(BitFit(AffineForm(mask, bool(const)), mism))
+    for target, f in zip(targets, np.argmin(miss.astype(np.int32) << 16 | keys, axis=1).tolist()):
+        m = int(values[f]) ^ target
+        mism = frozenset(x for x in range(1 << n) if (m >> x) & 1)
+        bits.append(BitFit(AffineForm(f >> 1, bool(f & 1)), mism))
     return LinearFit(n, tuple(bits))
 
 
@@ -131,10 +159,10 @@ def _emit_linear(fit: LinearFit, n_in: int, allow_neg: bool = True) -> list[Gate
         j = n_in + out_line
         sources = [ln for ln in range(n_in) if (bit.form.mask >> ln) & 1]
         if bit.form.const and (not sources or not allow_neg):
-            gates.append(not_gate(j))
+            gates.append(_not(j))
         for pos, src in enumerate(sources):
             neg = bool(allow_neg) and bit.form.const and pos == 0  # fold the constant in
-            gates.append(cnot(src, j, neg=neg))
+            gates.append(_cnot(src, j, neg))
     return gates
 
 
@@ -175,19 +203,19 @@ def _realize(j: int, factors: tuple) -> list[Gate]:
     other factor always reads its lines unchanged.
     """
     if not factors:
-        return [not_gate(j)]
+        return [_not(j)]
     if len(factors) == 1:
         ((lines, neg),) = factors
-        return [cnot(c, j, neg=neg and k == 0) for k, c in enumerate(lines)]
+        return [_cnot(c, j, neg and k == 0) for k, c in enumerate(lines)]
     borrow, controls = [], []
     for (lines, neg), (other, _) in zip(factors, factors[::-1]):
         host = lines[-1]
         if len(lines) == 2:
             host, src = (lines[0], host) if host in other else (host, lines[0])
-            borrow.append(cnot(src, host))
+            borrow.append(_cnot(src, host, False))
         controls.append((host, neg))
     (c1, n1), (c2, n2) = sorted(controls)
-    return borrow + [toffoli(c1, c2, j, neg1=n1, neg2=n2)] + borrow[::-1]
+    return borrow + [_toffoli(c1, c2, j, n1, n2)] + borrow[::-1]
 
 
 @cache
@@ -204,39 +232,48 @@ def _slot_lines(width: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np
 
 
 @cache
-def _catalogue(n_in: int, width: int, allow_neg: bool) -> np.ndarray:
-    """Every _candidates shape for every target line as int16 rows (i1, i2, j).
+def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every _candidates shape for every target line, as int16 arrays (cell, pairs).
 
-    i1 and i2 index a round's factor table (see _best_candidate): entry s is
-    the value of slot s of _slot_lines, s + len(slots) its complement and
+    A candidate flips its target line j where entries i1 and i2 of a
+    round's factor table (see _best_candidate) both hold: entry s is the
+    value of slot s of _slot_lines, s + len(slots) its complement and
     2*len(slots) all ones, where a lone factor's i2 and both of a NOT's
-    indices point. Columns are sorted by the greedy key after score:
-    (qcost, negative controls, factor count, j, lines, polarities), then
-    enumeration order. With n_in, n_out <= 6 there are at most 72 keys,
-    each holding at most about 52 kB.
+    indices point. pairs (2 x P) holds each distinct (i1, i2) once; cell
+    holds one entry per candidate, pair * n_out + (j - n_in), sorted by the
+    greedy key after score: (qcost, negative controls, factor count, j,
+    lines, polarities), then enumeration order. With n_in, n_out <= 6
+    there are at most 72 keys, each holding at most about 24 kB.
     """
     slots, _, _ = _slot_lines(width)
     index = {lines: s for s, lines in enumerate(slots)}
     n, ones = len(slots), 2 * len(slots)
 
     def columns(j: int, factors: tuple, qcost: int) -> Iterator[int]:
-        # i1, i2, then the sort key padded to fixed width: shorter line
-        # tuples sort first, as -1 sorts before any line
+        # the pair key, j, then the sort key packed into one int below 2**30:
+        # qcost, then the two counts in 2 bits each, j and the four lines in 4
+        # bits each (shorter line tuples sort first, as 0 sorts before any
+        # line + 1), the two polarities in 1 bit each
         refs = [index[lines] + n * neg for lines, neg in factors] + [ones, ones]
-        lines = [ln for f, _ in factors for ln in f] + [-1] * 4
+        lines = [ln + 1 for f, _ in factors for ln in f] + [0] * 4
         pols = [neg for _, neg in factors] + [0, 0]
-        yield from (refs[0], refs[1], qcost, sum(pols), len(factors), j, *lines[:4], *pols[:2])
+        key = (qcost << 4 | sum(pols) << 2 | len(factors)) << 4 | j
+        for ln in lines[:4]:
+            key = key << 4 | ln
+        yield from (refs[0] * (ones + 1) + refs[1], j, key << 2 | pols[0] << 1 | pols[1])
 
     flat = chain.from_iterable(
         columns(j, f, q) for j in range(n_in, width) for f, q in _candidates(n_in, width, j, allow_neg)
     )
-    rows = np.fromiter(flat, dtype=np.int16).reshape(-1, 12).T
-    order = np.lexsort(rows[:1:-1])  # primary key last; stable, so ties keep enumeration order
-    # pick the three rows before reordering columns: indexing both axes at
-    # once (np.ix_) more than doubles the build's peak memory
-    cat = rows[[0, 1, 5]].take(order, axis=1)
-    cat.flags.writeable = False
-    return cat
+    rows = np.fromiter(flat, dtype=np.int32).reshape(-1, 3).T
+    order = np.argsort(rows[2], kind="stable")  # ties keep enumeration order
+    pair_key, target = rows[0].take(order), rows[1].take(order) - n_in
+    del rows, order  # freed before np.unique, which would otherwise raise the build's peak
+    keys, pair = np.unique(pair_key, return_inverse=True)
+    cell = (pair * (width - n_in) + target).astype(np.int16)
+    pairs = np.stack(np.divmod(keys, ones + 1)).astype(np.int16)
+    cell.flags.writeable = pairs.flags.writeable = False
+    return cell, pairs
 
 
 def _best_candidate(
@@ -246,7 +283,9 @@ def _best_candidate(
 
     A candidate's score is the wrong entries of its target line j it fixes
     minus the right ones it breaks; only positive scores qualify, so the
-    candidates of a line absent from errs (error mask 0) never do. The key
+    candidates of a line absent from errs (error mask 0) never do. Each
+    distinct factor pair is ANDed once and scored against every output
+    line at once; candidates gather their scores from that matrix. The key
     is (-score, qcost, negative controls, factor count, j, lines,
     polarities); the catalogue is already in key order after score, so the
     first argmax is the winner. Line values pack at most 64 rows
@@ -258,16 +297,17 @@ def _best_candidate(
     held = v[sa] ^ v[sb]
     all_ones = np.array([full], dtype=np.uint64)
     tab = np.concatenate((held, held ^ all_ones, all_ones))
-    err = np.array([errs.get(ln, 0) for ln in range(len(vecs))], dtype=np.uint64)
-    i1, i2, j = _catalogue(n_in, len(vecs), allow_neg)
+    err = np.array([errs.get(ln, 0) for ln in range(n_in, len(vecs))], dtype=np.uint64)
+    cell, (i1, i2) = _catalogue(n_in, len(vecs), allow_neg)
     act = tab[i1] & tab[i2]
     # each active row is fixed where it was wrong and broken elsewhere
-    fixed = np.bitwise_count(act & err[j]).astype(np.int16)
-    score = 2 * fixed - np.bitwise_count(act)
+    fixed = np.bitwise_count(act[:, None] & err).astype(np.int16)
+    score = (2 * fixed - np.bitwise_count(act)[:, None]).take(cell)
     k = int(np.argmax(score))
     if score[k] <= 0:
         return None
-    return int(j[k]), tuple((slots[i % n], bool(i >= n)) for i in (int(i1[k]), int(i2[k])) if i != ones)
+    p, out_line = divmod(int(cell[k]), len(err))
+    return n_in + out_line, tuple((slots[i % n], bool(i >= n)) for i in (int(i1[p]), int(i2[p])) if i != ones)
 
 
 def _anf_monomials(err: int, n_in: int) -> list[int]:
@@ -294,25 +334,31 @@ def _multi_controlled_flip(controls: list[int], j: int, n_in: int, width: int) -
     """
     deg = len(controls)
     if deg == 0:
-        return [not_gate(j)]
+        return [_not(j)]
     if deg == 1:
-        return [cnot(controls[0], j)]
+        return [_cnot(controls[0], j, False)]
     if deg == 2:
-        return [toffoli(controls[0], controls[1], j)]
+        return [_toffoli(controls[0], controls[1], j, False, False)]
     spare = [ln for ln in range(width) if ln != j and ln not in controls]
     spare.sort(key=lambda ln: (ln < n_in, ln))  # prefer output lines as dirty
     if not spare:
         raise SynthesisError(f"no spare line for a degree-{deg} flip")
     d = spare[0]
-    head = toffoli(controls[0], controls[1], d)
+    head = _toffoli(controls[0], controls[1], d, False, False)
     inner = _multi_controlled_flip([d] + controls[2:], j, n_in, width)
     return [head] + inner + [head] + inner
 
 
-def _monomial_gates(term: int, n_in: int, j: int, width: int) -> list[Gate]:
-    """Gates flipping line j exactly on the monomial's support."""
+@cache
+def _monomial_gates(term: int, n_in: int, j: int, width: int) -> tuple[Gate, ...]:
+    """Gates flipping line j exactly on the monomial's support, restoring all else.
+
+    They depend only on the arguments, not on the line values, so each
+    sequence is built once (at most 2646 under the 6-bit cap);
+    plan_cascades does not run them.
+    """
     lines = sorted(n_in - 1 - p for p in range(n_in) if (term >> p) & 1)
-    return _multi_controlled_flip(lines, j, n_in, width)
+    return tuple(_multi_controlled_flip(lines, j, n_in, width))
 
 
 def plan_cascades(
@@ -347,22 +393,21 @@ def plan_cascades(
                 e[j] = diff
         return e
 
-    def record(gates: list[Gate]):
-        for g in gates:
-            apply_packed(vecs, g, full)
-            steps.append(g)
-
     while True:
         errs = errors()
         if not errs:
             break
         best = _best_candidate(n_in, vecs, errs, allow_negative_controls, full)
         if best is None:
+            # each monomial's gates flip only line j, by the monomial, so
+            # the residuals stay put and nothing needs simulating
             for j in sorted(errs):
                 for term in _anf_monomials(errs[j], n_in):
-                    record(_monomial_gates(term, n_in, j, width))
+                    steps.extend(_monomial_gates(term, n_in, j, width))
             break
-        record(_realize(*best))
+        for g in _realize(*best):
+            apply_packed(vecs, g, full)
+            steps.append(g)
     return CascadePlan(tuple(steps), tuple(linear))
 
 

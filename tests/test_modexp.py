@@ -31,6 +31,18 @@ def test_truth_table_validation():
         TruthTable(0, 1, ())
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(1, 1, (0, True)), (1, 1, (0.0, 1.0)), (True, 1, (0, 1))],
+    ids=["bool-row", "float-rows", "bool-width"],
+)
+def test_truth_table_refuses_non_int_numbers(args):
+    """A bool or float would construct, and to_json would write true or 1.0,
+    which from_json refuses."""
+    with pytest.raises(ValueError, match="JSON integers"):
+        TruthTable(*args)
+
+
 def test_truth_table_json_roundtrip():
     t = TruthTable(3, 5, (1, 4, 16, 1, 4, 16, 1, 4))
     again = TruthTable.from_json(t.to_json())

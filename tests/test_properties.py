@@ -1,14 +1,16 @@
 """Property tests: the packed evaluator against the row-at-a-time reference,
 the template JSON encoder against json.dumps of the document dict, the
 synthesizer's candidates against the gates built for them, its vectorized
-candidate scorer against a plain-Python one, and the order-finding sampler
-against numpy's own weighted draw."""
+candidate scorer against a plain-Python one, its ANF mop-up gates against
+the flip each monomial asks for, and the order-finding sampler against
+numpy's own weighted draw."""
 
 import json
 import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +36,10 @@ from shorcompile.qsim import _order_finding_probabilities, order_finding_run
 from shorcompile.synth import (
     AffineForm,
     BitFit,
+    SynthesisError,
     _best_candidate,
     _candidates,
+    _monomial_gates,
     _realize,
     fit_linear,
     synthesize,
@@ -325,6 +329,44 @@ def test_vectorized_scorer_at_the_64_bit_edges():
             assert _best_candidate(6, vecs, errs, allow_neg, full) == want, (errs, allow_neg)
             winners += want is not None
     assert winners == 8
+
+
+@pytest.mark.parametrize("n_in", range(1, 7))
+@settings(max_examples=4)
+@given(data=st.data())
+def test_monomial_gates_flip_only_their_target(n_in, data):
+    """plan_cascades appends the mop-up gates without running them, so each
+    sequence must flip line j by exactly its monomial and restore every other
+    line, whatever the lines hold. Only a degree >= 3 flip with no line
+    outside its controls and target may be refused."""
+    size = 1 << n_in
+    full = (1 << size) - 1
+    for n_out in range(1, 7):
+        width = n_in + n_out
+        # the input register as synthesis loads it, then arbitrary values
+        value = st.integers(0, full)
+        fills = [input_vectors(n_in) + data.draw(st.lists(value, min_size=n_out, max_size=n_out))]
+        fills.append(data.draw(st.lists(value, min_size=width, max_size=width)))
+        for j in range(n_in, width):
+            for term in range(size):
+                controls = [n_in - 1 - p for p in range(n_in) if (term >> p) & 1]
+                if len(controls) >= 3 and len(controls) == width - 1:
+                    with pytest.raises(SynthesisError, match="no spare line"):
+                        _monomial_gates(term, n_in, j, width)
+                    continue
+                gates = _monomial_gates(term, n_in, j, width)
+                monomial = sum(1 << x for x in range(size) if x & term == term)
+                for k, fill in enumerate(fills):
+                    lines = list(fill)
+                    for g in gates:
+                        apply_packed(lines, g, full)
+                    want = list(fill)
+                    flip = full
+                    for c in controls:
+                        flip &= fill[c]
+                    assert k or flip == monomial
+                    want[j] ^= flip
+                    assert lines == want, (n_in, n_out, j, term, k)
 
 
 @st.composite

@@ -5,14 +5,25 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from test_properties import reference_circuit_dict
 
-from shorcompile.circuit import circuit_from_json, circuit_to_json, cost, render_gates, verify
+from shorcompile.circuit import Circuit, circuit_from_json, circuit_to_json, cost, render_gates, verify
 from shorcompile.library import FIGURE_IDS, LIBRARY
 from shorcompile.modexp import TruthTable, full_compile
 from shorcompile.numtheory import factor_semiprime
-from shorcompile.synth import fit_linear, plan_cascades, synthesize
+from shorcompile.synth import (
+    _candidates,
+    _catalogue,
+    _cnot,
+    _monomial_gates,
+    _not,
+    _toffoli,
+    fit_linear,
+    plan_cascades,
+    synthesize,
+)
 
 RNG = random.Random(90210)
 
@@ -210,3 +221,45 @@ def test_every_small_full_compile_synthesizes_or_hits_the_width_cap():
             assert circuit_to_json(circ) == json.dumps(reference_circuit_dict(circ)), (a, n)
             done += 1
     assert (done, capped) == (341, 114)
+
+
+def test_interned_builders_return_one_object_per_typed_argument_tuple():
+    assert _not(3) is _not(3)
+    assert _cnot(0, 2, True) is _cnot(0, 2, True)
+    assert _toffoli(0, 1, 2, False, True) is _toffoli(0, 1, 2, False, True)
+    # equal but differently typed arguments are separate entries, so a
+    # non-int line or non-bool polarity never stands in for a valid gate
+    assert _cnot(0, 2, 0) is not _cnot(0, 2, False)
+    assert len({id(_not(1)), id(_not(1.0)), id(_not(True))}) == 3
+    for bad in (_cnot(0, 2, 0), _not(1.0), _not(True), _toffoli(0, 1, 2, 1, False)):
+        with pytest.raises(ValueError):
+            Circuit(3, (), (), (bad,))
+
+
+def test_interned_gate_caches_stay_within_their_bounds():
+    """On at most 12 lines: 12 NOTs, 12*11*2 CNOTs, 12*11*10*4 Toffolis."""
+    for fn in (_not, _cnot, _toffoli, _monomial_gates):
+        fn.cache_clear()
+    for n in _odd_semiprimes_below(90):
+        for a in range(2, n):
+            if math.gcd(a, n) != 1:
+                continue
+            table = full_compile(a, n).table
+            if max(table.n_in, table.n_out) > 6:
+                continue
+            for allow_neg in (True, False):
+                synthesize(table, allow_negative_controls=allow_neg)
+    sizes = [fn.cache_info().currsize for fn in (_not, _cnot, _toffoli)]
+    assert all(0 < size <= bound for size, bound in zip(sizes, (12, 264, 5280))), sizes
+
+
+@pytest.mark.parametrize("allow_neg", [True, False])
+def test_widest_catalogue_is_read_only_int16_and_smaller_than_three_rows(allow_neg):
+    """The (cell, pairs) catalogue must not outgrow the 3 x C int16 rows
+    (i1, i2, j) it replaced, C being the candidate count."""
+    cell, pairs = _catalogue(6, 12, allow_neg)
+    count = sum(1 for j in range(6, 12) for _ in _candidates(6, 12, j, allow_neg))
+    assert cell.shape == (count,) and pairs.shape[0] == 2
+    for arr in (cell, pairs):
+        assert arr.dtype == np.int16 and not arr.flags.writeable
+    assert cell.nbytes + pairs.nbytes <= 3 * 2 * count
