@@ -229,9 +229,9 @@ def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
     diff = 0
     for line, want in zip(circuit.output_lines + circuit.input_lines, output_vectors(table) + in_vecs):
         diff |= lines[line] ^ want
-    bad = np.flatnonzero(_unpack(diff, n_rows))
-    if not len(bad):
+    if not diff:
         return []
+    bad = np.flatnonzero(_unpack(diff, n_rows))
     got = _read_register(lines, circuit.output_lines, n_rows)[bad].tolist()
     after = _read_register(lines, circuit.input_lines, n_rows)[bad].tolist()
     return [

@@ -55,6 +55,7 @@ from .numtheory import (
 from .qsim import (
     NoiseParams,
     ProbDist,
+    StateVector,
     apply_period_map,
     depolarize,
     estimate_epsilon,
@@ -115,7 +116,7 @@ def _cost_line(report: CostReport) -> str:
 # ---------------------------------------------------------------- tables
 
 
-_Dists = Callable[[int, int], list[tuple[int, ProbDist]]]
+_Dists = Callable[[int, int], list[tuple[int, StateVector, ProbDist]]]
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,9 @@ class Table:
     Its bundled golden, if any, is ``golden/<stem>.csv``: the header's
     columns plus a per-row ``tolerance``. The first ``key`` columns
     identify a row. ``rows(dists)`` returns raw values; floats are
-    unformatted. A table of post-transform distributions reads them as
-    ``dists(m, k)``: ``_distributions``, or a cache of it that the tables
-    of one command share.
+    unformatted. A table of post-transform states or distributions reads
+    them as ``dists(m, k)``: ``_distributions``, or a cache of it that the
+    tables of one command share.
     """
 
     stem: str
@@ -136,13 +137,11 @@ class Table:
     rows: Callable[[_Dists], list[tuple]]
 
 
-def _distributions(m: int, k: int) -> list[tuple[int, ProbDist]]:
-    """The post-transform input distribution for every period p the registers allow."""
+def _distributions(m: int, k: int) -> list[tuple[int, StateVector, ProbDist]]:
+    """The post-transform state and its input distribution for every period p the registers allow."""
     start = uniform_input_state(m, k)  # refuses bad sizes before 1 << m is evaluated
-    return [
-        (p, input_probabilities(qft_input(apply_period_map(start, p))))
-        for p in range(1, min(1 << m, 1 << k) + 1)
-    ]
+    states = [(p, qft_input(apply_period_map(start, p))) for p in range(1, min(1 << m, 1 << k) + 1)]
+    return [(p, state, input_probabilities(state)) for p, state in states]
 
 
 def _allowed_rows(max_n: int) -> list[tuple]:
@@ -158,8 +157,9 @@ def _allowed_rows(max_n: int) -> list[tuple]:
     return rows
 
 
-def _rho_rows() -> list[tuple]:
-    rho = reduce_to_input(qft_input(apply_period_map(uniform_input_state(3, 3), 3)))
+def _rho_rows(dists: _Dists) -> list[tuple]:
+    _, state, _ = dists(3, 3)[3 - 1]  # periods count from 1
+    rho = reduce_to_input(state)
     return [(r, c, z.real, z.imag) for r, row in enumerate(rho.entries.tolist()) for c, z in enumerate(row)]
 
 
@@ -175,11 +175,11 @@ _KINDS: dict[str, Callable[..., Table]] = {
     ),
     "probabilities": lambda m, k: Table(
         f"probabilities_m{m}k{k}", ("p", "k", "probability"), 2,
-        lambda dists: [(p, i, v) for p, d in dists(m, k) for i, v in enumerate(d.probabilities.tolist())],
+        lambda dists: [(p, i, v) for p, _, d in dists(m, k) for i, v in enumerate(d.probabilities.tolist())],
     ),
     "separability": lambda m, k: Table(
         f"separability_m{m}k{k}", ("p", "S"), 1,
-        lambda dists: [(p, separability_index(d)) for p, d in dists(m, k)],
+        lambda dists: [(p, separability_index(d)) for p, _, d in dists(m, k)],
     ),
 }
 
@@ -190,10 +190,23 @@ _GOLDENS: tuple[tuple[str, Table], ...] = (
     ("allowed periods", _KINDS["allowed-periods"](90)),
     ("probabilities m=3 k=3", _KINDS["probabilities"](3, 3)),
     ("separability m=3 k=3", _KINDS["separability"](3, 3)),
-    ("reduced density p=3", Table("rho_p3", ("row", "col", "re", "im"), 2, lambda _: _rho_rows())),
+    ("reduced density p=3", Table("rho_p3", ("row", "col", "re", "im"), 2, _rho_rows)),
 )
 
 _GOLDEN_DIR = resources.files("shorcompile").joinpath("golden")
+
+
+@functools.cache
+def _golden_text(directory, stem: str) -> str:
+    """The text of ``<directory>/<stem>.csv``, read once per process.
+
+    Golden files do not change while a process runs. The text is all that
+    outlives a call: rows are parsed and compared on every call.
+    """
+    try:
+        return directory.joinpath(stem + ".csv").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ValueError(f"no bundled golden table {stem}") from None
 
 
 def _cell(value: object) -> object:
@@ -211,11 +224,7 @@ def _diff(table: Table, dists: _Dists = _distributions) -> list[str]:
     tolerance. Reports golden rows that disagree or are missing, and extra
     computed rows.
     """
-    try:
-        text = _GOLDEN_DIR.joinpath(table.stem + ".csv").read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ValueError(f"no bundled golden table {table.stem}") from None
-    header, *golden = csv.reader(text.splitlines())
+    header, *golden = csv.reader(_golden_text(_GOLDEN_DIR, table.stem).splitlines())
     if header != [*table.header, "tolerance"]:
         return [f"{table.stem}: golden columns {','.join(header)}, expected {','.join(table.header)},tolerance"]
     key, names = table.key, table.header
@@ -584,7 +593,9 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_diff_golden(args: argparse.Namespace) -> int:
-    # computed once per call for the probability and separability checks, never kept across calls
+    # The m=3 states are built once per call and shared by the probability,
+    # separability and p=3 density checks; like every computed row they are
+    # never kept across calls. Only the golden files' text is, in _golden_text.
     dists = functools.cache(_distributions)
     passed = [_report(label, _diff(table, dists)) for label, table in _GOLDENS]
     passed.append(_report("figure circuits", _check_circuits()))

@@ -49,7 +49,7 @@ class StateVector:
         _check_registers(self.m, self.k)
         if self.amplitudes.shape != (1 << (self.m + self.k),):
             raise ValueError("amplitude array length must be 2**(m+k)")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
+        norm = float(np.vdot(self.amplitudes, self.amplitudes).real)  # the sum of abs(amplitude)**2
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} deviates from 1")
 
@@ -85,9 +85,9 @@ class ProbDist:
         p = self.probabilities
         if p.ndim != 1:
             raise ValueError("probability array must be one dimensional")
-        if np.min(p) < -1e-15 or np.max(p) > 1 + 1e-12:
+        if p.min() < -1e-15 or p.max() > 1 + 1e-12:
             raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(np.sum(p)) - 1.0) > 1e-12:
+        if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from shorcompile import circuit as circuit_module
 from shorcompile.circuit import (
     Circuit,
     Control,
@@ -77,6 +78,16 @@ def test_verify_reports_mismatches():
     bad = verify(broken, e.table)
     assert bad
     assert all(mm.expected == e.table.rows[mm.x] for mm in bad)
+
+
+def test_verify_unpacks_no_rows_when_every_row_matches(monkeypatch):
+    def unpacked(*_):
+        raise AssertionError("a circuit that verifies needs no per-row values")
+
+    monkeypatch.setattr(circuit_module, "_unpack", unpacked)
+    for name in FIGURE_IDS:
+        e = library_entry(name)
+        assert verify(e.circuit, e.table) == []
 
 
 def test_verify_checks_register_shape():

@@ -150,6 +150,39 @@ def test_diff_golden_reports_each_edit(tmp_path, monkeypatch, capsys, label, tab
     assert f"  {table.stem}" in out and message in out
 
 
+def test_diff_golden_recomputes_on_every_call(monkeypatch, capsys):
+    """Only the golden files outlive a call: each call rebuilds every table, state and circuit check."""
+    calls = dict.fromkeys(
+        ("uniform_input_state", "apply_period_map", "reduce_to_input", "verify", "coprime_order_table"), 0
+    )
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert run(capsys, "diff-golden")[0] == EXIT_OK
+    once = dict(calls)
+    # the eight m=3 periods are mapped once, and the p=3 density reuses its state
+    assert once == {"uniform_input_state": 1, "apply_period_map": 8, "reduce_to_input": 1,
+                    "verify": 8, "coprime_order_table": 2}
+    assert run(capsys, "diff-golden")[0] == EXIT_OK
+    assert calls == {name: 2 * count for name, count in once.items()}
+
+
+def test_diff_golden_reads_the_golden_directory_of_each_call(tmp_path, monkeypatch, capsys):
+    shutil.copytree(cli._GOLDEN_DIR, tmp_path, dirs_exist_ok=True)
+    target = tmp_path / "orders_n21.csv"
+    target.write_text(target.read_text(encoding="utf-8").replace("\n2,6,", "\n2,7,", 1), encoding="utf-8")
+    real = cli._GOLDEN_DIR
+    outcomes = []
+    for directory in (real, tmp_path, real):
+        monkeypatch.setattr(cli, "_GOLDEN_DIR", directory)
+        code, out, _ = run(capsys, "diff-golden")
+        outcomes.append((code, "orders N=21: FAIL" in out))
+    assert outcomes == [(EXIT_OK, False), (EXIT_MISMATCH, True), (EXIT_OK, False)]
+
+
 def test_circuit_cost_line(capsys):
     code, out, _ = run(capsys, "circuit", "cost", "--id", "f4_21")
     assert code == EXIT_OK

@@ -51,6 +51,36 @@ def test_state_norm_checked():
         StateVector(1, 1, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
 
 
+@pytest.mark.parametrize("excess, ok", [(5e-13, True), (-5e-13, True), (2e-12, False), (-2e-12, False)])
+def test_state_norm_bound_is_1e_12(excess, ok):
+    amps = np.array([math.sqrt(1.0 + excess)], dtype=complex)
+    if ok:
+        StateVector(0, 0, amps)
+    else:
+        with pytest.raises(ValueError, match="state norm"):
+            StateVector(0, 0, amps)
+
+
+# one value inside and one outside each bound: min >= -1e-15, max <= 1 + 1e-12, |sum - 1| <= 1e-12
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([-5e-16, 1.0], None),
+        ([-2e-15, 1.0], "lie in"),
+        ([1.0 + 5e-13], None),
+        ([1.0 + 2e-12], "lie in"),
+        ([0.5, 0.5 - 5e-13], None),
+        ([0.5, 0.5 - 2e-12], "sum to 1"),
+    ],
+)
+def test_probability_bounds(probs, message):
+    if message is None:
+        ProbDist(np.array(probs))
+    else:
+        with pytest.raises(ValueError, match=message):
+            ProbDist(np.array(probs))
+
+
 def test_apply_period_map_writes_x_mod_p():
     st = _period_state(3, 3, 3)
     grid = st.grid()
