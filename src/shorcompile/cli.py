@@ -45,8 +45,6 @@ from .modexp import GKind, TruthTable, compile_modexp, full_compile
 from .numtheory import (
     PostProcessStatus,
     TrivialFactorError,
-    allowed_periods,
-    carmichael,
     coprime_order_table,
     factor_semiprime,
     is_prime_power,
@@ -148,12 +146,11 @@ def _allowed_rows(max_n: int) -> list[tuple]:
     rows = []
     for n in range(15, max_n + 1, 2):
         try:
-            sp = factor_semiprime(n)
+            sp = factor_semiprime(n)  # the one validation of n
         except ValueError:
             continue
-        lam = carmichael(sp.p, sp.q)
-        periods = ";".join(str(d) for d in allowed_periods(sp.p, sp.q))
-        rows.append((n, sp.p, sp.q, lam, periods))
+        periods = ";".join(str(d) for d in sp.allowed_periods())
+        rows.append((n, sp.p, sp.q, sp.carmichael(), periods))
     return rows
 
 

@@ -73,6 +73,19 @@ class Semiprime:
         if self.p * self.q != self.n:
             raise ValueError(f"{self.p} * {self.q} != {self.n}")
 
+    def carmichael(self) -> int:
+        """lcm(p - 1, q - 1)."""
+        return math.lcm(self.p - 1, self.q - 1)
+
+    def allowed_periods(self) -> list[int]:
+        """Divisors greater than 1 of the Carmichael value, ascending.
+
+        Every multiplicative order mod n divides carmichael(), so this is
+        the complete list of periods an exponentiation map can have.
+        """
+        lam = self.carmichael()
+        return [d for d in range(2, lam + 1) if lam % d == 0]
+
 
 def factor_semiprime(n: int) -> Semiprime:
     """Split n into two distinct odd primes, or raise ValueError."""
@@ -84,18 +97,12 @@ def factor_semiprime(n: int) -> Semiprime:
 
 def carmichael(p: int, q: int) -> int:
     """lcm(p - 1, q - 1) for distinct odd primes p and q."""
-    Semiprime(p * q, p, q)  # validates the inputs
-    return math.lcm(p - 1, q - 1)
+    return Semiprime(p * q, p, q).carmichael()
 
 
 def allowed_periods(p: int, q: int) -> list[int]:
-    """Divisors greater than 1 of carmichael(p, q), ascending.
-
-    Every multiplicative order mod p*q divides carmichael(p, q), so this
-    is the complete list of periods an exponentiation map can have.
-    """
-    lam = carmichael(p, q)
-    return [d for d in range(2, lam + 1) if lam % d == 0]
+    """Semiprime.allowed_periods for distinct odd primes p and q."""
+    return Semiprime(p * q, p, q).allowed_periods()
 
 
 @dataclass(frozen=True)

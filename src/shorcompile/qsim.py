@@ -50,7 +50,7 @@ class StateVector:
         if self.amplitudes.shape != (1 << (self.m + self.k),):
             raise ValueError("amplitude array length must be 2**(m+k)")
         norm = float(np.vdot(self.amplitudes, self.amplitudes).real)  # the sum of abs(amplitude)**2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails
             raise ValueError(f"state norm {norm} deviates from 1")
 
     def grid(self) -> np.ndarray:
@@ -85,9 +85,10 @@ class ProbDist:
         p = self.probabilities
         if p.ndim != 1:
             raise ValueError("probability array must be one dimensional")
-        if p.min() < -1e-15 or p.max() > 1 + 1e-12:
+        # each check is written not (within bounds), so that NaN fails it
+        if not (-1e-15 <= p.min() and p.max() <= 1 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
+        if not abs(float(p.sum()) - 1.0) <= 1e-12:
             raise ValueError("probabilities must sum to 1")
 
 
@@ -226,12 +227,15 @@ def _order_finding_probabilities(a: int, n: int) -> tuple[int, np.ndarray]:
     Closed form of superpose, exponentiate, QFT and trace out the output
     register (Shor 1997; Nielsen & Chuang 5.3.1). With r the order of a and
     q, s = divmod(M, r), the inputs x0 + j*r sharing residue a**x0 form s
-    combs of q + 1 teeth and r - s combs of q teeth; the QFT's |amplitude|**2
-    on a comb does not depend on its offset x0, so
-    P = (s |fft(comb_(q+1))|**2 + (r - s) |fft(comb_q)|**2) / M**2.
-    A comb is real, so one real FFT per comb gives P[0..M/2] and the mirror
-    P[M - k] = P[k] gives the rest. No array is longer than M; the dense
-    2**(m+k) statevector is never built.
+    combs of q + 1 teeth and r - s combs of q teeth, and P sums the combs'
+    |QFT|**2. Summed over the combs, that is the DFT of their autocorrelation:
+    M**2 P[k] = sum over |j| <= q of w_j cos(2 pi k j r / M), with lag weight
+    w_j = s (q + 1 - |j|) + (r - s) (q - |j|) = M - r |j|. Every lag j*r is a
+    multiple of 2**t, where r = 2**t r' with r' odd, so P has period
+    sub = M / 2**t: the weights go at lags +-j*r' mod sub, one real FFT of
+    length sub gives P[0..sub/2], the mirror P[sub - k] = P[k] gives one
+    period, and the period is tiled 2**t times. The weights and the FFT are
+    at most M long; the dense 2**(m+k) statevector is never built.
     """
     m, k = _register_sizes(n)
     if m + k > _MAX_QUBITS:
@@ -240,17 +244,19 @@ def _order_finding_probabilities(a: int, n: int) -> tuple[int, np.ndarray]:
         raise ValueError("modulus must be at least 2")
     r = 1 if a % n == 1 else multiplicative_order(a % n, n)
     size = 1 << m
-    q, s = divmod(size, r)
-    comb = np.zeros(size)
-    comb[: q * r : r] = 1.0
+    t = (r & -r).bit_length() - 1
+    odd, sub = r >> t, size >> t
+    lags = -(-size // r)  # lags 0..q, less lag q when its weight s is 0
+    weights = np.arange(size, size - lags * r, -r, dtype=float)
+    acf = np.zeros(sub)
+    acf[: lags * odd : odd] = weights
+    acf[sub - (lags - 1) * odd : sub : odd] += weights[:0:-1]  # overlaps lags 0..q-1 only when r' = 1
     probs = np.empty(size)
-    power = probs[: size // 2 + 1]
-    power[:] = (r - s) * np.abs(np.fft.rfft(comb)) ** 2
-    if s:
-        comb[q * r] = 1.0
-        power += s * np.abs(np.fft.rfft(comb)) ** 2
-    probs[size // 2 + 1 :] = power[-2:0:-1]
-    probs /= size**2
+    period = probs[:sub]
+    period[: sub // 2 + 1] = np.fft.rfft(acf).real
+    period[sub // 2 + 1 :] = period[sub // 2 - 1 : 0 : -1]
+    period /= size**2
+    probs.reshape(-1, sub)[1:] = period
     return m, ProbDist(np.clip(probs, 0.0, None, out=probs)).probabilities
 
 
@@ -258,8 +264,9 @@ def _order_finding_probabilities(a: int, n: int) -> tuple[int, np.ndarray]:
 def _order_finding_distribution(a: int, n: int) -> tuple[int, np.ndarray]:
     """(m, cdf) of the input register's measurement, cached per (a, n).
 
-    The probabilities are ``_order_finding_probabilities``: one real FFT per
-    comb, mirrored to length M. The read-only CDF is built as numpy's
+    The probabilities are ``_order_finding_probabilities``: one real FFT of
+    the combs' autocorrelation, of length M / 2**t for r = 2**t r', mirrored
+    and tiled to length M. The read-only CDF is built as numpy's
     ``Generator.choice`` builds it (cumsum, then divide by the last entry),
     so ``cdf.searchsorted(rng.random(shots), side="right")`` draws exactly
     ``rng.choice(M, size=shots, p=probabilities)`` without re-validating p.

@@ -50,6 +50,21 @@ def test_tables_allowed_periods_row_count(capsys):
     assert rows[-1] == "87,3,29,28,2;4;7;14;28"
 
 
+def test_tables_allowed_periods_validates_each_semiprime_once(capsys, monkeypatch):
+    validated = []
+    check = numtheory.Semiprime.__post_init__
+
+    def counting(sp):
+        validated.append(sp.n)
+        check(sp)
+
+    monkeypatch.setattr(numtheory.Semiprime, "__post_init__", counting)
+    code, out, _ = run(capsys, "tables", "allowed-periods", "--format", "csv")
+    assert code == EXIT_OK
+    ns = [int(row.split(",")[0]) for row in out.strip().splitlines()[1:]]
+    assert validated == ns and len(ns) == 13
+
+
 def test_tables_json_carries_manifest(capsys):
     code, out, _ = run(capsys, "tables", "separability", "--format", "json")
     assert code == EXIT_OK

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from shorcompile.cli import EXIT_USAGE, entrypoint
-from shorcompile.numtheory import prime_factors
+from shorcompile.numtheory import multiplicative_order, prime_factors
 from shorcompile.qsim import (
     DensityMatrix,
     NoiseParams,
@@ -51,7 +51,9 @@ def test_state_norm_checked():
         StateVector(1, 1, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
 
 
-@pytest.mark.parametrize("excess, ok", [(5e-13, True), (-5e-13, True), (2e-12, False), (-2e-12, False)])
+@pytest.mark.parametrize(
+    "excess, ok", [(5e-13, True), (-5e-13, True), (2e-12, False), (-2e-12, False), (math.nan, False)]
+)
 def test_state_norm_bound_is_1e_12(excess, ok):
     amps = np.array([math.sqrt(1.0 + excess)], dtype=complex)
     if ok:
@@ -61,7 +63,8 @@ def test_state_norm_bound_is_1e_12(excess, ok):
             StateVector(0, 0, amps)
 
 
-# one value inside and one outside each bound: min >= -1e-15, max <= 1 + 1e-12, |sum - 1| <= 1e-12
+# one value inside and one outside each bound: min >= -1e-15, max <= 1 + 1e-12, |sum - 1| <= 1e-12;
+# NaN lies outside every bound
 @pytest.mark.parametrize(
     "probs, message",
     [
@@ -71,6 +74,9 @@ def test_state_norm_bound_is_1e_12(excess, ok):
         ([1.0 + 2e-12], "lie in"),
         ([0.5, 0.5 - 5e-13], None),
         ([0.5, 0.5 - 2e-12], "sum to 1"),
+        ([math.nan, 0.5], "lie in"),
+        ([0.5, math.nan], "lie in"),
+        ([math.nan], "lie in"),
     ],
 )
 def test_probability_bounds(probs, message):
@@ -315,12 +321,58 @@ def _coprime_pairs(max_n: int) -> list[tuple[int, int]]:
     return [(a, n) for n in range(3, max_n + 1) for a in range(2, n) if math.gcd(a, n) == 1]
 
 
+def _sweep_pairs() -> list[tuple[int, int]]:
+    """The 455 coprime (a, N), N an odd semiprime below 90, in (N, a) order."""
+    return [
+        (a, n)
+        for n in range(15, 90, 2)
+        if list(prime_factors(n).values()) == [1, 1]
+        for a in range(2, n)
+        if math.gcd(a, n) == 1
+    ]
+
+
 @pytest.mark.parametrize("pairs", [_coprime_pairs(35), [(2, 77)]], ids=["n<=35", "a2_n77"])
 def test_order_finding_distribution_matches_dense_path(pairs):
     for a, n in pairs:
         m, probs = _order_finding_probabilities(a, n)
         assert m == _register_sizes(n)[0]
         assert np.max(np.abs(probs - _dense_order_finding(a, n))) <= 1e-15, (a, n)
+
+
+@pytest.mark.parametrize("a, n", [(5, 51), (3, 85)])
+def test_order_finding_distribution_matches_dense_path_when_16_divides_r(a, n):
+    # r = 16: the kernel's transform is M / 16 long and its period is tiled 16 times
+    assert multiplicative_order(a, n) == 16
+    m, probs = _order_finding_probabilities(a, n)
+    assert m == _register_sizes(n)[0] >= 12
+    assert np.max(np.abs(probs - _dense_order_finding(a, n))) <= 1e-15
+
+
+def _two_comb_probabilities(m: int, r: int) -> np.ndarray:
+    """Reference closed form, one real FFT per comb of period r:
+    P = (s |fft(comb_(q+1))|**2 + (r - s) |fft(comb_q)|**2) / M**2, q, s = divmod(M, r)."""
+    size = 1 << m
+    q, s = divmod(size, r)
+    comb = np.zeros(size)
+    comb[: q * r : r] = 1.0
+    power = (r - s) * np.abs(np.fft.rfft(comb)) ** 2
+    if s:
+        comb[q * r] = 1.0
+        power += s * np.abs(np.fft.rfft(comb)) ** 2
+    return np.clip(np.concatenate([power, power[-2:0:-1]]) / size**2, 0.0, None)
+
+
+def test_order_finding_kernel_matches_the_two_comb_form():
+    # every (m, r) of the sweep, plus r = 1 (a = 1), which the sweep never reaches
+    cases = {(_register_sizes(n)[0], multiplicative_order(a, n)): (a, n) for a, n in _sweep_pairs()}
+    cases.update({(_register_sizes(n)[0], 1): (1, n) for n in (15, 85)})
+    rs = {r for _, r in cases}
+    assert {1, 2, 4, 8, 16} <= rs and {3, 5, 15} <= rs  # r = 1, powers of two and odd r
+    for (m, r), (a, n) in sorted(cases.items()):
+        got_m, probs = _order_finding_probabilities(a, n)
+        assert got_m == m
+        assert np.max(np.abs(probs - _two_comb_probabilities(m, r))) <= 1e-15, (a, n)
 
 
 def test_order_finding_samples_equal_dense_draws():
@@ -356,6 +408,21 @@ def test_factor_outputs_are_pinned(capsys, seed):
             pairs += 1
     assert pairs == 455
     assert digest.hexdigest() == PINNED_FACTOR_OUTPUTS[seed]
+
+
+# sha256 over repr(order_finding_run(a, n, 512, seed)) for seeds 0-4 (outer loop) and the
+# 455 sweep pairs (inner loop): the draws themselves, before any output formatting.
+PINNED_ORDER_FINDING_SAMPLES = "f6442ba6bce00689b7ede593e355f501144e0f2b38119aa2b597dae7f9fff54b"
+
+
+def test_order_finding_samples_are_pinned():
+    pairs = _sweep_pairs()
+    assert len(pairs) == 455
+    digest = hashlib.sha256()
+    for seed in range(5):
+        for a, n in pairs:
+            digest.update(repr(order_finding_run(a, n, 512, seed)).encode())
+    assert digest.hexdigest() == PINNED_ORDER_FINDING_SAMPLES
 
 
 def test_order_finding_keeps_the_qubit_cap(capsys):
