@@ -194,10 +194,17 @@ def estimate_epsilon(s_theory: float, s_observed: float, m: int) -> float:
     return math.sqrt(min(max(ratio, 0.0), 1.0))
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's own refusal does not say which argument it refused
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def sample(dist: ProbDist, shots: int, seed: int) -> ProbDist:
     """Empirical distribution of a seeded multinomial draw."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, dist.probabilities)
     return ProbDist(counts / shots)
@@ -308,6 +315,7 @@ def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResu
         raise ValueError("shots must be at least 1")
     if shots > _MAX_SHOTS:
         raise ValueError(f"shots must be at most 2**20, got {shots}")
+    _check_seed(seed)
     m, cdf = _order_finding_distribution(a, n)
     ks = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
     samples = tuple(ks.tolist())

@@ -9,12 +9,15 @@ Toffoli factor is an input-line pair borrowed in place and restored). Its
 shape does not depend on the line values, so _candidates is enumerated once
 per (n_in, width, polarity setting), over every target line, into one int16
 catalogue sorted by the tie-break key, which stores each distinct factor
-pair once. Each round packs every line (at most 64 rows) into a uint64,
-ANDs each factor pair once and popcounts it against every output line's
-error mask in one numpy pass; each candidate gathers its score from that
-matrix, the first best score is the winner, and gates are built only for
-it. Chaining gate outputs into later controls is where Toffoli cascades
-come from. Whatever the greedy pass cannot clear is finished off from the
+pair once. The first round packs every line (at most 64 rows) into a
+uint64, ANDs each factor pair once and popcounts it against every output
+line's error mask into a pairs x outputs score matrix; each candidate
+gathers its score from that matrix, the first best score is the winner,
+and gates are built only for it. A winner's gates change only its target
+line, since every borrowed line is restored, so each later round rescores
+just the factor pairs that read that line and that line's score column.
+Chaining gate outputs into later controls is where Toffoli cascades come
+from. Whatever the greedy pass cannot clear is finished off from the
 algebraic normal form of the residual, so synthesis always terminates, and
 exactly one circuit comes out per table and polarity setting; nothing
 searches for a cheaper one. A monomial's mop-up gates depend only on the
@@ -232,20 +235,21 @@ def _slot_lines(width: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np
 
 
 @cache
-def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Every _candidates shape for every target line, as int16 arrays (cell, pairs).
+def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Every _candidates shape for every target line, as int16 arrays (cell, pairs, readers).
 
     A candidate flips its target line j where entries i1 and i2 of a
-    round's factor table (see _best_candidate) both hold: entry s is the
-    value of slot s of _slot_lines, s + len(slots) its complement and
+    round's factor table (see _Scorer) both hold: entry s is the value of
+    slot s of _slot_lines, s + len(slots) its complement and
     2*len(slots) all ones, where a lone factor's i2 and both of a NOT's
     indices point. pairs (2 x P) holds each distinct (i1, i2) once; cell
     holds one entry per candidate, pair * n_out + (j - n_in), sorted by the
     greedy key after score: (qcost, negative controls, factor count, j,
-    lines, polarities), then enumeration order. With n_in, n_out <= 6
-    there are at most 72 keys, each holding at most about 24 kB.
+    lines, polarities), then enumeration order. readers[j - n_in] lists
+    the pairs that read output line j. With n_in, n_out <= 6 there are at
+    most 72 keys, each holding at most about 25 kB.
     """
-    slots, _, _ = _slot_lines(width)
+    slots, sa, sb = _slot_lines(width)
     index = {lines: s for s, lines in enumerate(slots)}
     n, ones = len(slots), 2 * len(slots)
 
@@ -272,42 +276,80 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple[np.ndarray, np.n
     keys, pair = np.unique(pair_key, return_inverse=True)
     cell = (pair * (width - n_in) + target).astype(np.int16)
     pairs = np.stack(np.divmod(keys, ones + 1)).astype(np.int16)
-    cell.flags.writeable = pairs.flags.writeable = False
-    return cell, pairs
+    # entry e of the factor table reads output line j when its slot does;
+    # the all-ones entry reads none
+    outputs = np.arange(n_in, width)
+    reads = (sa[:, None] == outputs) | (sb[:, None] == outputs)
+    reads = np.concatenate((reads, reads, np.zeros((1, width - n_in), dtype=bool)))
+    readers = tuple(np.flatnonzero(col).astype(np.int16) for col in (reads[pairs[0]] | reads[pairs[1]]).T)
+    for arr in (cell, pairs, *readers):
+        arr.flags.writeable = False
+    return cell, pairs, readers
 
 
-def _best_candidate(
-    n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int
-) -> tuple[int, tuple] | None:
-    """The greedy winner (j, factors) among every candidate, or None.
+class _Scorer:
+    """The greedy winner among every candidate, kept current across rounds.
 
     A candidate's score is the wrong entries of its target line j it fixes
     minus the right ones it breaks; only positive scores qualify, so the
     candidates of a line absent from errs (error mask 0) never do. Each
     distinct factor pair is ANDed once and scored against every output
-    line at once; candidates gather their scores from that matrix. The key
-    is (-score, qcost, negative controls, factor count, j, lines,
-    polarities); the catalogue is already in key order after score, so the
-    first argmax is the winner. Line values pack at most 64 rows
-    (n_in <= 6), one uint64 each.
+    line at once, into a pairs x n_out matrix; candidates gather their
+    scores from it. The key is (-score, qcost, negative controls, factor
+    count, j, lines, polarities); the catalogue is already in key order
+    after score, so the first argmax is the winner. Line values pack at
+    most 64 rows (n_in <= 6), one uint64 each.
+
+    A round's gates change only their target line (_realize restores every
+    borrowed line), so update rescores only the pairs that read that line
+    and the line's own score column; everything else carries over.
     """
-    slots, sa, sb = _slot_lines(len(vecs))
-    n, ones = len(slots), 2 * len(slots)
-    v = np.array(vecs + [0], dtype=np.uint64)
-    held = v[sa] ^ v[sb]
-    all_ones = np.array([full], dtype=np.uint64)
-    tab = np.concatenate((held, held ^ all_ones, all_ones))
-    err = np.array([errs.get(ln, 0) for ln in range(n_in, len(vecs))], dtype=np.uint64)
-    cell, (i1, i2) = _catalogue(n_in, len(vecs), allow_neg)
-    act = tab[i1] & tab[i2]
-    # each active row is fixed where it was wrong and broken elsewhere
-    fixed = np.bitwise_count(act[:, None] & err).astype(np.int16)
-    score = (2 * fixed - np.bitwise_count(act)[:, None]).take(cell)
-    k = int(np.argmax(score))
-    if score[k] <= 0:
-        return None
-    p, out_line = divmod(int(cell[k]), len(err))
-    return n_in + out_line, tuple((slots[i % n], bool(i >= n)) for i in (int(i1[p]), int(i2[p])) if i != ones)
+
+    def __init__(self, n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int) -> None:
+        width = len(vecs)
+        self.n_in = n_in
+        self.slots, self.sa, self.sb = _slot_lines(width)
+        self.cell, (self.i1, self.i2), self.readers = _catalogue(n_in, width, allow_neg)
+        self.v = np.array(vecs + [0], dtype=np.uint64)
+        self.all_ones = np.array([full], dtype=np.uint64)
+        self.err = np.array([errs.get(ln, 0) for ln in range(n_in, width)], dtype=np.uint64)
+        self._tabulate()
+        self.act = self.tab.take(self.i1) & self.tab.take(self.i2)
+        self.pop = np.bitwise_count(self.act)
+        self.score = self._rescore(self.act[:, None], self.pop[:, None], self.err)
+
+    def _tabulate(self) -> None:
+        held = self.v[self.sa] ^ self.v[self.sb]
+        self.tab = np.concatenate((held, held ^ self.all_ones, self.all_ones))
+
+    @staticmethod
+    def _rescore(act: np.ndarray, pop: np.ndarray, err: np.ndarray) -> np.ndarray:
+        # each active row is fixed where it was wrong and broken elsewhere:
+        # 2*fixed - active, at most 128 - 0, so the doubling fits in uint8
+        return np.subtract(np.bitwise_count(act & err) << 1, pop, dtype=np.int16)
+
+    def update(self, j: int, value: int, err: int) -> None:
+        """Output line j now holds value and is wrong on the rows of err."""
+        out_line = j - self.n_in
+        self.v[j], self.err[out_line] = value, err
+        self._tabulate()
+        rows = self.readers[out_line].astype(np.intp)  # once, not per int16 fancy index below
+        act = self.tab.take(self.i1.take(rows)) & self.tab.take(self.i2.take(rows))
+        self.act[rows] = act
+        self.pop[rows] = pop = np.bitwise_count(act)
+        self.score[rows] = self._rescore(act[:, None], pop[:, None], self.err)
+        self.score[:, out_line] = self._rescore(self.act, self.pop, self.err[out_line])
+
+    def best(self) -> tuple[int, tuple] | None:
+        """The winner (j, factors), or None when no candidate scores above 0."""
+        score = self.score.take(self.cell)
+        k = int(np.argmax(score))
+        if score[k] <= 0:
+            return None
+        p, out_line = divmod(int(self.cell[k]), len(self.err))
+        n = len(self.slots)
+        picked = (int(self.i1[p]), int(self.i2[p]))
+        return self.n_in + out_line, tuple((self.slots[i % n], bool(i >= n)) for i in picked if i != 2 * n)
 
 
 def _anf_monomials(err: int, n_in: int) -> list[int]:
@@ -382,22 +424,11 @@ def plan_cascades(
     for g in linear:
         apply_packed(vecs, g, full)
     targets = output_vectors(table)
+    errs = {j: diff for j, t in enumerate(targets, n_in) if (diff := vecs[j] ^ t)}
     steps: list[Gate] = []
-
-    def errors() -> dict[int, int]:
-        e = {}
-        for ol in range(n_out):
-            j = n_in + ol
-            diff = vecs[j] ^ targets[ol]
-            if diff:
-                e[j] = diff
-        return e
-
-    while True:
-        errs = errors()
-        if not errs:
-            break
-        best = _best_candidate(n_in, vecs, errs, allow_negative_controls, full)
+    scorer = _Scorer(n_in, vecs, errs, allow_negative_controls, full) if errs else None
+    while errs:
+        best = scorer.best()
         if best is None:
             # each monomial's gates flip only line j, by the monomial, so
             # the residuals stay put and nothing needs simulating
@@ -408,6 +439,14 @@ def plan_cascades(
         for g in _realize(*best):
             apply_packed(vecs, g, full)
             steps.append(g)
+        # the gates changed line j alone, so only its error and score move
+        j = best[0]
+        if err := vecs[j] ^ targets[j - n_in]:
+            errs[j] = err
+        else:
+            del errs[j]
+        if errs:
+            scorer.update(j, vecs[j], err)
     return CascadePlan(tuple(steps), tuple(linear))
 
 

@@ -285,6 +285,18 @@ def test_circuit_unknown_id(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--p", "3", "--shots", "5", "--seed", "-1"), ("factor", "--N", "15", "--seed", "-1")],
+    ids=["simulate", "factor"],
+)
+def test_negative_seed_is_refused_by_name(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+    assert out == ""
+
+
 def test_synth_text_output_compares_to_library(capsys):
     code, out, _ = run(capsys, "synth", "--a", "4", "--N", "21", "--compile", "full")
     assert code == EXIT_OK

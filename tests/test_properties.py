@@ -1,7 +1,8 @@
 """Property tests: the packed evaluator against the row-at-a-time reference,
 the template JSON encoder against json.dumps of the document dict, the
 synthesizer's candidates against the gates built for them, its vectorized
-candidate scorer against a plain-Python one, its ANF mop-up gates against
+candidate scorer, fresh and after single-line updates, against a
+plain-Python one, its ANF mop-up gates against
 the flip each monomial asks for, and the order-finding sampler against
 numpy's own weighted draw."""
 
@@ -37,7 +38,7 @@ from shorcompile.synth import (
     AffineForm,
     BitFit,
     SynthesisError,
-    _best_candidate,
+    _Scorer,
     _candidates,
     _monomial_gates,
     _realize,
@@ -280,16 +281,32 @@ def reference_best_candidate(n_in, vecs, errs, allow_neg, full):
     return None if best is None else best[1:]
 
 
-def _check_scorer(data, n_in: int) -> None:
+def _line_values(n_in: int) -> st.SearchStrategy[int]:
+    """Any packed line value, with all ones and the half-way edges drawn often."""
+    full = (1 << (1 << n_in)) - 1
+    return st.one_of(st.integers(0, full), st.sampled_from([0, full, full >> 1, (full >> 1) + 1]))
+
+
+def _draw_scorer_state(data, n_in: int) -> tuple[list[int], dict[int, int], bool, int]:
     n_out = data.draw(st.integers(1, 6))
     width, full = n_in + n_out, (1 << (1 << n_in)) - 1
-    value = st.one_of(st.integers(0, full), st.sampled_from([0, full, full >> 1, (full >> 1) + 1]))
-    vecs = data.draw(st.lists(value, min_size=width, max_size=width))
-    masks = data.draw(st.lists(value, min_size=n_out, max_size=n_out))
+    vecs = data.draw(st.lists(_line_values(n_in), min_size=width, max_size=width))
+    masks = data.draw(st.lists(_line_values(n_in), min_size=n_out, max_size=n_out))
     errs = {n_in + ol: m for ol, m in enumerate(masks) if m}
-    allow_neg = data.draw(st.booleans())
+    return vecs, errs, data.draw(st.booleans()), full
+
+
+def _check_scorer(data, n_in: int) -> None:
+    vecs, errs, allow_neg, full = _draw_scorer_state(data, n_in)
     want = reference_best_candidate(n_in, vecs, errs, allow_neg, full)
-    assert _best_candidate(n_in, vecs, errs, allow_neg, full) == want
+    assert _Scorer(n_in, vecs, errs, allow_neg, full).best() == want
+
+
+def _update(vecs: list[int], errs: dict[int, int], j: int, value: int, mask: int) -> None:
+    vecs[j] = value
+    errs.pop(j, None)
+    if mask:
+        errs[j] = mask
 
 
 @settings(max_examples=80, deadline=None)
@@ -315,7 +332,7 @@ def test_vectorized_scorer_breaks_ties_like_the_reference():
         errs = {n_in + ol: m for ol in range(n_out) if (m := rng.randint(0, full))}
         allow_neg = rng.random() < 0.5
         want = reference_best_candidate(n_in, vecs, errs, allow_neg, full)
-        assert _best_candidate(n_in, vecs, errs, allow_neg, full) == want, (n_in, vecs, errs, allow_neg)
+        assert _Scorer(n_in, vecs, errs, allow_neg, full).best() == want, (n_in, vecs, errs, allow_neg)
 
 
 def test_vectorized_scorer_at_the_64_bit_edges():
@@ -326,9 +343,43 @@ def test_vectorized_scorer_at_the_64_bit_edges():
     for errs in ({6: full}, {7: full}, {6: top}, {6: top | 1, 7: full ^ top}, {6: full, 7: full}):
         for allow_neg in (False, True):
             want = reference_best_candidate(6, vecs, errs, allow_neg, full)
-            assert _best_candidate(6, vecs, errs, allow_neg, full) == want, (errs, allow_neg)
+            assert _Scorer(6, vecs, errs, allow_neg, full).best() == want, (errs, allow_neg)
             winners += want is not None
     assert winners == 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_incremental_scorer_tracks_the_reference_winner(n_in, data):
+    """A greedy round changes one output line; after each such update the
+    scorer's kept state must pick the winner a fresh reference scoring picks."""
+    vecs, errs, allow_neg, full = _draw_scorer_state(data, n_in)
+    scorer = _Scorer(n_in, vecs, errs, allow_neg, full)
+    line = st.integers(n_in, len(vecs) - 1)
+    moves = st.tuples(line, _line_values(n_in), _line_values(n_in))
+    for j, value, mask in data.draw(st.lists(moves, min_size=1, max_size=4)):
+        _update(vecs, errs, j, value, mask)
+        scorer.update(j, value, mask)
+        assert scorer.best() == reference_best_candidate(n_in, vecs, errs, allow_neg, full), (j, value, mask)
+
+
+def test_incremental_scorer_breaks_ties_like_the_reference():
+    """Few rows make equal best scores common, so a stale score or table
+    entry shows up as a different tie-break winner."""
+    rng = random.Random(1618)
+    for _ in range(150):
+        n_in, n_out = rng.randint(1, 3), rng.randint(1, 4)
+        width, full = n_in + n_out, (1 << (1 << n_in)) - 1
+        vecs = [rng.randint(0, full) for _ in range(width)]
+        errs = {n_in + ol: m for ol in range(n_out) if (m := rng.randint(0, full))}
+        allow_neg = rng.random() < 0.5
+        scorer = _Scorer(n_in, vecs, errs, allow_neg, full)
+        for _ in range(rng.randint(1, 6)):
+            j, value, mask = rng.randrange(n_in, width), rng.randint(0, full), rng.randint(0, full)
+            _update(vecs, errs, j, value, mask)
+            scorer.update(j, value, mask)
+            want = reference_best_candidate(n_in, vecs, errs, allow_neg, full)
+            assert scorer.best() == want, (n_in, vecs, errs, allow_neg)
 
 
 @pytest.mark.parametrize("n_in", range(1, 7))

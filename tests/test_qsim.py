@@ -252,6 +252,13 @@ def test_sample_validates_shots():
         sample(dist, 0, seed=1)
 
 
+def test_sampling_refuses_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        sample(ProbDist(np.full(4, 0.25)), 5, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+        order_finding_run(2, 15, 5, seed=-3)
+
+
 def test_order_finding_known_pairs():
     for a, n, want in [(2, 15, 4), (4, 15, 2), (7, 15, 4), (4, 21, 3), (2, 21, 6), (4, 33, 5), (5, 33, 10)]:
         res = order_finding_run(a, n, shots=300, seed=5)

@@ -11,7 +11,7 @@ from test_properties import reference_circuit_dict
 
 from shorcompile.circuit import Circuit, circuit_from_json, circuit_to_json, cost, render_gates, verify
 from shorcompile.library import FIGURE_IDS, LIBRARY
-from shorcompile.modexp import TruthTable, full_compile
+from shorcompile.modexp import GKind, TruthTable, compile_modexp, full_compile
 from shorcompile.numtheory import factor_semiprime
 from shorcompile.synth import (
     _candidates,
@@ -223,6 +223,32 @@ def test_every_small_full_compile_synthesizes_or_hits_the_width_cap():
     assert (done, capped) == (341, 114)
 
 
+# sha256 over every sweep synthesis below, recorded before the greedy scorer
+# became incremental.
+SWEEP_DIGEST = "9c44907da21ba01817488c2732a5058c3857080cc15dfa52e25361a59f58783f"
+
+
+def test_sweep_circuits_are_pinned():
+    """Every coprime (a, N), N an odd semiprime below 90, compiled fully and
+    not at all, synthesized with and without negative controls: one digest
+    over each circuit's render_gates and each refusal's message, so a
+    tie-break drift on any sweep table shows."""
+    digest = hashlib.sha256()
+    for n in _odd_semiprimes_below(90):
+        for a in range(2, n):
+            if math.gcd(a, n) != 1:
+                continue
+            for strategy in ("full", "none"):
+                for allow_neg in (True, False):
+                    try:
+                        compiled = full_compile(a, n) if strategy == "full" else compile_modexp(a, n, None, GKind.NONE)
+                        text = render_gates(synthesize(compiled.table, allow_negative_controls=allow_neg))
+                    except ValueError as exc:
+                        text = f"refused: {exc}"
+                    digest.update(f"{a} {n} {strategy} {allow_neg}\n{text}\n".encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
 def test_interned_builders_return_one_object_per_typed_argument_tuple():
     assert _not(3) is _not(3)
     assert _cnot(0, 2, True) is _cnot(0, 2, True)
@@ -255,11 +281,11 @@ def test_interned_gate_caches_stay_within_their_bounds():
 
 @pytest.mark.parametrize("allow_neg", [True, False])
 def test_widest_catalogue_is_read_only_int16_and_smaller_than_three_rows(allow_neg):
-    """The (cell, pairs) catalogue must not outgrow the 3 x C int16 rows
-    (i1, i2, j) it replaced, C being the candidate count."""
-    cell, pairs = _catalogue(6, 12, allow_neg)
+    """The (cell, pairs, readers) catalogue must not outgrow the 3 x C int16
+    rows (i1, i2, j) it replaced, C being the candidate count."""
+    cell, pairs, readers = _catalogue(6, 12, allow_neg)
     count = sum(1 for j in range(6, 12) for _ in _candidates(6, 12, j, allow_neg))
-    assert cell.shape == (count,) and pairs.shape[0] == 2
-    for arr in (cell, pairs):
+    assert cell.shape == (count,) and pairs.shape[0] == 2 and len(readers) == 6
+    for arr in (cell, pairs, *readers):
         assert arr.dtype == np.int16 and not arr.flags.writeable
-    assert cell.nbytes + pairs.nbytes <= 3 * 2 * count
+    assert cell.nbytes + pairs.nbytes + sum(r.nbytes for r in readers) <= 3 * 2 * count
