@@ -55,6 +55,8 @@ from .qsim import (
     ProbDist,
     StateVector,
     apply_period_map,
+    check_order_finding_draw,
+    check_seed,
     depolarize,
     estimate_epsilon,
     input_probabilities,
@@ -435,6 +437,7 @@ def _fmt_dist(values: list[float]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     m, k, p = args.m, args.k, args.p
+    check_seed(args.seed)  # the manifest records it even when nothing is drawn
     if args.rho and m > _MAX_RHO_QUBITS:
         raise ValueError(f"--rho supports at most m={_MAX_RHO_QUBITS} input qubits, got m={m}")
     noise = NoiseParams(args.epsilon)
@@ -540,6 +543,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
         raise ValueError(f"N={n} is prime")
     if power:
         raise ValueError(f"N={n} is a prime power: {power[0]}**{power[1]}")
+    check_order_finding_draw(args.shots, args.seed)  # before the gcd shortcut, which draws nothing
 
     attempts = []
     factors = None

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -194,17 +193,26 @@ def estimate_epsilon(s_theory: float, s_observed: float, m: int) -> float:
     return math.sqrt(min(max(ratio, 0.0), 1.0))
 
 
-def _check_seed(seed: int) -> None:
+def check_seed(seed: int) -> None:
     # numpy's own refusal does not say which argument it refused
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def check_order_finding_draw(shots: int, seed: int) -> None:
+    """The shot count and seed that order_finding_run accepts."""
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2**20, got {shots}")
+    check_seed(seed)
 
 
 def sample(dist: ProbDist, shots: int, seed: int) -> ProbDist:
     """Empirical distribution of a seeded multinomial draw."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    _check_seed(seed)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, dist.probabilities)
     return ProbDist(counts / shots)
@@ -267,24 +275,6 @@ def _order_finding_probabilities(a: int, n: int) -> tuple[int, np.ndarray]:
     return m, ProbDist(np.clip(probs, 0.0, None, out=probs)).probabilities
 
 
-@lru_cache(maxsize=32)
-def _order_finding_distribution(a: int, n: int) -> tuple[int, np.ndarray]:
-    """(m, cdf) of the input register's measurement, cached per (a, n).
-
-    The probabilities are ``_order_finding_probabilities``: one real FFT of
-    the combs' autocorrelation, of length M / 2**t for r = 2**t r', mirrored
-    and tiled to length M. The read-only CDF is built as numpy's
-    ``Generator.choice`` builds it (cumsum, then divide by the last entry),
-    so ``cdf.searchsorted(rng.random(shots), side="right")`` draws exactly
-    ``rng.choice(M, size=shots, p=probabilities)`` without re-validating p.
-    """
-    m, cdf = _order_finding_probabilities(a, n)
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    cdf.setflags(write=False)
-    return m, cdf
-
-
 def _reduce_to_exact_order(a: int, n: int, multiple: int) -> int:
     """Shrink a verified multiple of the order to the order itself.
 
@@ -303,20 +293,20 @@ def _reduce_to_exact_order(a: int, n: int, multiple: int) -> int:
 def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResult:
     """Simulated order finding: superpose, exponentiate, QFT, sample, recover.
 
-    All shots, at most 2**20, are drawn first, as ``Generator.choice`` would
-    draw them. Each sampled k then feeds the continued-fraction extractor;
-    candidates are lcm-combined until a**L = 1 (mod n) verifies, then L is
-    reduced to the exact order by dividing out primes while the congruence
-    still holds.
+    All shots, at most 2**20, are drawn first by a binary search of the CDF
+    of ``_order_finding_probabilities``, built as ``Generator.choice`` builds
+    it (cumsum, then divide by the last entry), so they equal
+    ``rng.choice(M, size=shots, p=P)``. Each sampled k then feeds the
+    continued-fraction extractor; candidates are lcm-combined until
+    a**L = 1 (mod n) verifies, then L is reduced to the exact order by
+    dividing out primes while the congruence still holds.
     """
     if math.gcd(a, n) != 1:
         raise ValueError("a must be coprime to n")
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    if shots > _MAX_SHOTS:
-        raise ValueError(f"shots must be at most 2**20, got {shots}")
-    _check_seed(seed)
-    m, cdf = _order_finding_distribution(a, n)
+    check_order_finding_draw(shots, seed)
+    m, cdf = _order_finding_probabilities(a, n)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
     ks = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
     samples = tuple(ks.tolist())
     big = 1

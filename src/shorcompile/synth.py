@@ -1,31 +1,31 @@
 """Two-stage reversible synthesis from truth tables.
 
 Stage one fits each output bit with the best affine XOR form over the input
-bits, scoring every form of the input width from a cached table in one
-numpy argmin, and emits it as CNOT copies. Stage two repairs the remaining
-wrong entries greedily. A candidate is a target line and up to two control
+bits, scoring every form of the input width from a cached table in one numpy
+argmin, and emits it as CNOT copies. Stage two repairs the remaining wrong
+entries greedily. A candidate is a target line and up to two control
 factors, each the XOR of one or two lines with a polarity (a two-line
 Toffoli factor is an input-line pair borrowed in place and restored). Its
 shape does not depend on the line values, so _candidates is enumerated once
-per (n_in, width, polarity setting), over every target line, into one int16
-catalogue sorted by the tie-break key, which stores each distinct factor
-pair once. The first round packs every line (at most 64 rows) into a
-uint64, ANDs each factor pair once and popcounts it against every output
-line's error mask into a pairs x outputs score matrix; each candidate
-gathers its score from that matrix, the first best score is the winner,
-and gates are built only for it. A winner's gates change only its target
-line, since every borrowed line is restored, so each later round rescores
-just the factor pairs that read that line and that line's score column.
-Chaining gate outputs into later controls is where Toffoli cascades come
-from. Whatever the greedy pass cannot clear is finished off from the
-algebraic normal form of the residual, so synthesis always terminates, and
-exactly one circuit comes out per table and polarity setting; nothing
-searches for a cheaper one. A monomial's mop-up gates depend only on the
-register shape, so each sequence is built once and appended unsimulated.
-Gates are built through interned constructors, so equal gates are one
-object. A circuit that fails its own verification, which runs on every row
-of every circuit, raises SynthesisError, a fault of this module; the
-command line exits 3 on it.
+per (n_in, width, polarity setting), over every target line, into one
+read-only catalogue: the lines of every factor slot, and int16 arrays sorted
+by the tie-break key that store each distinct factor pair once. The first
+round packs every line (at most 64 rows) into a uint64, ANDs each factor
+pair once and popcounts it against every output line's error mask into a
+pairs x outputs score matrix; each candidate gathers its score from that
+matrix, the first best score is the winner, and gates are built only for it.
+A winner's gates change only its target line, since every borrowed line is
+restored, so each later round rescores just the factor pairs that read that
+line and that line's score column. Chaining gate outputs into later controls
+is where Toffoli cascades come from. Whatever the greedy pass cannot clear
+is finished off from the algebraic normal form of the residual, so synthesis
+always terminates, and exactly one circuit comes out per table and polarity
+setting; nothing searches for a cheaper one. A monomial's mop-up gates
+depend only on the register shape, so each sequence is built once and
+appended unsimulated. Gates are built through interned constructors, so
+equal gates are one object. A circuit that fails its own verification, which
+runs on every row of every circuit, raises SynthesisError, a fault of this
+module; the command line exits 3 on it.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
 bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
@@ -83,9 +83,6 @@ class AffineForm:
     mask: int
     const: bool
 
-    def terms(self) -> int:
-        return self.mask.bit_count() + int(self.const)
-
 
 @dataclass(frozen=True)
 class BitFit:
@@ -99,9 +96,6 @@ class LinearFit:
 
     n_in: int
     bits: tuple[BitFit, ...]
-
-    def total_mismatches(self) -> int:
-        return sum(len(b.mismatches) for b in self.bits)
 
 
 @dataclass(frozen=True)
@@ -222,34 +216,28 @@ def _realize(j: int, factors: tuple) -> list[Gate]:
 
 
 @cache
-def _slot_lines(width: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
-    """The lines of every factor slot (each line, then each line pair) and
-    index arrays sa, sb: slot s holds line sa[s] XOR line sb[s], where a
-    lone line's sb is width, a zero line appended after the last."""
+def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
+    """Every _candidates shape for every target line: (slots, sa, sb, cell, pairs, readers).
+
+    slots lists the lines of every factor slot, each line then each line
+    pair; slot s holds line sa[s] XOR line sb[s], where a lone line's sb is
+    width, a zero line appended after the last. A candidate flips its
+    target line j where entries i1 and i2 of a round's factor table (see
+    _Scorer) both hold: entry s is the value of slot s, s + len(slots) its
+    complement and 2*len(slots) all ones, where a lone factor's i2 and both
+    of a NOT's indices point. The int16 pairs (2 x P) holds each distinct
+    (i1, i2) once; the int16 cell holds one entry per candidate,
+    pair * n_out + (j - n_in), sorted by the greedy key after score:
+    (qcost, negative controls, factor count, j, lines, polarities), then
+    enumeration order. readers[j - n_in] lists the pairs that read output
+    line j. Every array is read-only. With n_in, n_out <= 6 there are at
+    most 72 keys, each holding at most about 25 kB.
+    """
     slots = tuple((c,) for c in range(width)) + tuple(
         (a, b) for a in range(width) for b in range(a + 1, width)
     )
     sa = np.array([ln[0] for ln in slots], dtype=np.intp)
     sb = np.array([ln[1] if len(ln) == 2 else width for ln in slots], dtype=np.intp)
-    return slots, sa, sb
-
-
-@cache
-def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Every _candidates shape for every target line, as int16 arrays (cell, pairs, readers).
-
-    A candidate flips its target line j where entries i1 and i2 of a
-    round's factor table (see _Scorer) both hold: entry s is the value of
-    slot s of _slot_lines, s + len(slots) its complement and
-    2*len(slots) all ones, where a lone factor's i2 and both of a NOT's
-    indices point. pairs (2 x P) holds each distinct (i1, i2) once; cell
-    holds one entry per candidate, pair * n_out + (j - n_in), sorted by the
-    greedy key after score: (qcost, negative controls, factor count, j,
-    lines, polarities), then enumeration order. readers[j - n_in] lists
-    the pairs that read output line j. With n_in, n_out <= 6 there are at
-    most 72 keys, each holding at most about 25 kB.
-    """
-    slots, sa, sb = _slot_lines(width)
     index = {lines: s for s, lines in enumerate(slots)}
     n, ones = len(slots), 2 * len(slots)
 
@@ -282,9 +270,9 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple[np.ndarray, np.n
     reads = (sa[:, None] == outputs) | (sb[:, None] == outputs)
     reads = np.concatenate((reads, reads, np.zeros((1, width - n_in), dtype=bool)))
     readers = tuple(np.flatnonzero(col).astype(np.int16) for col in (reads[pairs[0]] | reads[pairs[1]]).T)
-    for arr in (cell, pairs, *readers):
+    for arr in (sa, sb, cell, pairs, *readers):
         arr.flags.writeable = False
-    return cell, pairs, readers
+    return slots, sa, sb, cell, pairs, readers
 
 
 class _Scorer:
@@ -308,8 +296,7 @@ class _Scorer:
     def __init__(self, n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int) -> None:
         width = len(vecs)
         self.n_in = n_in
-        self.slots, self.sa, self.sb = _slot_lines(width)
-        self.cell, (self.i1, self.i2), self.readers = _catalogue(n_in, width, allow_neg)
+        self.slots, self.sa, self.sb, self.cell, (self.i1, self.i2), self.readers = _catalogue(n_in, width, allow_neg)
         self.v = np.array(vecs + [0], dtype=np.uint64)
         self.all_ones = np.array([full], dtype=np.uint64)
         self.err = np.array([errs.get(ln, 0) for ln in range(n_in, width)], dtype=np.uint64)

@@ -287,13 +287,30 @@ def test_circuit_unknown_id(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("simulate", "--p", "3", "--shots", "5", "--seed", "-1"), ("factor", "--N", "15", "--seed", "-1")],
-    ids=["simulate", "factor"],
+    [
+        ("simulate", "--p", "3", "--shots", "5", "--seed", "-1"),
+        ("factor", "--N", "15", "--seed", "-1"),
+        ("simulate", "--p", "3", "--seed", "-1"),  # draws nothing without --shots
+        ("factor", "--N", "15", "--a", "3", "--seed", "-1"),  # gcd(3, 15) factors 15 without a draw
+    ],
+    ids=["simulate", "factor", "simulate-no-shots", "factor-gcd"],
 )
 def test_negative_seed_is_refused_by_name(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err == "error: seed must be a non-negative integer, got -1\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "shots, message",
+    [("0", "shots must be at least 1"), ("2000000", "shots must be at most 2**20, got 2000000")],
+)
+def test_factor_checks_shots_before_the_gcd_shortcut(capsys, shots, message):
+    # gcd(3, 15) factors 15 without order finding, so no shot is drawn
+    code, out, err = run(capsys, "factor", "--N", "15", "--a", "3", "--shots", shots)
+    assert code == EXIT_USAGE
+    assert err == f"error: {message}\n"
     assert out == ""
 
 

@@ -197,7 +197,7 @@ def reference_fit_linear(table: TruthTable) -> tuple[BitFit, ...]:
                 vv = v ^ (full if const else 0)
                 miss = vv ^ target
                 form = AffineForm(mask, bool(const))
-                key = (miss.bit_count(), form.terms(), mask, const)
+                key = (miss.bit_count(), mask.bit_count() + const, mask, const)
                 if best is None or key < best[0]:
                     best = (key, form, miss)
         _, form, miss = best

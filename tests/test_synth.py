@@ -30,7 +30,7 @@ RNG = random.Random(90210)
 
 def test_fit_linear_exact_on_linear_table():
     fit = fit_linear(LIBRARY["f2_15_full"].table)  # identity map, purely linear
-    assert fit.total_mismatches() == 0
+    assert sum(len(bf.mismatches) for bf in fit.bits) == 0
     assert all(not bf.mismatches for bf in fit.bits)
 
 
@@ -44,7 +44,7 @@ def test_fit_linear_uncompiled_f4_21():
         (0b000, 0, []),       # 2-valued bit never fires
         (0b111, 1, [5]),      # units bit is complemented parity up to one row
     ]
-    assert fit.total_mismatches() == 4
+    assert sum(len(bf.mismatches) for bf in fit.bits) == 4
 
 
 def test_fit_linear_compiled_f4_21():
@@ -282,10 +282,13 @@ def test_interned_gate_caches_stay_within_their_bounds():
 @pytest.mark.parametrize("allow_neg", [True, False])
 def test_widest_catalogue_is_read_only_int16_and_smaller_than_three_rows(allow_neg):
     """The (cell, pairs, readers) catalogue must not outgrow the 3 x C int16
-    rows (i1, i2, j) it replaced, C being the candidate count."""
-    cell, pairs, readers = _catalogue(6, 12, allow_neg)
+    rows (i1, i2, j) it replaced, C being the candidate count; the slot
+    index arrays sa and sb cached with it are read-only too."""
+    slots, sa, sb, cell, pairs, readers = _catalogue(6, 12, allow_neg)
     count = sum(1 for j in range(6, 12) for _ in _candidates(6, 12, j, allow_neg))
     assert cell.shape == (count,) and pairs.shape[0] == 2 and len(readers) == 6
+    assert len(slots) == sa.shape[0] == sb.shape[0] == 12 + 12 * 11 // 2
+    assert not sa.flags.writeable and not sb.flags.writeable
     for arr in (cell, pairs, *readers):
         assert arr.dtype == np.int16 and not arr.flags.writeable
     assert cell.nbytes + pairs.nbytes + sum(r.nbytes for r in readers) <= 3 * 2 * count
