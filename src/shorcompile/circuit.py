@@ -7,12 +7,18 @@ builds a statevector.
 Line 0 is the top line of a circuit diagram. Bit significance is carried by
 the input_lines/output_lines orderings (first element = most significant),
 never by the line index itself.
+
+Each type checks its own fields once, at construction, so a document loader
+passes its values straight in: ``Control`` its line (an exact int) and
+polarity (a bool), ``Gate`` its kind, its target (an exact int), its control
+count and that its lines are distinct, ``Circuit`` its width, its register
+lines and that every gate line lies below the width.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -34,6 +40,10 @@ class Control:
     line: int
     neg: bool = False
 
+    def __post_init__(self) -> None:
+        _checked_int(self.line)
+        _checked_bool(self.neg)
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -42,6 +52,9 @@ class Gate:
     target: int
 
     def __post_init__(self) -> None:
+        if type(self.kind) is not GateKind:
+            raise ValueError(f"{self.kind!r} is not a valid GateKind")
+        _checked_int(self.target)
         if len(self.controls) != _CONTROL_COUNT[self.kind]:
             raise ValueError(f"{self.kind.value} takes {_CONTROL_COUNT[self.kind]} controls")
         lines = [c.line for c in self.controls]
@@ -80,26 +93,32 @@ class Circuit:
     input_lines: tuple[int, ...]
     output_lines: tuple[int, ...]
     gates: tuple[Gate, ...]
+    # 1 + the highest line a register or gate uses: evaluation allocates this
+    # many lines, as a document may declare a width of 10**20 and use two
+    _n_lines: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        on_register = range(_checked_int(self.width))
+        width = _checked_int(self.width)
         lines = [_checked_int(ln) for ln in (*self.input_lines, *self.output_lines)]
         if len(set(lines)) != len(lines):
             raise ValueError("input and output lines must be disjoint")
-        if any(ln not in on_register for ln in lines):
+        top = max(lines, default=-1)
+        if top >= width or min(lines, default=0) < 0:
             raise ValueError("register line out of range")
         # gates are frozen, so a gate object repeated at several positions
-        # (synthesis reuses them) is checked once; type(...) is int excludes bool
+        # (synthesis reuses them) is checked once
         for g in {id(g): g for g in self.gates}.values():
-            ok = type(g.target) is int and g.target in on_register
+            lo = hi = g.target
             for c in g.controls:
-                ok = ok and type(c.line) is int and c.line in on_register and type(c.neg) is bool
-            if not ok:
-                for ln in [g.target] + [c.line for c in g.controls]:
-                    _checked_int(ln)
-                for c in g.controls:
-                    _checked_bool(c.neg)
+                if c.line > hi:
+                    hi = c.line
+                elif c.line < lo:
+                    lo = c.line
+            if lo < 0 or hi >= width:
                 raise ValueError(f"gate {g} uses a line outside width {self.width}")
+            if hi > top:
+                top = hi
+        object.__setattr__(self, "_n_lines", top + 1)
 
     @property
     def n_in(self) -> int:
@@ -185,7 +204,7 @@ def apply_packed(lines: list[int], gate: Gate, full: int) -> int:
 
 def _run(circuit: Circuit, vecs: list[int], full: int) -> list[int]:
     """Packed line values after the gates, vecs on the input lines, zero elsewhere."""
-    lines = [0] * circuit.width
+    lines = [0] * circuit._n_lines
     for line, v in zip(circuit.input_lines, vecs):
         lines[line] = v
     for g in circuit.gates:
@@ -272,19 +291,14 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    obj = json.loads(text)
     try:
-        # gate numbers are checked before Gate compares lines, so 1.0 is refused as a float, not as line 1
+        obj = json.loads(text)
         gates = tuple(
-            Gate(
-                GateKind(g["kind"]),
-                tuple(Control(_checked_int(c["line"]), _checked_bool(c["neg"])) for c in g["controls"]),
-                _checked_int(g["target"]),
-            )
+            Gate(GateKind(g["kind"]), tuple(Control(c["line"], c["neg"]) for c in g["controls"]), g["target"])
             for g in obj["gates"]
         )
         return Circuit(obj["width"], tuple(obj["input_lines"]), tuple(obj["output_lines"]), gates)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed circuit document: {exc}") from exc
 
 

@@ -48,10 +48,13 @@ class TruthTable:
                 raise ValueError(f"truth table numbers must be JSON integers, got {v!r}")
         if self.n_in < 1 or self.n_out < 1:
             raise ValueError("register widths must be positive")
-        if len(self.rows) != 1 << self.n_in:
+        # the bit lengths are compared first, so no shift is by a number too
+        # large to allocate (n_in or n_out of 10**12 in a document)
+        n_rows = len(self.rows)
+        if n_rows.bit_length() != self.n_in + 1 or n_rows != 1 << self.n_in:
             raise ValueError("row count must equal 2**n_in")
         for x, y in enumerate(self.rows):
-            if not 0 <= y < 1 << self.n_out:
+            if y < 0 or y.bit_length() > self.n_out:
                 raise ValueError(f"output {y} at x={x} does not fit in {self.n_out} bits")
 
     def to_json(self) -> str:
@@ -59,10 +62,10 @@ class TruthTable:
 
     @classmethod
     def from_json(cls, text: str) -> TruthTable:
-        obj = json.loads(text)
         try:
+            obj = json.loads(text)
             n_in, n_out, rows = obj["n_in"], obj["n_out"], tuple(obj["rows"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed truth table document: {exc}") from exc
         return cls(n_in, n_out, rows)
 

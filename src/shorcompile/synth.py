@@ -66,11 +66,12 @@ __all__ = [
     "synthesize",
 ]
 
-# Interned gate builders: equal arguments return the same frozen Gate, so a
-# circuit's repeated gates are one object, checked and encoded once. typed,
-# as neg=0 and neg=False hash alike. Synthesis passes every argument
-# positionally; on at most 12 lines these hold at most 12, 12*11*2 = 264
-# and 12*11*10*4 = 5280 gates.
+# Interned gate builders: equal arguments return the same frozen Gate, so each
+# distinct gate is type-checked once per process, and a circuit's repeated
+# gates are one object, range-checked and encoded once. typed, as neg=0 and
+# neg=False hash alike and the cached valid gate must not answer a call that
+# Control refuses. Synthesis passes every argument positionally; on at most
+# 12 lines these hold at most 12, 12*11*2 = 264 and 12*11*10*4 = 5280 gates.
 _not = lru_cache(maxsize=None, typed=True)(not_gate)
 _cnot = lru_cache(maxsize=None, typed=True)(cnot)
 _toffoli = lru_cache(maxsize=None, typed=True)(toffoli)

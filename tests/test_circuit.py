@@ -167,3 +167,18 @@ def test_circuit_refuses_non_int_lines_and_non_bool_polarities(make, message):
     """circuit_to_json would write True as a bare name and 1.0 as a float."""
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize(
+    ("make", "message"),
+    [
+        (lambda: Gate("cnot", (Control(0),), 1), "'cnot' is not a valid GateKind"),
+        (lambda: Gate(GateKind.NOT, (), False), "integers, got False"),
+        (lambda: Control(1.5), "integers, got 1.5"),
+        (lambda: Control(0, None), "polarity must be true or false, got None"),
+    ],
+    ids=("str-kind", "bool-target", "float-line", "null-polarity"),
+)
+def test_gate_and_control_refuse_bad_field_types_at_construction(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -1,12 +1,19 @@
 """CLI surface: formats, manifests, exit codes, golden diffing."""
 
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
+import os
 import shutil
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shorcompile import cli, modexp, numtheory, synth
 from shorcompile.circuit import Mismatch, circuit_from_json, circuit_to_json
@@ -278,6 +285,105 @@ def test_circuit_rejects_non_integer_numbers(tmp_path, capsys, path, value):
     code, _, err = run(capsys, "circuit", "show", "--file", str(cpath))
     assert code == EXIT_USAGE
     assert "integers" in err
+
+
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("flag", ["--file", "--table"])
+def test_circuit_refuses_deeply_nested_documents(tmp_path, capsys, flag):
+    """json.loads raises RecursionError on this; the loaders refuse it as malformed."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP)
+    source = ("--file", str(deep)) if flag == "--file" else ("--id", "f4_21_full", "--table", str(deep))
+    code, out, err = run(capsys, "circuit", "verify", *source)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: malformed") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("width", [10**20, 2**62])
+def test_circuit_verify_allocates_by_the_lines_used_not_the_declared_width(tmp_path, capsys, width):
+    circ_doc = {
+        "width": width,
+        "input_lines": [0],
+        "output_lines": [1],
+        "gates": [{"kind": "cnot", "controls": [{"line": 0, "neg": False}], "target": 1}],
+    }
+    cpath, tpath = tmp_path / "c.json", tmp_path / "t.json"
+    cpath.write_text(json.dumps(circ_doc))
+    tpath.write_text('{"n_in": 1, "n_out": 1, "rows": [0, 1]}')
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "circuit", "verify", "--file", str(cpath), "--table", str(tpath))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert out.startswith("ok:")
+
+
+def _node_paths(node, prefix=()):
+    """The path to every node below the root, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+_FUZZ_DOCS = {
+    "circuit": json.loads(circuit_to_json(LIBRARY["f4_21_full"].circuit)),
+    "table": json.loads(LIBRARY["f4_21_full"].table.to_json()),
+}
+# one node of one document, or () for the whole document
+_FUZZ_TARGETS = [(name, path) for name, doc in _FUZZ_DOCS.items() for path in ((), *_node_paths(doc))]
+# JSON text, or "deep" for _DEEP, which is too long to print in a failure
+# report. No integer here is a feasible but huge allocation for a loader
+# that sizes a list by it (2**62 fails at once, 2**31 would take 16 GiB).
+_HOSTILE_JSON = st.sampled_from(["1.5", "true", '"2"', "null", "-1", str(2**62), str(2**64), "deep"])
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+).map(json.dumps)
+
+
+@settings(max_examples=200)
+@given(
+    target=st.sampled_from(_FUZZ_TARGETS),
+    value=_HOSTILE_JSON | _ANY_JSON,
+    action=st.sampled_from(["show", "cost", "verify"]),
+    with_table=st.booleans(),
+)
+@example(target=("circuit", ("width",)), value=str(2**62), action="verify", with_table=True)
+@example(target=("table", ("n_in",)), value=str(2**62), action="verify", with_table=True)
+@example(target=("circuit", ()), value="deep", action="show", with_table=False)
+def test_circuit_commands_exit_cleanly_on_hostile_documents(target, value, action, with_table):
+    """A valid circuit or table document with one node replaced, or a whole
+    document replaced: every run exits 0, 1 or 2, and 2 with one error line."""
+    name, path = target
+    value = _DEEP if value == "deep" else value
+    texts = {key: json.dumps(doc) for key, doc in _FUZZ_DOCS.items()}
+    texts[name] = value
+    if path:
+        doc = node = copy.deepcopy(_FUZZ_DOCS[name])
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = "@hostile@"
+        texts[name] = json.dumps(doc).replace('"@hostile@"', value)
+    out, err = io.StringIO(), io.StringIO()
+    # hypothesis refuses function-scoped fixtures such as tmp_path
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["circuit", action]
+        for flag, key in (("--file", "circuit"), ("--table", "table")):
+            if key == "circuit" or with_table:
+                path_on_disk = os.path.join(tmp, f"{key}.json")
+                with open(path_on_disk, "w", encoding="utf-8") as fh:
+                    fh.write(texts[key])
+                argv += [flag, path_on_disk]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = entrypoint(argv)
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_circuit_unknown_id(capsys):

@@ -43,6 +43,20 @@ def test_truth_table_refuses_non_int_numbers(args):
         TruthTable(*args)
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        ((10**12, 1, (0, 1)), r"row count must equal 2\*\*n_in"),
+        ((1, 10**14, (0, -1)), "output -1 at x=1 does not fit in 100000000000000 bits"),
+    ],
+    ids=["huge-n_in", "huge-n_out"],
+)
+def test_truth_table_checks_rows_without_allocating_by_its_widths(args, message):
+    """1 << 10**12 and 1 << 10**14 would not fit in memory."""
+    with pytest.raises(ValueError, match=message):
+        TruthTable(*args)
+
+
 def test_truth_table_json_roundtrip():
     t = TruthTable(3, 5, (1, 4, 16, 1, 4, 16, 1, 4))
     again = TruthTable.from_json(t.to_json())

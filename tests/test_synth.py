@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from test_properties import reference_circuit_dict
 
-from shorcompile.circuit import Circuit, circuit_from_json, circuit_to_json, cost, render_gates, verify
+from shorcompile.circuit import circuit_from_json, circuit_to_json, cost, render_gates, verify
 from shorcompile.library import FIGURE_IDS, LIBRARY
 from shorcompile.modexp import GKind, TruthTable, compile_modexp, full_compile
 from shorcompile.numtheory import factor_semiprime
@@ -253,13 +253,18 @@ def test_interned_builders_return_one_object_per_typed_argument_tuple():
     assert _not(3) is _not(3)
     assert _cnot(0, 2, True) is _cnot(0, 2, True)
     assert _toffoli(0, 1, 2, False, True) is _toffoli(0, 1, 2, False, True)
-    # equal but differently typed arguments are separate entries, so a
-    # non-int line or non-bool polarity never stands in for a valid gate
-    assert _cnot(0, 2, 0) is not _cnot(0, 2, False)
-    assert len({id(_not(1)), id(_not(1.0)), id(_not(True))}) == 3
-    for bad in (_cnot(0, 2, 0), _not(1.0), _not(True), _toffoli(0, 1, 2, 1, False)):
+    # equal but differently typed arguments are separate entries: with the
+    # equal valid gate cached first, a non-int line or non-bool polarity
+    # still reaches the Gate and Control checks
+    for build, good, bad in (
+        (_not, (1,), (1.0,)),
+        (_not, (1,), (True,)),
+        (_cnot, (0, 2, False), (0, 2, 0)),
+        (_toffoli, (0, 1, 2, True, False), (0, 1, 2, 1, False)),
+    ):
+        build(*good)
         with pytest.raises(ValueError):
-            Circuit(3, (), (), (bad,))
+            build(*bad)
 
 
 def test_interned_gate_caches_stay_within_their_bounds():
