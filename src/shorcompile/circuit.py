@@ -18,10 +18,9 @@ lines and that every gate line lies below the width.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .modexp import TruthTable
 
@@ -93,17 +92,13 @@ class Circuit:
     input_lines: tuple[int, ...]
     output_lines: tuple[int, ...]
     gates: tuple[Gate, ...]
-    # 1 + the highest line a register or gate uses: evaluation allocates this
-    # many lines, as a document may declare a width of 10**20 and use two
-    _n_lines: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = _checked_int(self.width)
         lines = [_checked_int(ln) for ln in (*self.input_lines, *self.output_lines)]
         if len(set(lines)) != len(lines):
             raise ValueError("input and output lines must be disjoint")
-        top = max(lines, default=-1)
-        if top >= width or min(lines, default=0) < 0:
+        if max(lines, default=-1) >= width or min(lines, default=0) < 0:
             raise ValueError("register line out of range")
         # gates are frozen, so a gate object repeated at several positions
         # (synthesis reuses them) is checked once
@@ -116,9 +111,6 @@ class Circuit:
                     lo = c.line
             if lo < 0 or hi >= width:
                 raise ValueError(f"gate {g} uses a line outside width {self.width}")
-            if hi > top:
-                top = hi
-        object.__setattr__(self, "_n_lines", top + 1)
 
     @property
     def n_in(self) -> int:
@@ -175,20 +167,6 @@ def output_vectors(table: TruthTable) -> list[int]:
     return [int(text[b :: table.n_out], 2) for b in range(table.n_out)]
 
 
-def _unpack(vec: int, n_rows: int) -> np.ndarray:
-    """Bit x of a packed value at index x, as uint8."""
-    raw = np.frombuffer(vec.to_bytes((n_rows + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n_rows, bitorder="little")
-
-
-def _read_register(lines: list[int], order: tuple[int, ...], n_rows: int) -> np.ndarray:
-    """Per row, the value with bit i, counted from the most significant, on line order[i]."""
-    out = np.zeros(n_rows, dtype=np.int64)
-    for line in order:
-        out = (out << 1) | _unpack(lines[line], n_rows)
-    return out
-
-
 def apply_packed(lines: list[int], gate: Gate, full: int) -> int:
     """Apply one gate in place to packed line values; return the rows it flips.
 
@@ -202,14 +180,28 @@ def apply_packed(lines: list[int], gate: Gate, full: int) -> int:
     return act
 
 
-def _run(circuit: Circuit, vecs: list[int], full: int) -> list[int]:
-    """Packed line values after the gates, vecs on the input lines, zero elsewhere."""
-    lines = [0] * circuit._n_lines
-    for line, v in zip(circuit.input_lines, vecs):
-        lines[line] = v
+def _run(circuit: Circuit, vecs: list[int], full: int) -> defaultdict[int, int]:
+    """Packed line values after the gates, vecs on the input lines, zero elsewhere.
+
+    Keyed by line, so only the lines the circuit uses are held, whatever its width.
+    """
+    lines = defaultdict(int, zip(circuit.input_lines, vecs))
     for g in circuit.gates:
         apply_packed(lines, g, full)
     return lines
+
+
+def _register(lines: dict[int, int], order: tuple[int, ...], n_rows: int) -> list[int]:
+    """Per row, the value with bit i, counted from the most significant, on line order[i].
+
+    Each line is read once, as binary text: testing bit x of a 2**n_in-bit
+    value for each row x would take time quadratic in the rows.
+    """
+    values = [0] * n_rows
+    for line in order:
+        text = format(lines[line], f"0{n_rows}b")
+        values = [v << 1 | (bit == "1") for v, bit in zip(values, reversed(text))]
+    return values
 
 
 def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
@@ -221,14 +213,8 @@ def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
     n_in = circuit.n_in
     if not 0 <= x < 1 << n_in:
         raise ValueError(f"x={x} does not fit in {n_in} input bits")
-    bits = _run(circuit, [(x >> (n_in - 1 - i)) & 1 for i in range(n_in)], 1)
-    y = 0
-    for line in circuit.output_lines:
-        y = (y << 1) | bits[line]
-    x_after = 0
-    for line in circuit.input_lines:
-        x_after = (x_after << 1) | bits[line]
-    return y, x_after
+    lines = _run(circuit, [(x >> (n_in - 1 - i)) & 1 for i in range(n_in)], 1)
+    return _register(lines, circuit.output_lines, 1)[0], _register(lines, circuit.input_lines, 1)[0]
 
 
 def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
@@ -250,13 +236,10 @@ def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
         diff |= lines[line] ^ want
     if not diff:
         return []
-    bad = np.flatnonzero(_unpack(diff, n_rows))
-    got = _read_register(lines, circuit.output_lines, n_rows)[bad].tolist()
-    after = _read_register(lines, circuit.input_lines, n_rows)[bad].tolist()
-    return [
-        Mismatch(x, table.rows[x], y, x_after)
-        for x, y, x_after in zip(bad.tolist(), got, after)
-    ]
+    got = _register(lines, circuit.output_lines, n_rows)
+    after = _register(lines, circuit.input_lines, n_rows)
+    rows = reversed(format(diff, f"0{n_rows}b"))
+    return [Mismatch(x, table.rows[x], got[x], after[x]) for x, bit in enumerate(rows) if bit == "1"]
 
 
 def cost(circuit: Circuit) -> CostReport:

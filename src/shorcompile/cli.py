@@ -55,7 +55,7 @@ from .qsim import (
     ProbDist,
     StateVector,
     apply_period_map,
-    check_order_finding_draw,
+    check_draw,
     check_seed,
     depolarize,
     estimate_epsilon,
@@ -79,6 +79,13 @@ EXIT_SYNTHESIS = 3
 _TOL_SLACK = 1e-9
 # ``simulate --rho`` builds a 2**m x 2**m complex matrix: 16 MiB at this bound
 _MAX_RHO_QUBITS = 10
+# ``tables`` refuses work past these bounds before it computes a row (the README
+# states the time taken at each): the orders of every base coprime to --N,
+_MAX_ORDERS_N = 8192
+# one semiprime test per odd n up to --max-N,
+_MAX_ALLOWED_N = 16384
+# and one 2**(m+k)-amplitude state per period, for min(2**m, 2**k) periods
+_MAX_TABLE_AMPLITUDES = 1 << 18
 
 
 def _sha256(text: str) -> str:
@@ -137,14 +144,28 @@ class Table:
     rows: Callable[[_Dists], list[tuple]]
 
 
+def _at_most(option: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise ValueError(f"{option} must be at most {bound}, got {value}")
+
+
 def _distributions(m: int, k: int) -> list[tuple[int, StateVector, ProbDist]]:
     """The post-transform state and its input distribution for every period p the registers allow."""
     start = uniform_input_state(m, k)  # refuses bad sizes before 1 << m is evaluated
-    states = [(p, qft_input(apply_period_map(start, p))) for p in range(1, min(1 << m, 1 << k) + 1)]
+    periods = min(1 << m, 1 << k)
+    _at_most("the amplitudes of min(2**m, 2**k) states of 2**(m+k)", periods << (m + k), _MAX_TABLE_AMPLITUDES)
+    states = [(p, qft_input(apply_period_map(start, p))) for p in range(1, periods + 1)]
     return [(p, state, input_probabilities(state)) for p, state in states]
 
 
+def _order_rows(n: int) -> list[tuple]:
+    _at_most("--N", n, _MAX_ORDERS_N)
+    # factor_semiprime(n).n is n, once n is known to be an odd distinct-prime semiprime
+    return [(rec.a, rec.r) for rec in coprime_order_table(factor_semiprime(n).n)]
+
+
 def _allowed_rows(max_n: int) -> list[tuple]:
+    _at_most("--max-N", max_n, _MAX_ALLOWED_N)
     rows = []
     for n in range(15, max_n + 1, 2):
         try:
@@ -164,11 +185,7 @@ def _rho_rows(dists: _Dists) -> list[tuple]:
 
 # One description per ``tables`` kind, called with the kind's own options.
 _KINDS: dict[str, Callable[..., Table]] = {
-    # factor_semiprime(N).n is N, once N is known to be an odd distinct-prime semiprime
-    "orders": lambda N: Table(
-        f"orders_n{N}", ("a", "r"), 1,
-        lambda _: [(rec.a, rec.r) for rec in coprime_order_table(factor_semiprime(N).n)],
-    ),
+    "orders": lambda N: Table(f"orders_n{N}", ("a", "r"), 1, lambda _: _order_rows(N)),
     "allowed-periods": lambda max_N: Table(
         f"allowed_periods_max{max_N}", ("N", "p", "q", "lambda", "periods"), 1, lambda _: _allowed_rows(max_N)
     ),
@@ -543,7 +560,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
         raise ValueError(f"N={n} is prime")
     if power:
         raise ValueError(f"N={n} is a prime power: {power[0]}**{power[1]}")
-    check_order_finding_draw(args.shots, args.seed)  # before the gcd shortcut, which draws nothing
+    check_draw(args.shots, args.seed)  # before the gcd shortcut, which draws nothing
 
     attempts = []
     factors = None

@@ -27,7 +27,8 @@ import numpy as np
 from .numtheory import continued_fraction_order, multiplicative_order, prime_factors
 
 _MAX_QUBITS = 20
-# order_finding_run draws every shot up front: 8 bytes each, plus a Python int per sample
+# order_finding_run draws every shot up front: 8 bytes each, plus a Python int per sample.
+# sample takes the same bound; its multinomial count must also fit in an int64.
 _MAX_SHOTS = 1 << 20
 # estimate_epsilon clamps an observed S this far outside its interval without a warning.
 _S_TOLERANCE = 1e-12
@@ -199,8 +200,8 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
-def check_order_finding_draw(shots: int, seed: int) -> None:
-    """The shot count and seed that order_finding_run accepts."""
+def check_draw(shots: int, seed: int) -> None:
+    """The shot count and seed that sample and order_finding_run accept."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > _MAX_SHOTS:
@@ -210,9 +211,7 @@ def check_order_finding_draw(shots: int, seed: int) -> None:
 
 def sample(dist: ProbDist, shots: int, seed: int) -> ProbDist:
     """Empirical distribution of a seeded multinomial draw."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    check_seed(seed)
+    check_draw(shots, seed)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, dist.probabilities)
     return ProbDist(counts / shots)
@@ -303,7 +302,7 @@ def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResu
     """
     if math.gcd(a, n) != 1:
         raise ValueError("a must be coprime to n")
-    check_order_finding_draw(shots, seed)
+    check_draw(shots, seed)
     m, cdf = _order_finding_probabilities(a, n)
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]

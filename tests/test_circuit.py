@@ -81,10 +81,10 @@ def test_verify_reports_mismatches():
 
 
 def test_verify_unpacks_no_rows_when_every_row_matches(monkeypatch):
-    def unpacked(*_):
+    def read(*_):
         raise AssertionError("a circuit that verifies needs no per-row values")
 
-    monkeypatch.setattr(circuit_module, "_unpack", unpacked)
+    monkeypatch.setattr(circuit_module, "_register", read)
     for name in FIGURE_IDS:
         e = library_entry(name)
         assert verify(e.circuit, e.table) == []

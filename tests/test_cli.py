@@ -1,11 +1,13 @@
 """CLI surface: formats, manifests, exit codes, golden diffing."""
 
+import argparse
 import contextlib
 import copy
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -302,13 +304,24 @@ def test_circuit_refuses_deeply_nested_documents(tmp_path, capsys, flag):
     assert out == ""
 
 
-@pytest.mark.parametrize("width", [10**20, 2**62])
-def test_circuit_verify_allocates_by_the_lines_used_not_the_declared_width(tmp_path, capsys, width):
+@pytest.mark.parametrize(
+    "width, top",
+    [
+        pytest.param(10**20, 1, id=str(10**20)),
+        pytest.param(2**62, 1, id=str(2**62)),
+        # a gate target and the output register far above the input line: both
+        # the width and the lines differ from a small document
+        pytest.param(2**63, 2**62, id="2**63-line-2**62"),
+        pytest.param(2**63, 10**9, id="2**63-line-10**9"),
+        pytest.param(2**63, 2**31, id="2**63-line-2**31"),
+    ],
+)
+def test_circuit_verify_allocates_by_the_lines_used_not_the_declared_width(tmp_path, capsys, width, top):
     circ_doc = {
         "width": width,
         "input_lines": [0],
-        "output_lines": [1],
-        "gates": [{"kind": "cnot", "controls": [{"line": 0, "neg": False}], "target": 1}],
+        "output_lines": [top],
+        "gates": [{"kind": "cnot", "controls": [{"line": 0, "neg": False}], "target": top}],
     }
     cpath, tpath = tmp_path / "c.json", tmp_path / "t.json"
     cpath.write_text(json.dumps(circ_doc))
@@ -335,9 +348,11 @@ _FUZZ_DOCS = {
 # one node of one document, or () for the whole document
 _FUZZ_TARGETS = [(name, path) for name, doc in _FUZZ_DOCS.items() for path in ((), *_node_paths(doc))]
 # JSON text, or "deep" for _DEEP, which is too long to print in a failure
-# report. No integer here is a feasible but huge allocation for a loader
-# that sizes a list by it (2**62 fails at once, 2**31 would take 16 GiB).
-_HOSTILE_JSON = st.sampled_from(["1.5", "true", '"2"', "null", "-1", str(2**62), str(2**64), "deep"])
+# report. The large integers are lines and widths that a loader sizing a list
+# by them could not allocate.
+_HOSTILE_JSON = st.sampled_from(
+    ["1.5", "true", '"2"', "null", "-1", str(2**31), str(10**9), str(2**62), str(2**64), "deep"]
+)
 _ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -469,6 +484,78 @@ def test_deleted_options_are_usage_errors(capsys, argv):
         entrypoint(list(argv))
     assert exc.value.code == EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _leaf_parsers(parser, path=()):
+    """Every parser that takes no further subcommand, as (subcommand path, parser)."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+_LEAVES = list(_leaf_parsers(cli.build_parser()))
+_EXTREMES = [
+    sign * (2**e + d)
+    for e in (4, 8, 10, 16, 20, 31, 32, 40, 62, 63, 64)
+    for d in (-1, 0, 1)
+    for sign in (1, -1)
+]
+_INT_ARGS = (st.integers(-3, 100) | st.sampled_from(_EXTREMES)).map(str)
+_NUMBER_ARGS = _INT_ARGS | (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])).map(repr)
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand path, then its positional and a draw of its options, each
+    with a value of the option's type or a choice it lists; required options
+    are always present."""
+    path, parser = draw(st.sampled_from(_LEAVES))
+    argv = list(path)
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # -h prints help and exits 0 before it reads the rest
+        if action.choices is not None:
+            value = st.sampled_from(list(action.choices))
+        else:
+            value = _INT_ARGS if action.type is int else _NUMBER_ARGS
+        if not action.option_strings:
+            argv.append(draw(value))
+        elif action.required or draw(st.booleans()):
+            argv.append(draw(st.sampled_from(action.option_strings)))
+            if action.nargs != 0:
+                argv.append(draw(value))
+    return argv
+
+
+@settings(max_examples=300)
+@given(argv=_argvs())
+@example(argv=["simulate", "--p", "3", "--shots", str(2**64)])
+@example(argv=["tables", "probabilities", "--m", "10", "--k", "10"])
+@example(argv=["tables", "allowed-periods", "--max-N", str(2**64)])
+def test_cli_exits_cleanly_on_drawn_arguments(argv):
+    """Any argv the parser's own subcommands and options spell: every run exits
+    0, 1 or 2, and 2 with one error line; argparse's usage errors are
+    SystemExit(2). Exit 3, a synthesized circuit failing its own check, is a fault."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    # --out writes files; each run writes into a directory of its own
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = entrypoint(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE), (argv, err.getvalue())
+    if code == EXIT_USAGE:
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(errors) == 1, (argv, err.getvalue())
 
 
 def test_synth_rejects_bad_base(capsys):
@@ -623,6 +710,43 @@ def test_oversize_registers_exit_with_usage_before_allocating(capsys, argv, mess
     assert code == EXIT_USAGE
     assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize("shots", [str(2**64), "-1"])
+def test_simulate_and_factor_share_one_shot_rule(capsys, shots):
+    errors = []
+    for argv in (("simulate", "--p", "3"), ("factor", "--N", "15", "--a", "2")):
+        code, out, err = run(capsys, *argv, "--shots", shots)
+        assert code == EXIT_USAGE and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: shots must be")
+
+
+@pytest.mark.parametrize(
+    ("argv", "patched", "message"),
+    [
+        (("orders", "--N", "8193"), "coprime_order_table", "--N must be at most 8192, got 8193"),
+        (("allowed-periods", "--max-N", "16385"), "factor_semiprime", "--max-N must be at most 16384, got 16385"),
+        (("allowed-periods", "--max-N", str(2**64)), "factor_semiprime", f"at most 16384, got {2**64}"),
+        # 1024 states of 2**20 amplitudes: 16 GiB
+        (("probabilities", "--m", "10", "--k", "10"), "apply_period_map", "at most 262144, got 1073741824"),
+        (("separability", "--m", "7", "--k", "7"), "apply_period_map", "at most 262144, got 2097152"),
+    ],
+    ids=("orders", "allowed-periods", "allowed-periods-huge", "probabilities", "separability"),
+)
+def test_tables_refuse_work_past_their_bound_before_the_first_row(monkeypatch, capsys, argv, patched, message):
+    monkeypatch.setattr(cli, patched, _refuse)
+    code, out, err = run(capsys, "tables", *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_tables_accept_the_most_amplitudes_they_allow(capsys):
+    # 64 periods of 2**12 amplitudes: 2**18 in all
+    code, out, _ = run(capsys, "tables", "separability", "--m", "6", "--k", "6", "--format", "csv")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 1 + 64
 
 
 _CAP_MESSAGE = "synthesis supports at most 6 input and 6 output bits"
