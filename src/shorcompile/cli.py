@@ -56,6 +56,7 @@ from .qsim import (
     StateVector,
     apply_period_map,
     check_draw,
+    check_registers,
     check_seed,
     depolarize,
     estimate_epsilon,
@@ -151,9 +152,10 @@ def _at_most(option: str, value: int, bound: int) -> None:
 
 def _distributions(m: int, k: int) -> list[tuple[int, StateVector, ProbDist]]:
     """The post-transform state and its input distribution for every period p the registers allow."""
-    start = uniform_input_state(m, k)  # refuses bad sizes before 1 << m is evaluated
+    check_registers(m, k)  # before 1 << m is evaluated
     periods = min(1 << m, 1 << k)
     _at_most("the amplitudes of min(2**m, 2**k) states of 2**(m+k)", periods << (m + k), _MAX_TABLE_AMPLITUDES)
+    start = uniform_input_state(m, k)
     states = [(p, qft_input(apply_period_map(start, p))) for p in range(1, periods + 1)]
     return [(p, state, input_probabilities(state)) for p, state in states]
 
@@ -628,6 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built below at import and shared by every call.
 
     Parsing reads it and never changes it; callers must not change it either.
+    ``entrypoint`` hands a command's options to that command's own parser
+    in this tree, and the whole parser reads argv only for help, the
+    version and usage errors (see ``_parse``).
     """
     parser = argparse.ArgumentParser(prog="shorcompile", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -699,8 +704,46 @@ def build_parser() -> argparse.ArgumentParser:
 build_parser()
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction | None:
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, reading each token once where it can.
+
+    The whole parser sorts every token after the command against its own
+    options, then hands them all to the command's parser, which sorts them
+    again. So the subcommands argv names (the command, and a ``tables``
+    kind) are followed here, and the parser they lead to, the very one the
+    whole parser would hand the rest to, reads the rest alone, provided
+    every option-like token in it is one that parser spells exactly. Any
+    other token, or one it leaves unread, sends argv to the whole parser, so
+    help, the version and every usage error print what
+    ``build_parser().parse_args(argv)`` prints. Only exact spellings are
+    routed because the whole parser refuses some others before the
+    command's parser sees them: ``--=x`` is an ambiguous prefix of its
+    ``--help`` and ``--version``.
+    """
+    parser, rest, dests = build_parser(), argv, {}
+    while (sub := _subcommands(parser)) is not None and rest and rest[0] in sub.choices:
+        dests[sub.dest] = rest[0]
+        dests.update(parser._defaults)  # ``tables`` sets ``func`` before its kind's parser runs
+        parser, rest = sub.choices[rest[0]], rest[1:]
+    if all(tok in parser._option_string_actions for tok in rest if tok.startswith("-")):
+        args, unread = parser.parse_known_args(rest)
+        if not unread:
+            return argparse.Namespace(**{**dests, **vars(args)})
+    return build_parser().parse_args(argv)
+
+
 def entrypoint(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command argv (by default ``sys.argv[1:]``) names and return its exit code.
+
+    A command's options are read once, with that command's own parser; the
+    whole parser reads argv for help, the version and usage errors, so every
+    message is the one ``build_parser().parse_args(argv)`` gives.
+    """
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except SynthesisError as exc:

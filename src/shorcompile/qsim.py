@@ -34,7 +34,8 @@ _MAX_SHOTS = 1 << 20
 _S_TOLERANCE = 1e-12
 
 
-def _check_registers(m: int, k: int) -> None:
+def check_registers(m: int, k: int) -> None:
+    """The register sizes every state accepts, checked before 2**(m+k) is evaluated."""
     if m < 0 or k < 0 or m + k > _MAX_QUBITS:
         raise ValueError(f"register sizes {m}+{k} out of range")
 
@@ -46,7 +47,7 @@ class StateVector:
     amplitudes: np.ndarray  # complex128, length 2**(m+k)
 
     def __post_init__(self) -> None:
-        _check_registers(self.m, self.k)
+        check_registers(self.m, self.k)
         if self.amplitudes.shape != (1 << (self.m + self.k),):
             raise ValueError("amplitude array length must be 2**(m+k)")
         norm = float(np.vdot(self.amplitudes, self.amplitudes).real)  # the sum of abs(amplitude)**2
@@ -105,7 +106,7 @@ class NoiseParams:
 
 def uniform_input_state(m: int, k: int) -> StateVector:
     """Every input value in equal superposition, output register at |0>."""
-    _check_registers(m, k)  # before allocating 2**(m+k) amplitudes
+    check_registers(m, k)  # before allocating 2**(m+k) amplitudes
     amps = np.zeros(1 << (m + k), dtype=np.complex128)
     amps[np.arange(1 << m) << k] = 1.0 / math.sqrt(1 << m)
     return StateVector(m, k, amps)

@@ -12,6 +12,7 @@ import os
 import shutil
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -558,6 +559,45 @@ def test_cli_exits_cleanly_on_drawn_arguments(argv):
         assert len(errors) == 1, (argv, err.getvalue())
 
 
+def _parsed(parse, argv):
+    """The Namespace ``parse(argv)`` returns or the code it exits with, and what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300)
+@given(argv=_argvs())
+@example(argv=["factor", "--N", "15", "--a", "2", "--bogus", "1"])  # unknown option after a command
+@example(argv=["circuit", "cost", "--id", "f4_21", "extra"])  # unread positional
+@example(argv=["factor", "--", "--N", "15"])
+@example(argv=["factor", "-h"])
+@example(argv=["tables", "orders", "--help"])
+@example(argv=["factor", "--N", "15", "--sh", "5"])  # abbreviated option
+@example(argv=["factor", "--N=15"])
+@example(argv=["factor", "--vers"])  # the whole parser's option after a command
+@example(argv=["factor", "--N", "15", "--vers"])
+@example(argv=["factor", "--N", "15", "--=x"])  # an ambiguous prefix of --help and --version
+@example(argv=["factor", "--N", "x"])
+@example(argv=["factor", "--N", "15", "--seed", "-1"])
+@example(argv=["synth", "--a", "4", "--N", "21", "--compile", "bogus"])
+@example(argv=["tables"])
+@example(argv=["tables", "--format", "csv", "orders", "--N", "21"])
+@example(argv=["tables", "bogus"])
+@example(argv=[])
+@example(argv=["bogus"])
+@example(argv=["--version"])
+@example(argv=["-h"])
+def test_routed_parse_matches_the_whole_parser(argv):
+    """``entrypoint``'s parse returns an equal Namespace, or exits with the same
+    code, and prints the same bytes as ``build_parser().parse_args``."""
+    assert _parsed(cli._parse, argv) == _parsed(cli.build_parser().parse_args, argv), argv
+
+
 def test_synth_rejects_bad_base(capsys):
     code, _, err = run(capsys, "synth", "--a", "6", "--N", "15", "--compile", "full")
     assert code == EXIT_USAGE
@@ -742,6 +782,19 @@ def test_tables_refuse_work_past_their_bound_before_the_first_row(monkeypatch, c
     assert out == ""
 
 
+def test_tables_refuse_too_many_amplitudes_before_building_a_state(capsys):
+    # the 2**20-amplitude start state alone would be 16 MiB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "tables", "probabilities", "--m", "10", "--k", "10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: the amplitudes of min(2**m, 2**k) states of 2**(m+k) must be at most 262144, got 1073741824\n"
+    assert peak < 1 << 20
+
+
 def test_tables_accept_the_most_amplitudes_they_allow(capsys):
     # 64 periods of 2**12 amplitudes: 2**18 in all
     code, out, _ = run(capsys, "tables", "separability", "--m", "6", "--k", "6", "--format", "csv")
@@ -888,8 +941,37 @@ def test_json_files_are_one_compact_line(tmp_path, capsys):
     _assert_one_json_line((tmp_path / "separability_m3k3.json").read_text(encoding="utf-8"))
 
 
-def test_build_parser_returns_one_parser():
+def _shortest_argv(path, leaf):
+    """The subcommand path plus each positional's first choice and each required option."""
+    argv = list(path)
+    for action in leaf._actions:
+        if not action.option_strings:
+            argv.append(next(iter(action.choices)))
+        elif action.required:
+            argv += [action.option_strings[0], "1"]
+    return argv
+
+
+def test_build_parser_returns_one_parser(monkeypatch):
     assert cli.build_parser() is cli.build_parser()
+    # entrypoint hands each command's options straight to the command's parser
+    # in build_parser()'s tree, and no call builds a parser
+    parsed_by = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsed_by.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    def refuse(*_, **__):
+        raise AssertionError("built a parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for path, leaf in _LEAVES:
+        parsed_by.clear()
+        entrypoint(_shortest_argv(path, leaf))
+        assert len(parsed_by) == 1 and parsed_by[0] is leaf, path
 
 
 # One call per subcommand, each printing to stdout; _REJECTED is one that
