@@ -1039,6 +1039,86 @@ def test_dense_path_outputs_are_pinned(capsys):
     assert digest.hexdigest() == PINNED_DENSE_PATH_OUTPUTS
 
 
+_TABLE_KINDS = (
+    ("orders", "--N", "21"),
+    ("allowed-periods",),
+    ("probabilities", "--m", "3", "--k", "2"),
+    ("separability",),
+)
+
+# A one-gate circuit and a two-gate table that it does not realize; see
+# test_circuit_verify_detects_mismatch.
+_CIRCUIT_INPUTS = {
+    "c.json": {
+        "width": 4,
+        "input_lines": [0, 1],
+        "output_lines": [2, 3],
+        "gates": [{"kind": "cnot", "controls": [{"line": 0, "neg": False}], "target": 2}],
+    },
+    "t.json": {"n_in": 2, "n_out": 2, "rows": [0, 1, 2, 3]},
+}
+
+
+def _every_command_calls():
+    """One call per command x format x ``--out`` combination; ``<tmp>`` is a scratch directory."""
+    for kind in _TABLE_KINDS:
+        for fmt in ("text", "csv", "json"):
+            yield ("tables", *kind, "--format", fmt)
+            yield ("tables", *kind, "--format", fmt, "--out", "<tmp>/out")
+    yield ("tables", "orders", "--N", "16")
+    for a, n, extra in (("7", "15", ()), ("4", "21", ()), ("4", "21", ("--compile", "log")),
+                        ("32", "69", ("--no-negative-controls",))):
+        for fmt in ("text", "json"):
+            yield ("synth", "--a", a, "--N", n, *extra, "--format", fmt)
+            yield ("synth", "--a", a, "--N", n, *extra, "--format", fmt, "--out", "<tmp>/out/s.json")
+    yield ("synth", "--a", "7", "--N", "15", "--out", "<tmp>/missing/s.json")
+    for argv in (("--p", "3"), ("--p", "3", "--epsilon", "0.8", "--shots", "256", "--seed", "1", "--rho"),
+                 ("--p", "8", "--epsilon", "0.3", "--shots", "500"), ("--p", "1", "--shots", "64"),
+                 ("--p", "7", "--epsilon", "0.7", "--shots", "300", "--seed", "2")):
+        for fmt in ("text", "json"):
+            yield ("simulate", *argv, "--format", fmt)
+    for argv in (("--N", "15", "--a", "6"), ("--N", "15", "--a", "2", "--seed", "1"), ("--N", "15"),
+                 ("--N", "33", "--shots", "8", "--seed", "1"), ("--N", "33", "--a", "4", "--shots", "200", "--seed", "3"),
+                 ("--N", "91"), ("--N", "91", "--a", "2", "--shots", "10")):
+        for fmt in ("text", "json"):
+            yield ("factor", *argv, "--format", fmt)
+    for action in ("show", "verify", "cost"):
+        yield ("circuit", action, "--id", "f4_21")
+        yield ("circuit", action, "--id", "f4_33_full")
+        yield ("circuit", action, "--file", "<tmp>/in/c.json", "--table", "<tmp>/in/t.json")
+    yield ("circuit", "verify", "--file", "<tmp>/in/c.json")
+
+
+# sha256 over (argv, exit code, stdout, stderr, and the name and bytes of each
+# file written under <tmp>/out) of every _every_command_calls call, with the
+# scratch directory written as <tmp>. Recorded before the commands shared one
+# document writer; it must not change.
+PINNED_EVERY_COMMAND_OUTPUT = "ff5b8794f162e0c6cbf28ab741e1b396e0bcf818b9589b66631d4988841d59b2"
+
+
+def test_every_command_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    calls = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "in"))
+        for name, doc in _CIRCUIT_INPUTS.items():
+            with open(os.path.join(tmp, "in", name), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        out_dir = os.path.join(tmp, "out")
+        for argv in _every_command_calls():
+            os.mkdir(out_dir)
+            code, out, err = run(capsys, *(a.replace("<tmp>", tmp) for a in argv))
+            out, err = out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
+            for name in sorted(os.listdir(out_dir)):
+                with open(os.path.join(out_dir, name), "rb") as fh:
+                    digest.update(f"{name}\n".encode() + fh.read() + b"\n")
+            shutil.rmtree(out_dir)
+            calls += 1
+    assert calls == 24 + 1 + 16 + 1 + 10 + 14 + 9 + 1
+    assert digest.hexdigest() == PINNED_EVERY_COMMAND_OUTPUT
+
+
 def _simulate_encoding_calls():
     for p in range(1, 9):
         for shots in ("0", "256"):
