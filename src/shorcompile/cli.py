@@ -89,29 +89,31 @@ _MAX_ALLOWED_N = 16384
 _MAX_TABLE_AMPLITUDES = 1 << 18
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _object(members: dict[str, str]) -> str:
     """A JSON object from its members' encoded values, as ``json.dumps`` joins them."""
     return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in members.items()) + "}"
 
 
-def _manifest(command: str, params: dict, seed: int | None, checksums: dict[str, str]) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "seed": seed,
-        "version": __version__,
-        "checksums": checksums,
-    }
+def _document(
+    command: str, params: dict, seed: int | None, checksum: str, hashed: str, members: dict[str, str]
+) -> str:
+    """A command's one-line JSON document: the manifest, then ``members``, each already encoded.
+
+    The manifest's one checksum, named ``checksum``, is the sha256 of ``hashed``.
+    """
+    checksums = {checksum: hashlib.sha256(hashed.encode("utf-8")).hexdigest()}
+    manifest = {"command": command, "params": params, "seed": seed, "version": __version__, "checksums": checksums}
+    return _object({"manifest": json.dumps(manifest), **members}) + "\n"
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _text_table(header: tuple[str, ...], rows: list[list]) -> str:
-    cells = [header] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-    return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
+    widths = [max(len(str(c)) for c in column) for column in zip(header, *rows)]
+    return "\n".join("  ".join(str(c).rjust(w) for c, w in zip(row, widths)) for row in (header, *rows))
 
 
 def _cost_line(report: CostReport) -> str:
@@ -309,20 +311,15 @@ def cmd_tables(args: argparse.Namespace) -> int:
     csv.writer(buf, lineterminator="\n").writerows([table.header, *rows])
     texts = {"csv": buf.getvalue()}
     if args.out or args.format == "json":
-        doc = {
-            "manifest": _manifest("tables", {"kind": kind, **params}, None, {"csv": _sha256(texts["csv"])}),
-            "header": table.header,
-            "rows": rows,
-        }
-        texts["json"] = json.dumps(doc) + "\n"
+        members = {"header": json.dumps(table.header), "rows": json.dumps(rows)}
+        texts["json"] = _document("tables", {"kind": kind, **params}, None, "csv", texts["csv"], members)
     if not args.out:
         sys.stdout.write(texts[args.format])
         return EXIT_OK
     os.makedirs(args.out, exist_ok=True)
     for ext in ("csv", "json"):
         path = os.path.join(args.out, f"{table.stem}.{ext}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(texts[ext])
+        _write(path, texts[ext])
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -401,35 +398,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.out or args.format == "json":
         # the circuit is encoded once: checksums.circuit hashes the very bytes printed
         circ_text = circuit_to_json(circ)
-        manifest = _manifest(
-            "synth",
-            {"a": a, "N": n, "compile": strategy, "n_in": table.n_in},
-            None,
-            {"circuit": _sha256(circ_text)},
-        )
         members = {
-            "manifest": json.dumps(manifest),
             "level": json.dumps(compiled.level.value),
             "g": json.dumps(compiled.g.kind.value),
             "table": table.to_json(),
             "circuit": circ_text,
-            "cost": json.dumps(
-                {
-                    "n_toffoli": report.n_toffoli,
-                    "n_cnot": report.n_cnot,
-                    "n_not": report.n_not,
-                    "quantum_cost": report.quantum_cost,
-                }
-            ),
+            "cost": json.dumps(vars(report)),
         }
         if comparison:
             members["comparison"] = json.dumps(comparison)
-        text = _object(members) + "\n"
+        params = {"a": a, "N": n, "compile": strategy, "n_in": table.n_in}
+        text = _document("synth", params, None, "circuit", circ_text, members)
         if not args.out:
             sys.stdout.write(text)
             return EXIT_OK
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
 
     print(f"f(x) = {a}**x mod {n}, r={compiled.period}, level={compiled.level.value}, g={compiled.g.kind.value}")
     print(f"table: n_in={table.n_in} n_out={table.n_out} rows={list(table.rows)}")
@@ -448,10 +431,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- simulate
-
-
-def _fmt_dist(values: list[float]) -> str:
-    return " ".join(f"{v:.6f}" for v in values)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -502,22 +481,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # are json.dumps(payload, sort_keys=True), the bytes the checksum has
         # always hashed: rho, the one nested object, has its keys in sorted order.
         encoded = {key: json.dumps(value) for key, value in payload.items()}
-        manifest = _manifest(
-            "simulate",
-            {"p": p, "m": m, "k": k, "epsilon": noise.epsilon, "shots": args.shots},
-            args.seed,
-            {"payload": _sha256(_object({key: encoded[key] for key in sorted(encoded)}))},
-        )
-        print(_object({"manifest": json.dumps(manifest), **encoded}))
+        params = {"p": p, "m": m, "k": k, "epsilon": noise.epsilon, "shots": args.shots}
+        hashed = _object({key: encoded[key] for key in sorted(encoded)})
+        sys.stdout.write(_document("simulate", params, args.seed, "payload", hashed, encoded))
         return EXIT_OK
 
     # text lines are formatted only here, from the payload, so JSON mode never builds them
-    lines = [f"p={p} m={m} k={k} epsilon={noise.epsilon}", f"theoretical: {_fmt_dist(payload['theoretical'])}"]
+    lines = [f"p={p} m={m} k={k} epsilon={noise.epsilon}"]
+    lines.append("theoretical: " + " ".join(map(_cell, payload["theoretical"])))
     if noise.epsilon < 1.0:
-        lines.append(f"noisy:       {_fmt_dist(payload['noisy'])}")
+        lines.append("noisy:       " + " ".join(map(_cell, payload["noisy"])))
     lines.append(f"S_theory={s_theory:.6f} S_noisy_predicted={s_pred:.6f}")
     if args.shots:
-        lines.append(f"empirical:   {_fmt_dist(payload['empirical'])}  (shots={args.shots} seed={args.seed})")
+        drawn = " ".join(map(_cell, payload["empirical"]))
+        lines.append(f"empirical:   {drawn}  (shots={args.shots} seed={args.seed})")
         lines.append(f"S_observed={payload['s_observed']:.6f}")
         est = payload["epsilon_estimate"]
         if est is None:
@@ -591,17 +568,10 @@ def cmd_factor(args: argparse.Namespace) -> int:
             break
 
     if not text:
-        doc = {
-            "manifest": _manifest(
-                "factor",
-                {"N": n, "a": args.a, "shots": args.shots},
-                args.seed,
-                {"payload": _sha256(json.dumps(attempts, sort_keys=True))},
-            ),
-            "attempts": attempts,
-            "factors": factors,
-        }
-        print(json.dumps(doc))
+        params = {"N": n, "a": args.a, "shots": args.shots}
+        members = {"attempts": json.dumps(attempts), "factors": json.dumps(factors)}
+        hashed = json.dumps(attempts, sort_keys=True)
+        sys.stdout.write(_document("factor", params, args.seed, "payload", hashed, members))
     elif factors:
         print(f"factors: {factors[0]} {factors[1]}")
     else:

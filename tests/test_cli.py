@@ -802,6 +802,27 @@ def test_tables_accept_the_most_amplitudes_they_allow(capsys):
     assert len(out.splitlines()) == 1 + 64
 
 
+def _peak_bytes(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = entrypoint(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    return peak
+
+
+def test_tables_text_keeps_no_second_copy_of_the_cells(capsys):
+    # the text table measures and pads the formatted cells in place, as the CSV
+    # writer reads them; a copy of every cell as a string took 1.5x the CSV peak
+    argv = ("tables", "probabilities", "--m", "12", "--k", "0", "--format")
+    run(capsys, *argv, "text")  # one-time allocations count in neither peak
+    text, csv_ = (_peak_bytes(capsys, (*argv, fmt)) for fmt in ("text", "csv"))
+    assert text <= 1.1 * csv_
+
+
 _CAP_MESSAGE = "synthesis supports at most 6 input and 6 output bits"
 
 
