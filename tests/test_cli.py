@@ -815,8 +815,8 @@ def _peak_bytes(capsys, argv):
 
 
 def test_tables_text_keeps_no_second_copy_of_the_cells(capsys):
-    # the text table measures and pads the formatted cells in place, as the CSV
-    # writer reads them; a copy of every cell as a string took 1.5x the CSV peak
+    # the text table pads the formatted cells as it joins each row, as the CSV
+    # writer reads them: no second copy of the table is kept
     argv = ("tables", "probabilities", "--m", "12", "--k", "0", "--format")
     run(capsys, *argv, "text")  # one-time allocations count in neither peak
     text, csv_ = (_peak_bytes(capsys, (*argv, fmt)) for fmt in ("text", "csv"))
