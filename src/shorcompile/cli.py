@@ -216,17 +216,64 @@ _GOLDENS: tuple[tuple[str, Table], ...] = (
 _GOLDEN_DIR = resources.files("shorcompile").joinpath("golden")
 
 
-@functools.cache
-def _golden_text(directory, stem: str) -> str:
-    """The text of ``<directory>/<stem>.csv``, read once per process.
+@dataclass(frozen=True)
+class _Golden:
+    """A golden CSV file, parsed once: row i is ``keys[i]``, ``values[i]``, ``tolerances[i]``.
 
-    Golden files do not change while a process runs. The text is all that
-    outlives a call: rows are parsed and compared on every call.
+    A key cell is an int when it is the canonical decimal of one, so it
+    matches a computed int key, and its text otherwise, which matches none:
+    ``02`` and `` 2`` are not ``2``. A value cell is a float when it reads
+    as one and its text otherwise. A tolerance is a float, or None when its
+    cell does not read as one. ``text`` is kept for the cells a report quotes.
+    """
+
+    text: str
+    header: list[str]
+    keys: tuple[tuple[int | str, ...], ...]
+    values: tuple[tuple[float | str, ...], ...]
+    tolerances: tuple[float | None, ...]
+
+    def cells(self, index: int) -> list[str]:
+        """Row ``index``'s cells as written; row 0 is the first row after the header."""
+        return next(csv.reader([self.text.splitlines()[index + 1]]))
+
+
+def _key_cell(cell: str) -> int | str:
+    try:
+        number = int(cell)
+    except ValueError:
+        return cell
+    return number if str(number) == cell else cell
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+@functools.cache
+def _golden(directory, stem: str, key: int) -> _Golden:
+    """``<directory>/<stem>.csv``, read and parsed once per process; a row's first ``key`` cells are its key.
+
+    Golden files do not change while a process runs. Only the parsed golden
+    outlives a call: every table is recomputed and compared on each call.
     """
     try:
-        return directory.joinpath(stem + ".csv").read_text(encoding="utf-8")
+        text = directory.joinpath(stem + ".csv").read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValueError(f"no bundled golden table {stem}") from None
+    header, *rows = csv.reader(text.splitlines())
+    # each distinct value or tolerance text is read once, into one float that every row holding it shares
+    numbers = {cell: _number(cell) for cell in {c for row in rows for c in (*row[key:-1], *row[-1:])}}
+    return _Golden(
+        text,
+        header,
+        keys=tuple(tuple(map(_key_cell, row[:key])) for row in rows),
+        values=tuple(tuple(c if numbers[c] is None else numbers[c] for c in row[key:-1]) for row in rows),
+        tolerances=tuple(numbers[row[-1]] if row else None for row in rows),
+    )
 
 
 def _cell(value: object) -> object:
@@ -241,30 +288,41 @@ def _diff(table: Table, dists: _Dists = _distributions) -> list[str]:
     """Compare ``table`` with its golden, matching rows on their key columns.
 
     String cells must be equal and numeric cells agree within the row's
-    tolerance. Reports golden rows that disagree or are missing, and extra
-    computed rows.
+    tolerance. Reports golden rows that disagree or are missing, golden
+    cells that should be numbers and are not, and extra computed rows.
     """
-    header, *golden = csv.reader(_golden_text(_GOLDEN_DIR, table.stem).splitlines())
-    if header != [*table.header, "tolerance"]:
-        return [f"{table.stem}: golden columns {','.join(header)}, expected {','.join(table.header)},tolerance"]
-    key, names = table.key, table.header
-    computed = {tuple([str(c) for c in row[:key]]): row[key:] for row in table.rows(dists)}
+    key, names, stem = table.key, table.header, table.stem
+    golden = _golden(_GOLDEN_DIR, stem, key)
+    if golden.header != [*names, "tolerance"]:
+        return [f"{stem}: golden columns {','.join(golden.header)}, expected {','.join(names)},tolerance"]
+    computed = {tuple(row[:key]): row[key:] for row in table.rows(dists)}
     problems = []
-    for row in golden:
-        name, want = tuple(row[:key]), row[key:-1]
+    for index, (name, want, tol) in enumerate(zip(golden.keys, golden.values, golden.tolerances)):
         got = computed.pop(name, None)
         if got is None:
-            problems.append(f"{table.stem} {_named(names, name)}: golden row missing")
+            problems.append(f"{stem} {_named(names, name)}: golden row missing")
             continue
-        tol = float(row[-1]) + _TOL_SLACK
-        for w, g in zip(want, got):
-            if g != w if isinstance(g, str) else abs(g - float(w)) > tol:
+        if tol is None:
+            cell = golden.cells(index)[-1]
+            problems.append(f"{stem} {_named(names, name)}: golden tolerance {cell!r} is not a number")
+            continue
+        tol += _TOL_SLACK
+        for column, (w, g) in enumerate(zip(want, got), key):
+            if isinstance(g, str):  # a text cell, compared as written
+                bad = g != (w if isinstance(w, str) else golden.cells(index)[column])
+            elif isinstance(w, str):
+                problems.append(f"{stem} {_named(names, name)}: golden {names[column]} {w!r} is not a number")
+                break
+            else:
+                bad = abs(g - w) > tol
+            if bad:
+                written = golden.cells(index)[key:-1]
                 problems.append(
-                    f"{table.stem} {_named(names, name)}: "
-                    f"golden {_named(names[key:], want)}, computed {_named(names[key:], got)}"
+                    f"{stem} {_named(names, name)}: "
+                    f"golden {_named(names[key:], written)}, computed {_named(names[key:], got)}"
                 )
                 break
-    problems.extend(f"{table.stem} {_named(names, name)}: extra computed row" for name in computed)
+    problems.extend(f"{stem} {_named(names, name)}: extra computed row" for name in computed)
     return problems
 
 
@@ -585,7 +643,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
 def cmd_diff_golden(args: argparse.Namespace) -> int:
     # The m=3 states are built once per call and shared by the probability,
     # separability and p=3 density checks; like every computed row they are
-    # never kept across calls. Only the golden files' text is, in _golden_text.
+    # never kept across calls. Only the parsed golden files are, in _golden.
     dists = functools.cache(_distributions)
     passed = [_report(label, _diff(table, dists)) for label, table in _GOLDENS]
     passed.append(_report("figure circuits", _check_circuits()))

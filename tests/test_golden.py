@@ -129,6 +129,44 @@ def test_a_value_is_checked_against_its_tolerance(tmp_path, monkeypatch, capsys,
         assert _section(out, label) == [f"{label}: FAIL", f"  {problem}"]
 
 
+@pytest.mark.parametrize(
+    "stem, edits, problem",
+    [
+        ("orders_n33", {(3, 1): "x"}, "orders_n33 a=5: golden r 'x' is not a number"),
+        ("rho_p3", {(5, 4): "tol"}, "rho_p3 row=0 col=4: golden tolerance 'tol' is not a number"),
+        ("probabilities_m3k3", {(2, 2): ""}, "probabilities_m3k3 p=1 k=1: golden probability '' is not a number"),
+    ],
+)
+def test_a_malformed_cell_is_one_fail_line(tmp_path, monkeypatch, capsys, stem, edits, problem):
+    code, out = _diff_golden_with(tmp_path, monkeypatch, capsys, stem, edits)
+    label, _ = _TABLES[stem]
+    assert code == EXIT_MISMATCH
+    assert out.count(": FAIL") == 1
+    assert _section(out, label) == [f"{label}: FAIL", f"  {problem}"]
+
+
+def test_each_golden_is_parsed_once_per_directory(tmp_path, monkeypatch, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    for directory in (first, second):
+        shutil.copytree(cli._GOLDEN_DIR, directory)
+    parsed = []
+    reader = csv.reader
+
+    def counting(lines, *args, **kwargs):
+        parsed.append(lines)
+        return reader(lines, *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting)
+    counts = []
+    for directory in (first, first, second, second, first):
+        monkeypatch.setattr(cli, "_GOLDEN_DIR", directory)
+        assert entrypoint(["diff-golden"]) == EXIT_OK
+        counts.append(len(parsed))
+        parsed.clear()
+    assert counts == [len(cli._GOLDENS), 0, len(cli._GOLDENS), 0, 0]
+    assert ": FAIL" not in capsys.readouterr().out
+
+
 # ------------------------------------------------- equivalence with the reference
 
 _DISTS = functools.cache(cli._distributions)
