@@ -65,9 +65,14 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.entries.shape != (self.dim, self.dim):
+        entries = self.entries
+        if entries.shape != (self.dim, self.dim):
             raise ValueError("entry matrix shape must be (dim, dim)")
-        if not np.allclose(self.entries, self.entries.conj().T, atol=1e-12):
+        if not np.isfinite(entries).all():
+            raise ValueError("density matrix entries must be finite")
+        # np.allclose(entries, adjoint, atol=1e-12) written out, without its per-call overhead
+        adjoint = entries.conj().T
+        if not (np.abs(entries - adjoint) <= 1e-12 + 1e-5 * np.abs(adjoint)).all():
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(self.entries).real - 1.0) > 1e-12:
             raise ValueError("density matrix trace must be 1")

@@ -160,6 +160,28 @@ def test_density_matrix_validation():
         DensityMatrix(2, notherm)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_density_matrix_refuses_non_finite_entries(value):
+    # allclose counts inf as close to inf, and a NaN eigenvalue is not below -1e-10
+    entries = np.array([[0.5, value], [value, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="density matrix entries must be finite"):
+        DensityMatrix(2, entries)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 2.4e-6, 2.6e-6, 1e-5, 1e-13, 1.5e-12])
+@pytest.mark.parametrize("scale", [0.25, 0.0])
+def test_density_matrix_hermiticity_tolerance_is_allclose(delta, scale):
+    """|E - E^H| <= 1e-12 + 1e-5 |E^H| entrywise: np.allclose's test at atol=1e-12."""
+    entries = np.array([[0.5, scale + delta], [scale, 0.5]], dtype=complex)
+    hermitian = np.allclose(entries, entries.conj().T, atol=1e-12)
+    assert hermitian == (delta <= 1e-12 + 1e-5 * scale)
+    if hermitian:
+        DensityMatrix(2, entries)
+    else:
+        with pytest.raises(ValueError, match="density matrix must be Hermitian"):
+            DensityMatrix(2, entries)
+
+
 def test_separability_index_is_sum_of_squares():
     for _ in range(50):
         raw = RNG.random(8)
