@@ -65,14 +65,13 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = self.entries
-        if entries.shape != (self.dim, self.dim):
+        if self.entries.shape != (self.dim, self.dim):
             raise ValueError("entry matrix shape must be (dim, dim)")
-        if not np.isfinite(entries).all():
+        if not np.isfinite(self.entries).all():
             raise ValueError("density matrix entries must be finite")
         # np.allclose(entries, adjoint, atol=1e-12) written out, without its per-call overhead
-        adjoint = entries.conj().T
-        if not (np.abs(entries - adjoint) <= 1e-12 + 1e-5 * np.abs(adjoint)).all():
+        adjoint = self.entries.conj().T
+        if not (np.abs(self.entries - adjoint) <= 1e-12 + 1e-5 * np.abs(adjoint)).all():
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(self.entries).real - 1.0) > 1e-12:
             raise ValueError("density matrix trace must be 1")
