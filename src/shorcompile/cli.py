@@ -265,7 +265,7 @@ def _golden(directory, stem: str, key: int) -> _Golden:
         raise ValueError(f"no bundled golden table {stem}") from None
     header, *rows = csv.reader(text.splitlines())
     # each distinct value or tolerance text is read once, into one float that every row holding it shares
-    numbers = {cell: _number(cell) for cell in {c for row in rows for c in (*row[key:-1], *row[-1:])}}
+    numbers = {cell: _number(cell) for cell in {c for row in rows for c in row[key:-1] + row[-1:]}}
     return _Golden(
         text,
         header,

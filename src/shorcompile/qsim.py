@@ -69,7 +69,7 @@ class DensityMatrix:
             raise ValueError("entry matrix shape must be (dim, dim)")
         if not np.isfinite(self.entries).all():
             raise ValueError("density matrix entries must be finite")
-        # np.allclose(entries, adjoint, atol=1e-12) written out, without its per-call overhead
+        # np.allclose(self.entries, adjoint, atol=1e-12) written out, without its per-call overhead
         adjoint = self.entries.conj().T
         if not (np.abs(self.entries - adjoint) <= 1e-12 + 1e-5 * np.abs(adjoint)).all():
             raise ValueError("density matrix must be Hermitian")
