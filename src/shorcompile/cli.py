@@ -246,10 +246,12 @@ def _key_cell(cell: str) -> int | str:
 
 
 def _number(cell: str) -> float | None:
+    """The cell as a finite float, or None: a nan value would match anything, an inf tolerance accept it."""
     try:
-        return float(cell)
+        number = float(cell)
     except ValueError:
         return None
+    return number if math.isfinite(number) else None
 
 
 @functools.cache

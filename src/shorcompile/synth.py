@@ -113,37 +113,35 @@ class SynthesisError(RuntimeError):
 
 @cache
 def _affine_forms(n_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed value and tie-break key of every affine form over n_in inputs.
+    """Packed value and term count of every affine form over n_in inputs.
 
-    Form 2*mask + const is the XOR of the input lines in mask, complemented
-    when const. Its key, terms<<8 | mask<<1 | const, orders forms by fewest
-    terms, then lexicographic (mask, const); fit_linear adds the mismatch
-    count above them, at bit 16.
+    Form f = 2*mask + const is the XOR of the input lines in mask,
+    complemented when const, so its term count is the popcount of f.
     """
     full = (1 << (1 << n_in)) - 1
     span = [0]  # span[mask]: XOR of the input lines whose bit is set in mask
     for vec in input_vectors(n_in):
         span += [v ^ vec for v in span]
     values = np.array([v ^ (full * const) for v in span for const in (0, 1)], dtype=np.uint64)
-    keys = np.array([((f >> 1).bit_count() + (f & 1)) << 8 | f for f in range(len(values))], dtype=np.int32)
-    values.flags.writeable = keys.flags.writeable = False
-    return values, keys
+    terms = np.bitwise_count(np.arange(len(values)))
+    values.flags.writeable = terms.flags.writeable = False
+    return values, terms
 
 
 def fit_linear(table: TruthTable) -> LinearFit:
     """Best affine GF(2) form per output bit, by exhaustive scoring.
 
     Selection key: fewest mismatches, then fewest terms, then lexicographic
-    (mask, const). Constant-0 bits therefore get the empty form. Raises
-    ValueError for more than 6 input or output bits.
+    (mask, const), argmin's first index. Constant-0 bits therefore get the
+    empty form. Raises ValueError for more than 6 input or output bits.
     """
     check_register_widths(table.n_in, table.n_out)
     n = table.n_in
-    values, keys = _affine_forms(n)
+    values, terms = _affine_forms(n)
     targets = output_vectors(table)
     miss = np.bitwise_count(values ^ np.array(targets, dtype=np.uint64)[:, None])
     bits = []
-    for target, f in zip(targets, np.argmin(miss.astype(np.int32) << 16 | keys, axis=1).tolist()):
+    for target, f in zip(targets, np.argmin(miss.astype(np.int32) << 3 | terms, axis=1).tolist()):
         m = int(values[f]) ^ target
         mism = frozenset(x for x in range(1 << n) if (m >> x) & 1)
         bits.append(BitFit(AffineForm(f >> 1, bool(f & 1)), mism))
@@ -172,7 +170,10 @@ def _candidates(n_in: int, width: int, j: int, allow_neg: bool) -> Iterator[tupl
     one or two lines, complemented when neg. Lone factors are every other
     line, then every line pair; Toffoli factor pairs draw from the borrowed
     input-line pairs, then the single lines. qcost is that of the gates
-    _realize would build. No candidate depends on the line values.
+    _realize would build. No candidate depends on the line values. Within a
+    (qcost, negative controls, factor count) class, candidates come in
+    ascending (flattened factor lines, polarities) order, and _catalogue
+    enumerates j ascending: the greedy tie-break below the class.
     """
     polarities = (False, True) if allow_neg else (False,)
     borrowed = [(a, b) for a in range(n_in) for b in range(a + 1, n_in)]
@@ -228,11 +229,10 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
     complement and 2*len(slots) all ones, where a lone factor's i2 and both
     of a NOT's indices point. The int16 pairs (2 x P) holds each distinct
     (i1, i2) once; the int16 cell holds one entry per candidate,
-    pair * n_out + (j - n_in), sorted by the greedy key after score:
-    (qcost, negative controls, factor count, j, lines, polarities), then
-    enumeration order. readers[j - n_in] lists the pairs that read output
-    line j. Every array is read-only. With n_in, n_out <= 6 there are at
-    most 72 keys, each holding at most about 25 kB.
+    pair * n_out + (j - n_in), stably sorted by cost class, which leaves it
+    in greedy order (see _candidates). readers[j - n_in] lists the pairs
+    that read output line j. Every array is read-only. With n_in, n_out
+    <= 6 there are at most 72 keys, each holding at most about 25 kB.
     """
     slots = tuple((c,) for c in range(width)) + tuple(
         (a, b) for a in range(width) for b in range(a + 1, width)
@@ -243,23 +243,16 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
     n, ones = len(slots), 2 * len(slots)
 
     def columns(j: int, factors: tuple, qcost: int) -> Iterator[int]:
-        # the pair key, j, then the sort key packed into one int below 2**30:
-        # qcost, then the two counts in 2 bits each, j and the four lines in 4
-        # bits each (shorter line tuples sort first, as 0 sorts before any
-        # line + 1), the two polarities in 1 bit each
+        # the pair key, j, then the cost class: qcost, negative controls, factor count
         refs = [index[lines] + n * neg for lines, neg in factors] + [ones, ones]
-        lines = [ln + 1 for f, _ in factors for ln in f] + [0] * 4
-        pols = [neg for _, neg in factors] + [0, 0]
-        key = (qcost << 4 | sum(pols) << 2 | len(factors)) << 4 | j
-        for ln in lines[:4]:
-            key = key << 4 | ln
-        yield from (refs[0] * (ones + 1) + refs[1], j, key << 2 | pols[0] << 1 | pols[1])
+        negs = sum(neg for _, neg in factors)
+        yield from (refs[0] * (ones + 1) + refs[1], j, (qcost << 2 | negs) << 2 | len(factors))
 
     flat = chain.from_iterable(
         columns(j, f, q) for j in range(n_in, width) for f, q in _candidates(n_in, width, j, allow_neg)
     )
     rows = np.fromiter(flat, dtype=np.int32).reshape(-1, 3).T
-    order = np.argsort(rows[2], kind="stable")  # ties keep enumeration order
+    order = np.argsort(rows[2], kind="stable")  # enumeration order breaks ties within a class
     pair_key, target = rows[0].take(order), rows[1].take(order) - n_in
     del rows, order  # freed before np.unique, which would otherwise raise the build's peak
     keys, pair = np.unique(pair_key, return_inverse=True)
@@ -284,10 +277,9 @@ class _Scorer:
     candidates of a line absent from errs (error mask 0) never do. Each
     distinct factor pair is ANDed once and scored against every output
     line at once, into a pairs x n_out matrix; candidates gather their
-    scores from it. The key is (-score, qcost, negative controls, factor
-    count, j, lines, polarities); the catalogue is already in key order
-    after score, so the first argmax is the winner. Line values pack at
-    most 64 rows (n_in <= 6), one uint64 each.
+    scores from it. The catalogue is in tie-break order (see _candidates),
+    so the first argmax is the winner. Line values pack at most 64 rows
+    (n_in <= 6), one uint64 each.
 
     A round's gates change only their target line (_realize restores every
     borrowed line), so update rescores only the pairs that read that line
@@ -397,12 +389,11 @@ def plan_cascades(
     """Repair plan for everything the linear stage left wrong.
 
     Greedy phase: among all candidates, pick the one fixing the most wrong
-    entries net of newly broken ones; ties go to cheaper gates, fewer
-    negative controls, fewer factors, then the lowest target line, factor
-    lines and polarities. When no candidate has a
-    positive net score, the remaining residual is emitted from its algebraic
-    normal form, which always completes. The plan also carries the linear
-    stage's gates it started from, so synthesize emits them once.
+    entries net of newly broken ones; ties go to the cheapest, in the order
+    _candidates documents. When no candidate has a positive net score, the
+    remaining residual is emitted from its algebraic normal form, which
+    always completes. The plan also carries the linear stage's gates it
+    started from, so synthesize emits them once.
     """
     n_in, n_out = table.n_in, table.n_out
     width = n_in + n_out

@@ -2,13 +2,15 @@
 
 ``reference_diff`` is the comparator ``cli._diff`` once was: it reads and
 parses the golden CSV on every call and converts each golden cell as it
-compares it. For a golden whose every cell it can read, ``cli._diff`` must
-return exactly its problem list.
+compares it, raising on a cell that is not a finite number. For a golden
+whose every cell it can read, ``cli._diff`` must return exactly its problem
+list.
 """
 
 import csv
 import functools
 import itertools
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -31,6 +33,13 @@ def _named(names, cells):
     return " ".join(f"{name}={_cell(c)}" for name, c in zip(names, cells))
 
 
+def _finite(cell):
+    number = float(cell)
+    if not math.isfinite(number):
+        raise ValueError(f"golden cell {cell!r} is not finite")
+    return number
+
+
 def reference_diff(table, directory, dists):
     """``table``'s problems against ``<directory>/<stem>.csv``, parsed on this call."""
     text = Path(directory, f"{table.stem}.csv").read_text(encoding="utf-8")
@@ -46,9 +55,9 @@ def reference_diff(table, directory, dists):
         if got is None:
             problems.append(f"{table.stem} {_named(names, name)}: golden row missing")
             continue
-        tol = float(row[-1]) + _TOL_SLACK
+        tol = _finite(row[-1]) + _TOL_SLACK
         for w, g in zip(want, got):
-            if g != w if isinstance(g, str) else abs(g - float(w)) > tol:
+            if g != w if isinstance(g, str) else abs(g - _finite(w)) > tol:
                 problems.append(
                     f"{table.stem} {_named(names, name)}: "
                     f"golden {_named(names[key:], want)}, computed {_named(names[key:], got)}"
@@ -135,6 +144,10 @@ def test_a_value_is_checked_against_its_tolerance(tmp_path, monkeypatch, capsys,
         ("orders_n33", {(3, 1): "x"}, "orders_n33 a=5: golden r 'x' is not a number"),
         ("rho_p3", {(5, 4): "tol"}, "rho_p3 row=0 col=4: golden tolerance 'tol' is not a number"),
         ("probabilities_m3k3", {(2, 2): ""}, "probabilities_m3k3 p=1 k=1: golden probability '' is not a number"),
+        # a nan value would match any computed value, and a nan or inf tolerance accept one
+        ("separability_m3k3", {(3, 1): "nan"}, "separability_m3k3 p=3: golden S 'nan' is not a number"),
+        ("separability_m3k3", {(3, 2): "nan"}, "separability_m3k3 p=3: golden tolerance 'nan' is not a number"),
+        ("separability_m3k3", {(3, 2): "inf"}, "separability_m3k3 p=3: golden tolerance 'inf' is not a number"),
     ],
 )
 def test_a_malformed_cell_is_one_fail_line(tmp_path, monkeypatch, capsys, stem, edits, problem):

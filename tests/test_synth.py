@@ -1,6 +1,7 @@
 """Two-stage synthesis: linear fitting, greedy repair, width refusals."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -297,3 +298,28 @@ def test_widest_catalogue_is_read_only_int16_and_smaller_than_three_rows(allow_n
     for arr in (cell, pairs, *readers):
         assert arr.dtype == np.int16 and not arr.flags.writeable
     assert cell.nbytes + pairs.nbytes + sum(r.nbytes for r in readers) <= 3 * 2 * count
+
+
+def _greedy_key(candidate):
+    """The full greedy tie-break key after score, written out."""
+    j, factors, qcost = candidate
+    pols = tuple(neg for _, neg in factors)
+    lines = tuple(ln for f, _ in factors for ln in f)
+    return qcost, sum(pols), len(factors), j, lines, pols
+
+
+def test_catalogue_order_is_the_full_tie_break_key():
+    """_catalogue sorts by cost class alone, so below the class its order is
+    _candidates' enumeration order: that must be the rest of the greedy key,
+    on all 72 shapes under the 6-bit cap."""
+    for n_in, n_out, allow_neg in itertools.product(range(1, 7), range(1, 7), (True, False)):
+        width = n_in + n_out
+        slots, _, _, cell, pairs, _ = _catalogue(n_in, width, allow_neg)
+        index, ones = {lines: s for s, lines in enumerate(slots)}, 2 * len(slots)
+        every = [(j, f, q) for j in range(n_in, width) for f, q in _candidates(n_in, width, j, allow_neg)]
+        want = []
+        for j, factors, _ in sorted(every, key=_greedy_key):
+            refs = [index[lines] + len(slots) * neg for lines, neg in factors] + [ones, ones]
+            want.append([refs[0], refs[1], j - n_in])
+        got = np.vstack((pairs[:, cell // n_out], cell % n_out)).T.tolist()
+        assert got == want, (n_in, n_out, allow_neg)
