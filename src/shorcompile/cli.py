@@ -224,10 +224,13 @@ class _Golden(NamedTuple):  # a NamedTuple is defined at import in a seventh of 
     ``02`` and `` 2`` are not ``2``. A value cell is a float when it reads
     as one and its text otherwise. A tolerance is a float, or None when its
     cell does not read as one. ``text`` is kept for the cells a report quotes.
+    ``malformed`` has one problem line for a missing header, or one per row
+    whose cell count is not the header's: such a file is reported by them alone.
     """
 
     text: str
     header: list[str]
+    malformed: tuple[str, ...]
     keys: tuple[tuple[int | str, ...], ...]
     values: tuple[tuple[float | str, ...], ...]
     tolerances: tuple[float | None, ...]
@@ -265,12 +268,18 @@ def _golden(directory, stem: str, key: int) -> _Golden:
         text = directory.joinpath(stem + ".csv").read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValueError(f"no bundled golden table {stem}") from None
-    header, *rows = csv.reader(text.splitlines())
+    header, *rows = [*csv.reader(text.splitlines())] or [[]]
+    malformed = tuple(
+        f"{stem} line {number}: {len(row)} cells, header has {len(header)}"
+        for number, row in enumerate(rows, 2)
+        if len(row) != len(header)
+    ) if header else (f"{stem} line 1: no header",)
     # each distinct value or tolerance text is read once, into one float that every row holding it shares
     numbers = {cell: _number(cell) for cell in {c for row in rows for c in row[key:-1] + row[-1:]}}
     return _Golden(
         text,
         header,
+        malformed,
         keys=tuple(tuple(map(_key_cell, row[:key])) for row in rows),
         values=tuple(tuple(c if numbers[c] is None else numbers[c] for c in row[key:-1]) for row in rows),
         tolerances=tuple(numbers[row[-1]] if row else None for row in rows),
@@ -294,6 +303,8 @@ def _diff(table: Table, dists: _Dists = _distributions) -> list[str]:
     """
     key, names, stem = table.key, table.header, table.stem
     golden = _golden(_GOLDEN_DIR, stem, key)
+    if golden.malformed:
+        return list(golden.malformed)
     if golden.header != [*names, "tolerance"]:
         return [f"{stem}: golden columns {','.join(golden.header)}, expected {','.join(names)},tolerance"]
     computed = {tuple(row[:key]): row[key:] for row in table.rows(dists)}

@@ -6,14 +6,15 @@ argmin, and emits it as CNOT copies. Stage two repairs the remaining wrong
 entries greedily. A candidate is a target line and up to two control
 factors, each the XOR of one or two lines with a polarity (a two-line
 Toffoli factor is an input-line pair borrowed in place and restored). Its
-shape does not depend on the line values, so _candidates is enumerated once
-per (n_in, width, polarity setting), over every target line, into one
-read-only catalogue: the lines of every factor slot, and int16 arrays sorted
-by the tie-break key that store each distinct factor pair once. The first
-round packs every line (at most 64 rows) into a uint64, ANDs each factor
-pair once and popcounts it against every output line's error mask into a
-pairs x outputs score matrix; each candidate gathers its score from that
-matrix, the first best score is the winner, and gates are built only for it.
+shape does not depend on the line values, and its target only rules out
+the shapes whose factors read it, so _candidates is enumerated once per
+(n_in, width, polarity setting), with no target, into one read-only
+catalogue: int16 arrays that store each shape once, as a factor pair, and
+every candidate in tie-break order. The first round packs every line (at
+most 64 rows) into a uint64, ANDs each factor pair once and popcounts it
+against every output line's error mask into a pairs x outputs score
+matrix; each candidate gathers its score from that matrix, the first best
+score is the winner, and gates are built only for it.
 A winner's gates change only its target line, since every borrowed line is
 restored, so each later round rescores just the factor pairs that read that
 line and that line's score column. Chaining gate outputs into later controls
@@ -38,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -162,23 +163,25 @@ def _emit_linear(fit: LinearFit, n_in: int, allow_neg: bool = True) -> list[Gate
     return gates
 
 
-def _candidates(n_in: int, width: int, j: int, allow_neg: bool) -> Iterator[tuple[tuple, int]]:
-    """Every greedy repair candidate for target line j, as plain data.
+def _candidates(n_in: int, width: int, j: int | None, allow_neg: bool) -> Iterator[tuple[tuple, int]]:
+    """Every greedy repair candidate for output line j, as plain data.
 
     A candidate (factors, qcost) flips line j on the rows where every one of
     its zero, one or two factors holds. A factor (lines, neg) is the XOR of
     one or two lines, complemented when neg. Lone factors are every other
     line, then every line pair; Toffoli factor pairs draw from the borrowed
     input-line pairs, then the single lines. qcost is that of the gates
-    _realize would build. No candidate depends on the line values. Within a
-    (qcost, negative controls, factor count) class, candidates come in
-    ascending (flattened factor lines, polarities) order, and _catalogue
-    enumerates j ascending: the greedy tie-break below the class.
+    _realize would build. No candidate depends on the line values. j=None
+    excludes no line: j's candidates are exactly the j=None shapes whose
+    factors do not read j, in the same order. Within a (qcost, negative
+    controls, factor count) class, candidates come in ascending (flattened
+    factor lines, polarities) order, and _catalogue takes j ascending: the
+    greedy tie-break below the class.
     """
     polarities = (False, True) if allow_neg else (False,)
-    borrowed = [(a, b) for a in range(n_in) for b in range(a + 1, n_in)]
+    borrowed = list(combinations(range(n_in), 2))
     singles = [(c,) for c in range(width) if c != j]
-    pairs = [(a, b) for a in range(width) for b in range(a + 1, width) if j not in (a, b)]
+    pairs = [p for p in combinations(range(width), 2) if j not in p]
     yield (), 1
     for lines in singles + pairs:
         for neg in polarities:
@@ -219,7 +222,7 @@ def _realize(j: int, factors: tuple) -> list[Gate]:
 
 @cache
 def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
-    """Every _candidates shape for every target line: (slots, sa, sb, cell, pairs, readers).
+    """Every _candidates shape and the target lines that use it: (slots, sa, sb, cell, pairs, readers).
 
     slots lists the lines of every factor slot, each line then each line
     pair; slot s holds line sa[s] XOR line sb[s], where a lone line's sb is
@@ -227,43 +230,38 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
     target line j where entries i1 and i2 of a round's factor table (see
     _Scorer) both hold: entry s is the value of slot s, s + len(slots) its
     complement and 2*len(slots) all ones, where a lone factor's i2 and both
-    of a NOT's indices point. The int16 pairs (2 x P) holds each distinct
-    (i1, i2) once; the int16 cell holds one entry per candidate,
-    pair * n_out + (j - n_in), stably sorted by cost class, which leaves it
-    in greedy order (see _candidates). readers[j - n_in] lists the pairs
-    that read output line j. Every array is read-only. With n_in, n_out
-    <= 6 there are at most 72 keys, each holding at most about 25 kB.
+    of a NOT's indices point. The int16 pairs (2 x P) holds the (i1, i2) of
+    each j=None shape of _candidates once, in order, less the shapes that
+    read every output line. readers[j - n_in] lists the pairs that read
+    output line j, and the others are j's candidates: the int16 cell holds
+    one entry per candidate, pair * n_out + (j - n_in), in (j, pair) order
+    stably sorted by cost class, which leaves it in greedy order (see
+    _candidates). Every array is read-only. With n_in, n_out <= 6 there
+    are at most 72 keys, each holding at most about 25 kB.
     """
-    slots = tuple((c,) for c in range(width)) + tuple(
-        (a, b) for a in range(width) for b in range(a + 1, width)
-    )
+    slots = tuple((c,) for c in range(width)) + tuple(combinations(range(width), 2))
     sa = np.array([ln[0] for ln in slots], dtype=np.intp)
     sb = np.array([ln[1] if len(ln) == 2 else width for ln in slots], dtype=np.intp)
     index = {lines: s for s, lines in enumerate(slots)}
     n, ones = len(slots), 2 * len(slots)
 
-    def columns(j: int, factors: tuple, qcost: int) -> Iterator[int]:
-        # the pair key, j, then the cost class: qcost, negative controls, factor count
+    def columns(factors: tuple, qcost: int) -> Iterator[int]:
+        # the two factor-table entries, the cost class (qcost, negative controls,
+        # factor count) and the bit mask of the lines the factors read
         refs = [index[lines] + n * neg for lines, neg in factors] + [ones, ones]
         negs = sum(neg for _, neg in factors)
-        yield from (refs[0] * (ones + 1) + refs[1], j, (qcost << 2 | negs) << 2 | len(factors))
+        read = sum({1 << ln for lines, _ in factors for ln in lines})
+        yield from (refs[0], refs[1], (qcost << 2 | negs) << 2 | len(factors), read)
 
-    flat = chain.from_iterable(
-        columns(j, f, q) for j in range(n_in, width) for f, q in _candidates(n_in, width, j, allow_neg)
-    )
-    rows = np.fromiter(flat, dtype=np.int32).reshape(-1, 3).T
-    order = np.argsort(rows[2], kind="stable")  # enumeration order breaks ties within a class
-    pair_key, target = rows[0].take(order), rows[1].take(order) - n_in
-    del rows, order  # freed before np.unique, which would otherwise raise the build's peak
-    keys, pair = np.unique(pair_key, return_inverse=True)
-    cell = (pair * (width - n_in) + target).astype(np.int16)
-    pairs = np.stack(np.divmod(keys, ones + 1)).astype(np.int16)
-    # entry e of the factor table reads output line j when its slot does;
-    # the all-ones entry reads none
-    outputs = np.arange(n_in, width)
-    reads = (sa[:, None] == outputs) | (sb[:, None] == outputs)
-    reads = np.concatenate((reads, reads, np.zeros((1, width - n_in), dtype=bool)))
-    readers = tuple(np.flatnonzero(col).astype(np.int16) for col in (reads[pairs[0]] | reads[pairs[1]]).T)
+    flat = chain.from_iterable(columns(f, q) for f, q in _candidates(n_in, width, None, allow_neg))
+    i1, i2, cost, read = np.fromiter(flat, dtype=np.int32).reshape(-1, 4).T
+    reads = (read >> np.arange(n_in, width)[:, None] & 1).astype(bool)  # n_out x P
+    used = ~reads.all(axis=0)
+    pairs, cost, reads = np.stack((i1, i2)).astype(np.int16)[:, used], cost[used], reads[:, used]
+    out_line, pair = np.nonzero(~reads)  # j ascending, then enumeration order
+    cell = (pair * (width - n_in) + out_line).astype(np.int16)
+    cell = cell.take(np.argsort(cost.take(pair), kind="stable"))
+    readers = tuple(np.flatnonzero(row).astype(np.int16) for row in reads)
     for arr in (sa, sb, cell, pairs, *readers):
         arr.flags.writeable = False
     return slots, sa, sb, cell, pairs, readers

@@ -158,6 +158,36 @@ def test_a_malformed_cell_is_one_fail_line(tmp_path, monkeypatch, capsys, stem, 
     assert _section(out, label) == [f"{label}: FAIL", f"  {problem}"]
 
 
+@pytest.mark.parametrize(
+    "stem, old, new, problem",
+    [
+        # zip would pair the tolerance with S and drop the value
+        ("separability_m3k3", "\n3,0.238,0.001\n", "\n3,0.001\n", "separability_m3k3 line 4: 2 cells, header has 3"),
+        # the last of five cells would be read as the tolerance
+        ("orders_n21", "\n4,3,0\n", "\n4,3,0,9,9\n", "orders_n21 line 3: 5 cells, header has 3"),
+        # a blank line is a row of no cells, not a golden row with an empty key
+        ("orders_n21", "tolerance\n", "tolerance\n\n", "orders_n21 line 2: 0 cells, header has 3"),
+        # an empty file has no header to unpack
+        ("orders_n33", None, "", "orders_n33 line 1: no header"),
+    ],
+    ids=["short", "long", "blank", "empty"],
+)
+def test_a_row_of_the_wrong_width_is_one_fail_line(tmp_path, monkeypatch, capsys, stem, old, new, problem):
+    """A golden row is as wide as its header; ``old`` None replaces the whole file with ``new``."""
+    shutil.copytree(cli._GOLDEN_DIR, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / f"{stem}.csv"
+    text = path.read_text(encoding="utf-8")
+    assert old is None or text.count(old) == 1
+    path.write_text(new if old is None else text.replace(old, new), encoding="utf-8")
+    monkeypatch.setattr(cli, "_GOLDEN_DIR", tmp_path)
+    code = entrypoint(["diff-golden"])
+    out = capsys.readouterr().out
+    label, _ = _TABLES[stem]
+    assert code == EXIT_MISMATCH
+    assert out.count(": FAIL") == 1
+    assert _section(out, label) == [f"{label}: FAIL", f"  {problem}"]
+
+
 def test_each_golden_is_parsed_once_per_directory(tmp_path, monkeypatch, capsys):
     first, second = tmp_path / "first", tmp_path / "second"
     for directory in (first, second):

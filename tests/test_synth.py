@@ -323,3 +323,36 @@ def test_catalogue_order_is_the_full_tie_break_key():
             want.append([refs[0], refs[1], j - n_in])
         got = np.vstack((pairs[:, cell // n_out], cell % n_out)).T.tolist()
         assert got == want, (n_in, n_out, allow_neg)
+
+
+def _reads(factors, line):
+    return any(line in lines for lines, _ in factors)
+
+
+def test_catalogue_pairs_are_the_target_free_enumeration():
+    """_catalogue enumerates _candidates once, with j=None. On all 72 shapes
+    under the 6-bit cap, j's candidates must be the j=None shapes whose
+    factors do not read j, in order; pairs must hold each pair some
+    candidate uses exactly once, and no other; readers[j - n_in] must be
+    exactly the pairs whose factors read line j."""
+    for n_in, n_out, allow_neg in itertools.product(range(1, 7), range(1, 7), (True, False)):
+        width, shape = n_in + n_out, (n_in, n_out, allow_neg)
+        slots, _, _, _, pairs, readers = _catalogue(n_in, width, allow_neg)
+        index, ones = {lines: s for s, lines in enumerate(slots)}, 2 * len(slots)
+
+        def ref(factors):
+            refs = [index[lines] + len(slots) * neg for lines, neg in factors] + [ones, ones]
+            return refs[0], refs[1]
+
+        every = list(_candidates(n_in, width, None, allow_neg))
+        used = set()
+        for j in range(n_in, width):
+            mine = list(_candidates(n_in, width, j, allow_neg))
+            assert mine == [c for c in every if not _reads(c[0], j)], (shape, j)
+            used.update(ref(factors) for factors, _ in mine)
+        got = [tuple(p) for p in pairs.T.tolist()]
+        assert len(got) == len(set(got)) and set(got) == used, shape
+        factors_of = {ref(factors): factors for factors, _ in every}
+        for j in range(n_in, width):
+            want = [p for p, key in enumerate(got) if _reads(factors_of[key], j)]
+            assert readers[j - n_in].tolist() == want, (shape, j)
