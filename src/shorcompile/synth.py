@@ -10,14 +10,14 @@ shape does not depend on the line values, and its target only rules out
 the shapes whose factors read it, so _candidates is enumerated once per
 (n_in, width, polarity setting), with no target, into one read-only
 catalogue: int16 arrays that store each shape once, as a factor pair, and
-every candidate in tie-break order. The first round packs every line (at
-most 64 rows) into a uint64, ANDs each factor pair once and popcounts it
-against every output line's error mask into a pairs x outputs score
-matrix; each candidate gathers its score from that matrix, the first best
-score is the winner, and gates are built only for it.
-A winner's gates change only its target line, since every borrowed line is
-restored, so each later round rescores just the factor pairs that read that
-line and that line's score column. Chaining gate outputs into later controls
+every candidate in tie-break order, as its cell of an outputs x pairs score
+matrix. Every round packs every line (at most 64 rows) into a uint64, ANDs
+each factor pair once and popcounts it against every output line's error
+mask into that matrix, in uint8 read back as int8; each candidate gathers
+its score from it, the first best score is the winner, and gates are built
+only for it. A winner's gates change only its target line, since every
+borrowed line is restored, so a round hands the scorer just that line's
+value and error mask. Chaining gate outputs into later controls
 is where Toffoli cascades come from. Whatever the greedy pass cannot clear
 is finished off from the algebraic normal form of the residual, so synthesis
 always terminates, and exactly one circuit comes out per table and polarity
@@ -129,6 +129,16 @@ def _affine_forms(n_in: int) -> tuple[np.ndarray, np.ndarray]:
     return values, terms
 
 
+def _set_bits(m: int) -> list[int]:
+    """The positions of m's set bits, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 def fit_linear(table: TruthTable) -> LinearFit:
     """Best affine GF(2) form per output bit, by exhaustive scoring.
 
@@ -144,8 +154,7 @@ def fit_linear(table: TruthTable) -> LinearFit:
     bits = []
     for target, f in zip(targets, np.argmin(miss.astype(np.int32) << 3 | terms, axis=1).tolist()):
         m = int(values[f]) ^ target
-        mism = frozenset(x for x in range(1 << n) if (m >> x) & 1)
-        bits.append(BitFit(AffineForm(f >> 1, bool(f & 1)), mism))
+        bits.append(BitFit(AffineForm(f >> 1, bool(f & 1)), frozenset(_set_bits(m))))
     return LinearFit(n, tuple(bits))
 
 
@@ -222,7 +231,7 @@ def _realize(j: int, factors: tuple) -> list[Gate]:
 
 @cache
 def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
-    """Every _candidates shape and the target lines that use it: (slots, sa, sb, cell, pairs, readers).
+    """Every _candidates shape and the target lines that use it: (slots, sa, sb, cell, pairs).
 
     slots lists the lines of every factor slot, each line then each line
     pair; slot s holds line sa[s] XOR line sb[s], where a lone line's sb is
@@ -232,12 +241,12 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
     complement and 2*len(slots) all ones, where a lone factor's i2 and both
     of a NOT's indices point. The int16 pairs (2 x P) holds the (i1, i2) of
     each j=None shape of _candidates once, in order, less the shapes that
-    read every output line. readers[j - n_in] lists the pairs that read
-    output line j, and the others are j's candidates: the int16 cell holds
-    one entry per candidate, pair * n_out + (j - n_in), in (j, pair) order
-    stably sorted by cost class, which leaves it in greedy order (see
+    read every output line; j's candidates are the pairs that do not read
+    j. The int16 cell holds one entry per candidate, (j - n_in) * P + pair,
+    its index in the n_out x P score matrix, in (j, pair) order stably
+    sorted by cost class, which leaves it in greedy order (see
     _candidates). Every array is read-only. With n_in, n_out <= 6 there
-    are at most 72 keys, each holding at most about 25 kB.
+    are at most 72 keys, each holding at most about 25 kB of arrays.
     """
     slots = tuple((c,) for c in range(width)) + tuple(combinations(range(width), 2))
     sa = np.array([ln[0] for ln in slots], dtype=np.intp)
@@ -257,90 +266,69 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
     i1, i2, cost, read = np.fromiter(flat, dtype=np.int32).reshape(-1, 4).T
     reads = (read >> np.arange(n_in, width)[:, None] & 1).astype(bool)  # n_out x P
     used = ~reads.all(axis=0)
-    pairs, cost, reads = np.stack((i1, i2)).astype(np.int16)[:, used], cost[used], reads[:, used]
-    out_line, pair = np.nonzero(~reads)  # j ascending, then enumeration order
-    cell = (pair * (width - n_in) + out_line).astype(np.int16)
-    cell = cell.take(np.argsort(cost.take(pair), kind="stable"))
-    readers = tuple(np.flatnonzero(row).astype(np.int16) for row in reads)
-    for arr in (sa, sb, cell, pairs, *readers):
+    pairs, cost = np.stack((i1, i2)).astype(np.int16)[:, used], cost[used]
+    cell = np.flatnonzero(~reads[:, used]).astype(np.int16)  # j ascending, then enumeration order
+    cell = cell.take(np.argsort(cost.take(cell % len(cost)), kind="stable"))
+    for arr in (sa, sb, cell, pairs):
         arr.flags.writeable = False
-    return slots, sa, sb, cell, pairs, readers
+    return slots, sa, sb, cell, pairs
 
 
 class _Scorer:
-    """The greedy winner among every candidate, kept current across rounds.
+    """The greedy winner among every candidate, rescored from scratch each round.
 
     A candidate's score is the wrong entries of its target line j it fixes
     minus the right ones it breaks; only positive scores qualify, so the
     candidates of a line absent from errs (error mask 0) never do. Each
-    distinct factor pair is ANDed once and scored against every output
-    line at once, into a pairs x n_out matrix; candidates gather their
-    scores from it. The catalogue is in tie-break order (see _candidates),
-    so the first argmax is the winner. Line values pack at most 64 rows
-    (n_in <= 6), one uint64 each.
-
-    A round's gates change only their target line (_realize restores every
-    borrowed line), so update rescores only the pairs that read that line
-    and the line's own score column; everything else carries over.
+    round ANDs each distinct factor pair once and scores it against every
+    output line at once, into an n_out x pairs matrix whose long axis is
+    innermost; candidates gather their scores from it through cell. The
+    catalogue is in tie-break order (see _candidates), so the first argmax
+    is the winner. Line values pack at most 64 rows (n_in <= 6), one uint64
+    each, so every score lies in [-64, 64].
     """
 
     def __init__(self, n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int) -> None:
         width = len(vecs)
         self.n_in = n_in
-        self.slots, self.sa, self.sb, self.cell, (self.i1, self.i2), self.readers = _catalogue(n_in, width, allow_neg)
+        self.slots, self.sa, self.sb, self.cell, (self.i1, self.i2) = _catalogue(n_in, width, allow_neg)
         self.v = np.array(vecs + [0], dtype=np.uint64)
-        self.all_ones = np.array([full], dtype=np.uint64)
         self.err = np.array([errs.get(ln, 0) for ln in range(n_in, width)], dtype=np.uint64)
-        self._tabulate()
-        self.act = self.tab.take(self.i1) & self.tab.take(self.i2)
-        self.pop = np.bitwise_count(self.act)
-        self.score = self._rescore(self.act[:, None], self.pop[:, None], self.err)
-
-    def _tabulate(self) -> None:
-        held = self.v[self.sa] ^ self.v[self.sb]
-        self.tab = np.concatenate((held, held ^ self.all_ones, self.all_ones))
-
-    @staticmethod
-    def _rescore(act: np.ndarray, pop: np.ndarray, err: np.ndarray) -> np.ndarray:
-        # each active row is fixed where it was wrong and broken elsewhere:
-        # 2*fixed - active, at most 128 - 0, so the doubling fits in uint8
-        return np.subtract(np.bitwise_count(act & err) << 1, pop, dtype=np.int16)
+        self.full = np.uint64(full)
+        self.tab = np.full(2 * len(self.slots) + 1, self.full)  # slot values, complements, all ones
 
     def update(self, j: int, value: int, err: int) -> None:
         """Output line j now holds value and is wrong on the rows of err."""
-        out_line = j - self.n_in
-        self.v[j], self.err[out_line] = value, err
-        self._tabulate()
-        rows = self.readers[out_line].astype(np.intp)  # once, not per int16 fancy index below
-        act = self.tab.take(self.i1.take(rows)) & self.tab.take(self.i2.take(rows))
-        self.act[rows] = act
-        self.pop[rows] = pop = np.bitwise_count(act)
-        self.score[rows] = self._rescore(act[:, None], pop[:, None], self.err)
-        self.score[:, out_line] = self._rescore(self.act, self.pop, self.err[out_line])
+        self.v[j], self.err[j - self.n_in] = value, err
 
     def best(self) -> tuple[int, tuple] | None:
         """The winner (j, factors), or None when no candidate scores above 0."""
-        score = self.score.take(self.cell)
+        n = len(self.slots)
+        held, flipped = self.tab[:n], self.tab[n : 2 * n]
+        np.bitwise_xor(self.v.take(self.sa), self.v.take(self.sb), out=held)
+        np.bitwise_xor(held, self.full, out=flipped)
+        act = self.tab.take(self.i1) & self.tab.take(self.i2)
+        # each active row is fixed where it was wrong and broken elsewhere;
+        # fixed - broken wraps in uint8 and reads back exactly as int8
+        fixed = np.bitwise_count(self.err[:, None] & act)
+        broken = np.bitwise_count(act) - fixed
+        score = (fixed - broken).view(np.int8).ravel().take(self.cell)
         k = int(np.argmax(score))
         if score[k] <= 0:
             return None
-        p, out_line = divmod(int(self.cell[k]), len(self.err))
-        n = len(self.slots)
+        out_line, p = divmod(int(self.cell[k]), len(act))
         picked = (int(self.i1[p]), int(self.i2[p]))
         return self.n_in + out_line, tuple((self.slots[i % n], bool(i >= n)) for i in picked if i != 2 * n)
 
 
 def _anf_monomials(err: int, n_in: int) -> list[int]:
     """Monomials (bit masks over input bit positions) of the residual's ANF."""
-    size = 1 << n_in
-    coef = [(err >> x) & 1 for x in range(size)]
-    step = 1
-    while step < size:  # Moebius transform, in place
-        for x in range(size):
-            if x & step:
-                coef[x] ^= coef[x ^ step]
-        step <<= 1
-    return [t for t in range(size) if coef[t]]
+    # Moebius transform on the packed bits: input line n_in - 1 - p is 1
+    # exactly on the rows with bit p set, so each row x without bit p
+    # XORs its coefficient into row x + 2**p
+    for p, vec in enumerate(reversed(input_vectors(n_in))):
+        err ^= (err & ~vec) << (1 << p)
+    return _set_bits(err)
 
 
 def _multi_controlled_flip(controls: list[int], j: int, n_in: int, width: int) -> list[Gate]:
@@ -416,7 +404,7 @@ def plan_cascades(
         for g in _realize(*best):
             apply_packed(vecs, g, full)
             steps.append(g)
-        # the gates changed line j alone, so only its error and score move
+        # the gates changed line j alone, so only its value and error move
         j = best[0]
         if err := vecs[j] ^ targets[j - n_in]:
             errs[j] = err

@@ -2,9 +2,9 @@
 the template JSON encoder against json.dumps of the document dict, the
 synthesizer's candidates against the gates built for them, its vectorized
 candidate scorer, fresh and after single-line updates, against a
-plain-Python one, its ANF mop-up gates against
-the flip each monomial asks for, and the order-finding sampler against
-numpy's own weighted draw."""
+plain-Python one, its packed ANF transform against a list-based one, its
+ANF mop-up gates against the flip each monomial asks for, and the
+order-finding sampler against numpy's own weighted draw."""
 
 import json
 import math
@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shorcompile.circuit import (
@@ -39,6 +39,7 @@ from shorcompile.synth import (
     BitFit,
     SynthesisError,
     _Scorer,
+    _anf_monomials,
     _candidates,
     _monomial_gates,
     _realize,
@@ -380,6 +381,31 @@ def test_incremental_scorer_breaks_ties_like_the_reference():
             scorer.update(j, value, mask)
             want = reference_best_candidate(n_in, vecs, errs, allow_neg, full)
             assert scorer.best() == want, (n_in, vecs, errs, allow_neg)
+
+
+def reference_anf_monomials(err: int, n_in: int) -> list[int]:
+    """The Moebius transform one coefficient at a time, over a list."""
+    size = 1 << n_in
+    coef = [(err >> x) & 1 for x in range(size)]
+    step = 1
+    while step < size:
+        for x in range(size):
+            if x & step:
+                coef[x] ^= coef[x ^ step]
+        step <<= 1
+    return [t for t in range(size) if coef[t]]
+
+
+@pytest.mark.parametrize("n_in", range(1, 7))
+@settings(max_examples=60)
+@given(residual=st.integers(0, (1 << 64) - 1))
+@example(residual=0)
+@example(residual=(1 << 64) - 1)
+def test_packed_anf_matches_the_list_transform(n_in, residual):
+    """The residual is cut to the 2**n_in rows, so the pinned examples are
+    the empty and the all-ones residual at every width."""
+    residual &= (1 << (1 << n_in)) - 1
+    assert _anf_monomials(residual, n_in) == reference_anf_monomials(residual, n_in)
 
 
 @pytest.mark.parametrize("n_in", range(1, 7))

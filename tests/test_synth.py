@@ -287,17 +287,17 @@ def test_interned_gate_caches_stay_within_their_bounds():
 
 @pytest.mark.parametrize("allow_neg", [True, False])
 def test_widest_catalogue_is_read_only_int16_and_smaller_than_three_rows(allow_neg):
-    """The (cell, pairs, readers) catalogue must not outgrow the 3 x C int16
-    rows (i1, i2, j) it replaced, C being the candidate count; the slot
-    index arrays sa and sb cached with it are read-only too."""
-    slots, sa, sb, cell, pairs, readers = _catalogue(6, 12, allow_neg)
+    """The (cell, pairs) catalogue must not outgrow the 3 x C int16 rows
+    (i1, i2, j) it replaced, C being the candidate count; the slot index
+    arrays sa and sb cached with it are read-only too."""
+    slots, sa, sb, cell, pairs = _catalogue(6, 12, allow_neg)
     count = sum(1 for j in range(6, 12) for _ in _candidates(6, 12, j, allow_neg))
-    assert cell.shape == (count,) and pairs.shape[0] == 2 and len(readers) == 6
+    assert cell.shape == (count,) and pairs.shape[0] == 2
     assert len(slots) == sa.shape[0] == sb.shape[0] == 12 + 12 * 11 // 2
     assert not sa.flags.writeable and not sb.flags.writeable
-    for arr in (cell, pairs, *readers):
+    for arr in (cell, pairs):
         assert arr.dtype == np.int16 and not arr.flags.writeable
-    assert cell.nbytes + pairs.nbytes + sum(r.nbytes for r in readers) <= 3 * 2 * count
+    assert cell.nbytes + pairs.nbytes <= 3 * 2 * count
 
 
 def _greedy_key(candidate):
@@ -314,14 +314,15 @@ def test_catalogue_order_is_the_full_tie_break_key():
     on all 72 shapes under the 6-bit cap."""
     for n_in, n_out, allow_neg in itertools.product(range(1, 7), range(1, 7), (True, False)):
         width = n_in + n_out
-        slots, _, _, cell, pairs, _ = _catalogue(n_in, width, allow_neg)
+        slots, _, _, cell, pairs = _catalogue(n_in, width, allow_neg)
         index, ones = {lines: s for s, lines in enumerate(slots)}, 2 * len(slots)
         every = [(j, f, q) for j in range(n_in, width) for f, q in _candidates(n_in, width, j, allow_neg)]
         want = []
         for j, factors, _ in sorted(every, key=_greedy_key):
             refs = [index[lines] + len(slots) * neg for lines, neg in factors] + [ones, ones]
             want.append([refs[0], refs[1], j - n_in])
-        got = np.vstack((pairs[:, cell // n_out], cell % n_out)).T.tolist()
+        n_pairs = pairs.shape[1]
+        got = np.vstack((pairs[:, cell % n_pairs], cell // n_pairs)).T.tolist()
         assert got == want, (n_in, n_out, allow_neg)
 
 
@@ -333,11 +334,11 @@ def test_catalogue_pairs_are_the_target_free_enumeration():
     """_catalogue enumerates _candidates once, with j=None. On all 72 shapes
     under the 6-bit cap, j's candidates must be the j=None shapes whose
     factors do not read j, in order; pairs must hold each pair some
-    candidate uses exactly once, and no other; readers[j - n_in] must be
-    exactly the pairs whose factors read line j."""
+    candidate uses exactly once, and no other; line j's cells must decode
+    to exactly the pairs whose factors do not read line j."""
     for n_in, n_out, allow_neg in itertools.product(range(1, 7), range(1, 7), (True, False)):
         width, shape = n_in + n_out, (n_in, n_out, allow_neg)
-        slots, _, _, _, pairs, readers = _catalogue(n_in, width, allow_neg)
+        slots, _, _, cell, pairs = _catalogue(n_in, width, allow_neg)
         index, ones = {lines: s for s, lines in enumerate(slots)}, 2 * len(slots)
 
         def ref(factors):
@@ -353,6 +354,7 @@ def test_catalogue_pairs_are_the_target_free_enumeration():
         got = [tuple(p) for p in pairs.T.tolist()]
         assert len(got) == len(set(got)) and set(got) == used, shape
         factors_of = {ref(factors): factors for factors, _ in every}
+        out_line, pair = np.divmod(cell, len(got))
         for j in range(n_in, width):
-            want = [p for p, key in enumerate(got) if _reads(factors_of[key], j)]
-            assert readers[j - n_in].tolist() == want, (shape, j)
+            want = [p for p, key in enumerate(got) if not _reads(factors_of[key], j)]
+            assert sorted(pair[out_line == j - n_in].tolist()) == want, (shape, j)
