@@ -137,14 +137,6 @@ class Mismatch:
     input_after: int
 
 
-def apply_gate(bits: list[int], gate: Gate) -> list[int]:
-    """Row-at-a-time reference for the gate rule (tests compare against it)."""
-    out = list(bits)
-    if all(bits[c.line] != c.neg for c in gate.controls):
-        out[gate.target] ^= 1
-    return out
-
-
 def input_vectors(n_in: int) -> list[int]:
     """Packed value of each input line (bit x = input x), line 0 = most significant.
 
@@ -167,8 +159,8 @@ def output_vectors(table: TruthTable) -> list[int]:
     return [int(text[b :: table.n_out], 2) for b in range(table.n_out)]
 
 
-def apply_packed(lines: list[int], gate: Gate, full: int) -> int:
-    """Apply one gate in place to packed line values; return the rows it flips.
+def apply_packed(lines: list[int], gate: Gate, full: int) -> None:
+    """Apply one gate in place to packed line values.
 
     Each line value packs one bit per row and full has every row's bit set.
     The gate rule: flip the target iff every control matches its polarity.
@@ -177,7 +169,6 @@ def apply_packed(lines: list[int], gate: Gate, full: int) -> int:
     for c in gate.controls:
         act &= (lines[c.line] ^ full) if c.neg else lines[c.line]
     lines[gate.target] ^= act
-    return act
 
 
 def _run(circuit: Circuit, vecs: list[int], full: int) -> defaultdict[int, int]:

@@ -233,9 +233,7 @@ class OrderFindingResult:
 
 
 def _register_sizes(n: int) -> tuple[int, int]:
-    m = 1
-    while (1 << m) < n * n:
-        m += 1
+    m = max(1, (n * n - 1).bit_length())  # the least m >= 1 with 2**m >= n**2
     k = (n - 1).bit_length()
     return m, k
 

@@ -15,10 +15,11 @@ matrix. Every round packs every line (at most 64 rows) into a uint64, ANDs
 each factor pair once and popcounts it against every output line's error
 mask into that matrix, in uint8 read back as int8; each candidate gathers
 its score from it, the first best score is the winner, and gates are built
-only for it. A winner's gates change only its target line, since every
-borrowed line is restored, so a round hands the scorer just that line's
-value and error mask. Chaining gate outputs into later controls
-is where Toffoli cascades come from. Whatever the greedy pass cannot clear
+only for it. A winner's gates flip only its target line, by the rows it
+activates, since every borrowed line is restored, so the scorer applies
+that flip to its own line state, the only copy planning keeps; no gate is
+run before verification. Chaining gate outputs into later controls is
+where Toffoli cascades come from. Whatever the greedy pass cannot clear
 is finished off from the algebraic normal form of the residual, so synthesis
 always terminates, and exactly one circuit comes out per table and polarity
 setting; nothing searches for a cheaper one. A monomial's mop-up gates
@@ -29,9 +30,8 @@ runs on every row of every circuit, raises SynthesisError, a fault of this
 module; the command line exits 3 on it.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
-bitmasks (bit x = value at input x) by the helpers in circuit.py, and gates
-act on them through circuit.apply_packed; only the affine fit and the
-greedy scorer copy them into uint64 arrays.
+bitmasks (bit x = value at input x) by the helpers in circuit.py; only the
+affine fit and the greedy scorer copy them into uint64 arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ import numpy as np
 from .circuit import (
     Circuit,
     Gate,
-    apply_packed,
     cnot,
     input_vectors,
     not_gate,
@@ -102,10 +101,9 @@ class LinearFit:
 
 @dataclass(frozen=True)
 class CascadePlan:
-    """The repair steps, after the linear stage's gates the plan started from."""
+    """The repair steps, which follow the linear stage's gates."""
 
     steps: tuple[Gate, ...]
-    linear: tuple[Gate, ...] = ()
 
 
 class SynthesisError(RuntimeError):
@@ -159,16 +157,14 @@ def fit_linear(table: TruthTable) -> LinearFit:
 
 
 def _emit_linear(fit: LinearFit, n_in: int, allow_neg: bool = True) -> list[Gate]:
-    """CNOT copies realizing the fitted forms."""
+    """CNOT copies realizing the fitted forms, the constant folded into the first one if allowed."""
     gates: list[Gate] = []
-    for out_line, bit in enumerate(fit.bits):
-        j = n_in + out_line
-        sources = [ln for ln in range(n_in) if (bit.form.mask >> ln) & 1]
+    for j, bit in enumerate(fit.bits, n_in):
+        sources = tuple(_set_bits(bit.form.mask))
         if bit.form.const and (not sources or not allow_neg):
-            gates.append(_not(j))
-        for pos, src in enumerate(sources):
-            neg = bool(allow_neg) and bit.form.const and pos == 0  # fold the constant in
-            gates.append(_cnot(src, j, neg))
+            gates += _realize(j, ())
+        if sources:
+            gates += _realize(j, ((sources, bit.form.const and bool(allow_neg)),))
     return gates
 
 
@@ -275,17 +271,19 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
 
 
 class _Scorer:
-    """The greedy winner among every candidate, rescored from scratch each round.
+    """The greedy line state, and the winner among every candidate, rescored each round.
 
-    A candidate's score is the wrong entries of its target line j it fixes
-    minus the right ones it breaks; only positive scores qualify, so the
-    candidates of a line absent from errs (error mask 0) never do. Each
-    round ANDs each distinct factor pair once and scores it against every
-    output line at once, into an n_out x pairs matrix whose long axis is
-    innermost; candidates gather their scores from it through cell. The
-    catalogue is in tie-break order (see _candidates), so the first argmax
-    is the winner. Line values pack at most 64 rows (n_in <= 6), one uint64
-    each, so every score lies in [-64, 64].
+    v holds every line's value and err every output line's error mask; they
+    are the only copy of the greedy state. A candidate's score is the wrong
+    entries of its target line j it fixes minus the right ones it breaks;
+    only positive scores qualify, so the candidates of a line absent from
+    errs (error mask 0) never do. Each round ANDs each distinct factor pair
+    once and scores it against every output line at once, into an n_out x
+    pairs matrix whose long axis is innermost; candidates gather their
+    scores from it through cell. The catalogue is in tie-break order (see
+    _candidates), so the first argmax is the winner. Line values pack at
+    most 64 rows (n_in <= 6), one uint64 each, so every score lies in
+    [-64, 64]. wrong counts the wrong entries over all output lines.
     """
 
     def __init__(self, n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int) -> None:
@@ -296,13 +294,18 @@ class _Scorer:
         self.err = np.array([errs.get(ln, 0) for ln in range(n_in, width)], dtype=np.uint64)
         self.full = np.uint64(full)
         self.tab = np.full(2 * len(self.slots) + 1, self.full)  # slot values, complements, all ones
-
-    def update(self, j: int, value: int, err: int) -> None:
-        """Output line j now holds value and is wrong on the rows of err."""
-        self.v[j], self.err[j - self.n_in] = value, err
+        self.wrong = int(np.bitwise_count(self.err).sum())
 
     def best(self) -> tuple[int, tuple] | None:
-        """The winner (j, factors), or None when no candidate scores above 0."""
+        """The winner (j, factors), applied; None when no candidate scores above 0.
+
+        Applying it flips line j's value and error mask on the rows the
+        winner activates, and lowers wrong by its score. That is exactly
+        what _realize(j, factors) does to the lines: it flips line j there
+        and restores every other line.
+        """
+        if not self.wrong:
+            return None
         n = len(self.slots)
         held, flipped = self.tab[:n], self.tab[n : 2 * n]
         np.bitwise_xor(self.v.take(self.sa), self.v.take(self.sb), out=held)
@@ -317,6 +320,9 @@ class _Scorer:
         if score[k] <= 0:
             return None
         out_line, p = divmod(int(self.cell[k]), len(act))
+        self.v[self.n_in + out_line] ^= act[p]
+        self.err[out_line] ^= act[p]
+        self.wrong -= int(score[k])
         picked = (int(self.i1[p]), int(self.i2[p]))
         return self.n_in + out_line, tuple((self.slots[i % n], bool(i >= n)) for i in picked if i != 2 * n)
 
@@ -372,47 +378,32 @@ def _monomial_gates(term: int, n_in: int, j: int, width: int) -> tuple[Gate, ...
 def plan_cascades(
     fit: LinearFit, table: TruthTable, allow_negative_controls: bool = True
 ) -> CascadePlan:
-    """Repair plan for everything the linear stage left wrong.
+    """Repair plan for everything the linear stage left wrong; no gate is run.
 
     Greedy phase: among all candidates, pick the one fixing the most wrong
     entries net of newly broken ones; ties go to the cheapest, in the order
     _candidates documents. When no candidate has a positive net score, the
     remaining residual is emitted from its algebraic normal form, which
-    always completes. The plan also carries the linear stage's gates it
-    started from, so synthesize emits them once.
+    always completes.
     """
-    n_in, n_out = table.n_in, table.n_out
-    width = n_in + n_out
-    full = (1 << (1 << n_in)) - 1
-    vecs = input_vectors(n_in) + [0] * n_out
-    linear = _emit_linear(fit, n_in, allow_negative_controls)
-    for g in linear:
-        apply_packed(vecs, g, full)
-    targets = output_vectors(table)
-    errs = {j: diff for j, t in enumerate(targets, n_in) if (diff := vecs[j] ^ t)}
+    n_in = table.n_in
+    width = n_in + table.n_out
+    # the linear stage leaves each output line wrong on exactly its fit's mismatches
+    errs = {j: sum(1 << x for x in bit.mismatches) for j, bit in enumerate(fit.bits, n_in) if bit.mismatches}
+    if not errs:
+        return CascadePlan(())
+    vecs = input_vectors(n_in) + [t ^ errs.get(j, 0) for j, t in enumerate(output_vectors(table), n_in)]
+    scorer = _Scorer(n_in, vecs, errs, allow_negative_controls, (1 << (1 << n_in)) - 1)
     steps: list[Gate] = []
-    scorer = _Scorer(n_in, vecs, errs, allow_negative_controls, full) if errs else None
-    while errs:
-        best = scorer.best()
-        if best is None:
-            # each monomial's gates flip only line j, by the monomial, so
-            # the residuals stay put and nothing needs simulating
-            for j in sorted(errs):
-                for term in _anf_monomials(errs[j], n_in):
-                    steps.extend(_monomial_gates(term, n_in, j, width))
-            break
-        for g in _realize(*best):
-            apply_packed(vecs, g, full)
-            steps.append(g)
-        # the gates changed line j alone, so only its value and error move
-        j = best[0]
-        if err := vecs[j] ^ targets[j - n_in]:
-            errs[j] = err
-        else:
-            del errs[j]
-        if errs:
-            scorer.update(j, vecs[j], err)
-    return CascadePlan(tuple(steps), tuple(linear))
+    while (best := scorer.best()) is not None:
+        steps += _realize(*best)
+    # each monomial's gates flip only line j, by the monomial, so the
+    # residuals stay put and nothing needs simulating
+    for j, err in enumerate(scorer.err.tolist(), n_in):
+        if err:
+            for term in _anf_monomials(err, n_in):
+                steps += _monomial_gates(term, n_in, j, width)
+    return CascadePlan(tuple(steps))
 
 
 def synthesize(table: TruthTable, *, allow_negative_controls: bool = True) -> Circuit:
@@ -433,12 +424,13 @@ def synthesize(table: TruthTable, *, allow_negative_controls: bool = True) -> Ci
             f"y ^= f(x) for a single-output table with an odd number of ones ({sum(table.rows)}) is an odd "
             f"permutation of its {table.n_in + 1} lines; NOT, CNOT and Toffoli gates build only even ones there"
         )
-    plan = plan_cascades(fit_linear(table), table, allow_negative_controls)
+    fit = fit_linear(table)
+    plan = plan_cascades(fit, table, allow_negative_controls)
     circ = Circuit(
         table.n_in + table.n_out,
         tuple(range(table.n_in)),
         tuple(range(table.n_in, table.n_in + table.n_out)),
-        plan.linear + plan.steps,
+        tuple(_emit_linear(fit, table.n_in, allow_negative_controls)) + plan.steps,
     )
     bad = verify(circ, table)
     if bad:

@@ -1,6 +1,7 @@
 """Reversible gate IR: evaluation, verification, cost, JSON documents."""
 
 import pytest
+from test_properties import apply_gate
 
 from shorcompile import circuit as circuit_module
 from shorcompile.circuit import (
@@ -8,7 +9,6 @@ from shorcompile.circuit import (
     Control,
     Gate,
     GateKind,
-    apply_gate,
     circuit_from_json,
     circuit_to_json,
     cnot,

@@ -1,7 +1,7 @@
 """Property tests: the packed evaluator against the row-at-a-time reference,
 the template JSON encoder against json.dumps of the document dict, the
 synthesizer's candidates against the gates built for them, its vectorized
-candidate scorer, fresh and after single-line updates, against a
+candidate scorer, fresh and through its own winners, against a
 plain-Python one, its packed ANF transform against a list-based one, its
 ANF mop-up gates against the flip each monomial asks for, and the
 order-finding sampler against numpy's own weighted draw."""
@@ -21,7 +21,6 @@ from shorcompile.circuit import (
     Gate,
     GateKind,
     Mismatch,
-    apply_gate,
     apply_packed,
     circuit_from_json,
     circuit_to_json,
@@ -48,6 +47,14 @@ from shorcompile.synth import (
 )
 
 KINDS = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)
+
+
+def apply_gate(bits: list[int], gate: Gate) -> list[int]:
+    """Row-at-a-time reference for the gate rule, one bit per line."""
+    out = list(bits)
+    if all(bits[c.line] != c.neg for c in gate.controls):
+        out[gate.target] ^= 1
+    return out
 
 
 @st.composite
@@ -303,13 +310,6 @@ def _check_scorer(data, n_in: int) -> None:
     assert _Scorer(n_in, vecs, errs, allow_neg, full).best() == want
 
 
-def _update(vecs: list[int], errs: dict[int, int], j: int, value: int, mask: int) -> None:
-    vecs[j] = value
-    errs.pop(j, None)
-    if mask:
-        errs[j] = mask
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_vectorized_scorer_picks_the_reference_winner(n_in, data):
@@ -349,38 +349,45 @@ def test_vectorized_scorer_at_the_64_bit_edges():
     assert winners == 8
 
 
+def _check_winners(n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int) -> None:
+    """Drive a scorer for up to 6 rounds through its own winners. A plain-Python
+    copy of the lines runs each winner's gates, and every best() must be the
+    winner a fresh reference scoring of that copy picks."""
+    targets = {j: vecs[j] ^ errs.get(j, 0) for j in range(n_in, len(vecs))}
+    lines = list(vecs)
+    scorer = _Scorer(n_in, vecs, errs, allow_neg, full)
+    for _ in range(6):
+        errs = {j: err for j, t in targets.items() if (err := lines[j] ^ t)}
+        winner = scorer.best()
+        assert winner == reference_best_candidate(n_in, lines, errs, allow_neg, full), (lines, errs)
+        if winner is None:
+            break
+        for g in _realize(*winner):
+            apply_packed(lines, g, full)
+    residuals = [lines[j] ^ t for j, t in targets.items()]
+    assert scorer.err.tolist() == residuals
+    assert scorer.v.tolist()[:-1] == lines
+    assert scorer.wrong == sum(r.bit_count() for r in residuals)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.data())
-def test_incremental_scorer_tracks_the_reference_winner(n_in, data):
-    """A greedy round changes one output line; after each such update the
-    scorer's kept state must pick the winner a fresh reference scoring picks."""
-    vecs, errs, allow_neg, full = _draw_scorer_state(data, n_in)
-    scorer = _Scorer(n_in, vecs, errs, allow_neg, full)
-    line = st.integers(n_in, len(vecs) - 1)
-    moves = st.tuples(line, _line_values(n_in), _line_values(n_in))
-    for j, value, mask in data.draw(st.lists(moves, min_size=1, max_size=4)):
-        _update(vecs, errs, j, value, mask)
-        scorer.update(j, value, mask)
-        assert scorer.best() == reference_best_candidate(n_in, vecs, errs, allow_neg, full), (j, value, mask)
+def test_scorer_applies_its_own_winners(n_in, data):
+    """The scorer keeps the only copy of the greedy line state: each winner
+    it returns must leave that state where the winner's gates leave the lines."""
+    _check_winners(n_in, *_draw_scorer_state(data, n_in))
 
 
-def test_incremental_scorer_breaks_ties_like_the_reference():
-    """Few rows make equal best scores common, so a stale score or table
-    entry shows up as a different tie-break winner."""
+def test_scorer_winners_break_ties_like_the_reference():
+    """Few rows make equal best scores common, so a stale line value or
+    error mask shows up as a different tie-break winner."""
     rng = random.Random(1618)
     for _ in range(150):
         n_in, n_out = rng.randint(1, 3), rng.randint(1, 4)
         width, full = n_in + n_out, (1 << (1 << n_in)) - 1
         vecs = [rng.randint(0, full) for _ in range(width)]
         errs = {n_in + ol: m for ol in range(n_out) if (m := rng.randint(0, full))}
-        allow_neg = rng.random() < 0.5
-        scorer = _Scorer(n_in, vecs, errs, allow_neg, full)
-        for _ in range(rng.randint(1, 6)):
-            j, value, mask = rng.randrange(n_in, width), rng.randint(0, full), rng.randint(0, full)
-            _update(vecs, errs, j, value, mask)
-            scorer.update(j, value, mask)
-            want = reference_best_candidate(n_in, vecs, errs, allow_neg, full)
-            assert scorer.best() == want, (n_in, vecs, errs, allow_neg)
+        _check_winners(n_in, vecs, errs, rng.random() < 0.5, full)
 
 
 def reference_anf_monomials(err: int, n_in: int) -> list[int]:

@@ -296,6 +296,19 @@ def test_order_finding_register_sizes():
     assert order_finding_run(2, 33, 10, seed=0).m == 11
 
 
+def test_register_sizes_match_the_doubling_loop():
+    """m is the least m >= 1 with 2**m >= n**2; the doubling loop below is the reference."""
+
+    def doubling(n: int) -> int:
+        m = 1
+        while (1 << m) < n * n:
+            m += 1
+        return m
+
+    for n in [*range(4097), 2**20 - 1]:
+        assert _register_sizes(n) == (doubling(n), (n - 1).bit_length()), n
+
+
 def test_order_finding_deterministic_per_seed():
     r1 = order_finding_run(2, 15, 50, seed=42)
     r2 = order_finding_run(2, 15, 50, seed=42)
