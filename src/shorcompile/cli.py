@@ -670,9 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built below at import and shared by every call.
 
     Parsing reads it and never changes it; callers must not change it either.
-    ``entrypoint`` hands a command's options to that command's own parser
-    in this tree, and the whole parser reads argv only for help, the
-    version and usage errors (see ``_parse``).
+    ``entrypoint`` reads a command's options off the option table of that
+    command's parser in this tree, and the whole parser reads argv only for
+    help, the version and usage errors (see ``_parse``).
     """
     parser = argparse.ArgumentParser(prog="shorcompile", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -748,40 +748,74 @@ def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction 
     return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, reading each token once where it can.
+def _read(leaf: argparse.ArgumentParser, tokens: list[str]) -> dict | None:
+    """The values ``leaf`` sets from ``tokens``, read off its option table, or None.
 
-    The whole parser sorts every token after the command against its own
-    options, then hands them all to the command's parser, which sorts them
-    again. So the subcommands argv names (the command, and a ``tables``
-    kind) are followed here, and the parser they lead to, the very one the
-    whole parser would hand the rest to, reads the rest alone, provided
-    every option-like token in it is one that parser spells exactly. Any
-    other token, or one it leaves unread, sends argv to the whole parser, so
-    help, the version and every usage error print what
-    ``build_parser().parse_args(argv)`` prints. Only exact spellings are
-    routed because the whole parser refuses some others before the
-    command's parser sees them: ``--=x`` is an ambiguous prefix of its
-    ``--help`` and ``--version``.
+    An exact ``store`` option string (nargs None) takes the next token,
+    which must not start with ``-``; a ``store_true`` one sets True; a bare
+    token fills the next positional. A value must convert with its action's
+    ``type`` and be one of its ``choices``, and every required action must
+    be seen. Any other token or outcome returns None.
+    """
+    positionals = [action for action in leaf._actions if not action.option_strings]
+    values = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        action = leaf._option_string_actions.get(token)
+        if type(action) is argparse._StoreTrueAction:
+            values[action.dest] = True
+            continue
+        if action is None and positionals and not token.startswith("-"):
+            action, text = positionals.pop(0), token
+        else:
+            text = next(tokens, "-")  # a missing value reads as a refused one
+        if type(action) is not argparse._StoreAction or action.nargs is not None or text.startswith("-"):
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in leaf._actions:
+        if action.dest not in values:
+            if action.required:
+                return None
+            if action.default is not argparse.SUPPRESS:
+                values[action.dest] = action.default
+    return {**leaf._defaults, **values}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read straight off an option table where it can.
+
+    The subcommands argv names (the command, and a ``tables`` kind) lead to
+    the leaf parser the whole parser would hand the rest to, and ``_read``
+    reads the rest off that leaf's option table. What it does not read (an
+    abbreviation, ``--opt=value``, ``--``, ``-h``, a value that starts with
+    ``-``, an unknown option, a failed conversion or choice, a missing
+    required option, a stray token), and a path that stops before a leaf, go
+    to the whole parser, so help, the version and every usage error print
+    what ``build_parser().parse_args(argv)`` prints.
     """
     parser, rest, dests = build_parser(), argv, {}
     while (sub := _subcommands(parser)) is not None and rest and rest[0] in sub.choices:
         dests[sub.dest] = rest[0]
         dests.update(parser._defaults)  # ``tables`` sets ``func`` before its kind's parser runs
         parser, rest = sub.choices[rest[0]], rest[1:]
-    if all(tok in parser._option_string_actions for tok in rest if tok.startswith("-")):
-        args, unread = parser.parse_known_args(rest)
-        if not unread:
-            return argparse.Namespace(**{**dests, **vars(args)})
+    if sub is None and (values := _read(parser, rest)) is not None:
+        return argparse.Namespace(**{**dests, **values})
     return build_parser().parse_args(argv)
 
 
 def entrypoint(argv: list[str] | None = None) -> int:
     """Run the command argv (by default ``sys.argv[1:]``) names and return its exit code.
 
-    A command's options are read once, with that command's own parser; the
-    whole parser reads argv for help, the version and usage errors, so every
-    message is the one ``build_parser().parse_args(argv)`` gives.
+    A command's options are read straight off its parser's option table
+    (see ``_parse``); argv in any other form goes to the whole parser, which
+    prints help, the version and every usage error exactly as
+    ``build_parser().parse_args(argv)`` does.
     """
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:

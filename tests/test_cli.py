@@ -531,6 +531,32 @@ def _argvs(draw):
     return argv
 
 
+# values a leaf may refuse: outside an option's type or choices, negative, or empty
+_ROUGH_ARGS = st.sampled_from(["", "-1", "-7", "-0.5", "-inf", "x", "2.5", "1e3", "show", "json"])
+
+
+@st.composite
+def _rough_argvs(draw):
+    """A subcommand path, then its options and positional in any order, each
+    dropped (required ones too), given once, or repeated, and each value
+    either well formed or drawn from ``_ROUGH_ARGS``."""
+    path, parser = draw(st.sampled_from(_LEAVES))
+    groups = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.choices is not None:
+            value = st.sampled_from(list(action.choices))
+        else:
+            value = _INT_ARGS if action.type is int else _NUMBER_ARGS
+        for _ in range(draw(st.integers(0, 2))):
+            group = [draw(st.sampled_from(action.option_strings))] if action.option_strings else []
+            if action.nargs != 0:
+                group.append(draw(value | _ROUGH_ARGS))
+            groups.append(group)
+    return [*path, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
 @settings(max_examples=300)
 @given(argv=_argvs())
 @example(argv=["simulate", "--p", "3", "--shots", str(2**64)])
@@ -560,19 +586,27 @@ def test_cli_exits_cleanly_on_drawn_arguments(argv):
 
 
 def _parsed(parse, argv):
-    """The Namespace ``parse(argv)`` returns or the code it exits with, and what it prints."""
+    """The values ``parse(argv)`` returns, each as its repr, or the code it exits
+    with, and what it prints. A repr tells 1 from 1.0 and matches nan to nan."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = parse(list(argv))
+            result = {name: repr(value) for name, value in vars(parse(list(argv))).items()}
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300)
-@given(argv=_argvs())
+@given(argv=_argvs() | _rough_argvs())
 @example(argv=["factor", "--N", "15", "--a", "2", "--bogus", "1"])  # unknown option after a command
+@example(argv=["circuit", "--id", "f4_21", "show"])  # the positional after an option
+@example(argv=["circuit", "show", "show"])  # a second positional
+@example(argv=["simulate", "--p", "3", "--rho", "5"])  # a value after a flag
+@example(argv=["synth", "--a", "2", "--a", "4", "--N", "15"])  # a repeated option: the last one wins
+@example(argv=["simulate", "--p", "3", "--epsilon", ""])
+@example(argv=["simulate", "--p", "3", "--epsilon", "-inf"])  # argparse reads -inf as an option
+@example(argv=["simulate", "--epsilon", "0.5"])  # a required option dropped
 @example(argv=["circuit", "cost", "--id", "f4_21", "extra"])  # unread positional
 @example(argv=["factor", "--", "--N", "15"])
 @example(argv=["factor", "-h"])
@@ -975,8 +1009,9 @@ def _shortest_argv(path, leaf):
 
 def test_build_parser_returns_one_parser(monkeypatch):
     assert cli.build_parser() is cli.build_parser()
-    # entrypoint hands each command's options straight to the command's parser
-    # in build_parser()'s tree, and no call builds a parser
+    # entrypoint reads each command's options off its leaf parser's option
+    # table without running argparse, falls back to the root parser for
+    # anything else, and no call builds a parser
     parsed_by = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -990,9 +1025,11 @@ def test_build_parser_returns_one_parser(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
     for path, leaf in _LEAVES:
-        parsed_by.clear()
         entrypoint(_shortest_argv(path, leaf))
-        assert len(parsed_by) == 1 and parsed_by[0] is leaf, path
+        assert parsed_by == [], path
+    with pytest.raises(SystemExit):
+        entrypoint(["factor", "--N", "15", "--a", "2", "--bogus", "1"])
+    assert parsed_by and parsed_by[0] is cli.build_parser()
 
 
 # One call per subcommand, each printing to stdout; _REJECTED is one that

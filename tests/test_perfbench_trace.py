@@ -6,6 +6,7 @@ replaces program attributes by name. Renaming one of them, or changing the
 shape of its result, would leave those metrics empty without this test.
 """
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -56,3 +57,18 @@ def test_traced_simulate_op_records_every_figure_layer():
     assert res.error is None and res.rc == 0, res.error or res.stderr
     for name in ("qsim.figure_state", "qsim.reduce_to_input", "qsim.sample", "qsim.estimate_epsilon"):
         assert tracer.total_ms(name) > 0, name
+
+
+def test_every_benchmark_op_is_read_off_the_option_table(monkeypatch):
+    """No benchmark op's argv runs argparse: ``_parse`` reads each one off its
+    leaf parser's option table."""
+    workloads = _perfbench_run().workloads
+    ops = [op for w in ("synth_sweep", "factor_scan", "figures") for op in workloads.build_ops(w, 1, 20)]
+
+    def refuse(*_, **__):
+        raise AssertionError("argparse parsed a benchmark op")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert {op.kind for op in ops} == {"synth", "factor", "simulate", "diff-golden"}
+    for op in ops:
+        assert cli._parse(op.argv()).command == op.kind, op
