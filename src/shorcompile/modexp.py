@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .numtheory import multiplicative_order
 
@@ -56,6 +57,17 @@ class TruthTable:
         for x, y in enumerate(self.rows):
             if y < 0 or y.bit_length() > self.n_out:
                 raise ValueError(f"output {y} at x={x} does not fit in {self.n_out} bits")
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Packed value of each output bit (bit x = row x), MSB first.
+
+        Packed on first use and kept with the table; it is not a field, so
+        equality and hashing ignore it.
+        """
+        n_out, spec = self.n_out, f"0{self.n_out}b"
+        text = "".join([format(y, spec) for y in reversed(self.rows)])
+        return tuple([int(text[b::n_out], 2) for b in range(n_out)])
 
     def to_json(self) -> str:
         return json.dumps({"n_in": self.n_in, "n_out": self.n_out, "rows": self.rows})

@@ -11,27 +11,30 @@ the shapes whose factors read it, so _candidates is enumerated once per
 (n_in, width, polarity setting), with no target, into one read-only
 catalogue: int16 arrays that store each shape once, as a factor pair, and
 every candidate in tie-break order, as its cell of an outputs x pairs score
-matrix. Every round packs every line (at most 64 rows) into a uint64, ANDs
-each factor pair once and popcounts it against every output line's error
-mask into that matrix, in uint8 read back as int8; each candidate gathers
-its score from it, the first best score is the winner, and gates are built
-only for it. A winner's gates flip only its target line, by the rows it
-activates, since every borrowed line is restored, so the scorer applies
-that flip to its own line state, the only copy planning keeps; no gate is
-run before verification. Chaining gate outputs into later controls is
-where Toffoli cascades come from. Whatever the greedy pass cannot clear
-is finished off from the algebraic normal form of the residual, so synthesis
-always terminates, and exactly one circuit comes out per table and polarity
-setting; nothing searches for a cheaper one. A monomial's mop-up gates
-depend only on the register shape, so each sequence is built once and
-appended unsimulated. Gates are built through interned constructors, so
-equal gates are one object. A circuit that fails its own verification, which
-runs on every row of every circuit, raises SynthesisError, a fault of this
-module; the command line exits 3 on it.
+matrix. Each plan packs every factor slot's value (at most 64 rows) into
+a uint64 once; every round ANDs each factor pair once and popcounts it
+against every output line's error mask into that matrix, in uint8 read
+back as int8; each candidate gathers its score from it, the first best
+score is the winner, and gates are built only for it. A winner's gates
+flip only its target line, by the rows it activates, since every borrowed
+line is restored, so the scorer applies that flip to its own state, the
+only copy planning keeps: the line's error mask and the slots that read
+the line; no gate is run before verification. Chaining gate outputs into
+later controls is where Toffoli cascades come from. Whatever the greedy
+pass cannot clear is finished off from the algebraic normal form of the
+residual, so synthesis always terminates, and exactly one circuit comes
+out per table and polarity setting; nothing searches for a cheaper one. A
+monomial's mop-up gates depend only on the register shape, so each
+sequence is built once and appended unsimulated. Gates are built through
+interned constructors, so equal gates are one object. A circuit that fails
+its own verification, which runs on every row of every circuit, raises
+SynthesisError, a fault of this module; the command line exits 3 on it.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
-bitmasks (bit x = value at input x) by the helpers in circuit.py; only the
-affine fit and the greedy scorer copy them into uint64 arrays.
+bitmasks (bit x = value at input x) by the helpers in circuit.py, which
+pack the input columns once per width and a table's output columns once
+per table; only the affine fit and the greedy scorer copy them into
+uint64 arrays.
 """
 
 from __future__ import annotations
@@ -227,7 +230,7 @@ def _realize(j: int, factors: tuple) -> list[Gate]:
 
 @cache
 def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
-    """Every _candidates shape and the target lines that use it: (slots, sa, sb, cell, pairs).
+    """Every _candidates shape and the target lines that use it: (slots, sa, sb, cell, pairs, readers).
 
     slots lists the lines of every factor slot, each line then each line
     pair; slot s holds line sa[s] XOR line sb[s], where a lone line's sb is
@@ -241,14 +244,21 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
     j. The int16 cell holds one entry per candidate, (j - n_in) * P + pair,
     its index in the n_out x P score matrix, in (j, pair) order stably
     sorted by cost class, which leaves it in greedy order (see
-    _candidates). Every array is read-only. With n_in, n_out <= 6 there
-    are at most 72 keys, each holding at most about 25 kB of arrays.
+    _candidates). The int16 readers (n_out x 2*width) holds, per output
+    line, the factor-table entries of the slots that read it (width of
+    them), then their complements: flipping the line flips exactly those.
+    Every array is read-only. With n_in, n_out <= 6 there are at most 72
+    keys, each holding at most about 25 kB of arrays.
     """
     slots = tuple((c,) for c in range(width)) + tuple(combinations(range(width), 2))
     sa = np.array([ln[0] for ln in slots], dtype=np.intp)
     sb = np.array([ln[1] if len(ln) == 2 else width for ln in slots], dtype=np.intp)
     index = {lines: s for s, lines in enumerate(slots)}
     n, ones = len(slots), 2 * len(slots)
+    readers = np.array(
+        [[s + n * neg for neg in (0, 1) for s, lines in enumerate(slots) if j in lines] for j in range(n_in, width)],
+        dtype=np.int16,
+    )
 
     def columns(factors: tuple, qcost: int) -> Iterator[int]:
         # the two factor-table entries, the cost class (qcost, negative controls,
@@ -265,64 +275,68 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
     pairs, cost = np.stack((i1, i2)).astype(np.int16)[:, used], cost[used]
     cell = np.flatnonzero(~reads[:, used]).astype(np.int16)  # j ascending, then enumeration order
     cell = cell.take(np.argsort(cost.take(cell % len(cost)), kind="stable"))
-    for arr in (sa, sb, cell, pairs):
+    for arr in (sa, sb, cell, pairs, readers):
         arr.flags.writeable = False
-    return slots, sa, sb, cell, pairs
+    return slots, sa, sb, cell, pairs, readers
 
 
 class _Scorer:
     """The greedy line state, and the winner among every candidate, rescored each round.
 
-    v holds every line's value and err every output line's error mask; they
-    are the only copy of the greedy state. A candidate's score is the wrong
-    entries of its target line j it fixes minus the right ones it breaks;
-    only positive scores qualify, so the candidates of a line absent from
-    errs (error mask 0) never do. Each round ANDs each distinct factor pair
-    once and scores it against every output line at once, into an n_out x
-    pairs matrix whose long axis is innermost; candidates gather their
-    scores from it through cell. The catalogue is in tie-break order (see
-    _candidates), so the first argmax is the winner. Line values pack at
-    most 64 rows (n_in <= 6), one uint64 each, so every score lies in
-    [-64, 64]. wrong counts the wrong entries over all output lines.
+    tab, the factor table (see _catalogue), and err, every output line's
+    error mask, are the only copy of the greedy state: tab is built once
+    from the line values and each winner updates it in place. A
+    candidate's score is the wrong entries of its target line j it fixes
+    minus the right ones it breaks; only positive scores qualify, so the
+    candidates of a line absent from errs (error mask 0) never do. Each
+    round ANDs each distinct factor pair once and scores it against every
+    output line at once, into an n_out x pairs matrix whose long axis is
+    innermost; candidates gather their scores from it through cell. The
+    catalogue is in tie-break order (see _candidates), so the first argmax
+    is the winner. Line values pack at most 64 rows (n_in <= 6), one
+    uint64 each, so every score lies in [-64, 64]. wrong counts the wrong
+    entries over all output lines.
     """
 
     def __init__(self, n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int) -> None:
         width = len(vecs)
         self.n_in = n_in
-        self.slots, self.sa, self.sb, self.cell, (self.i1, self.i2) = _catalogue(n_in, width, allow_neg)
-        self.v = np.array(vecs + [0], dtype=np.uint64)
+        self.slots, sa, sb, self.cell, (self.i1, self.i2), readers = _catalogue(n_in, width, allow_neg)
+        # a fancy index casts an int16 index array on every use: cast once per plan
+        self.readers = readers.astype(np.intp)
+        n, full = len(self.slots), np.uint64(full)
+        v = np.array(vecs + [0], dtype=np.uint64)
+        self.tab = np.full(2 * n + 1, full)  # slot values, complements, all ones
+        np.bitwise_xor(v.take(sa), v.take(sb), out=self.tab[:n])
+        np.bitwise_xor(self.tab[:n], full, out=self.tab[n : 2 * n])
         self.err = np.array([errs.get(ln, 0) for ln in range(n_in, width)], dtype=np.uint64)
-        self.full = np.uint64(full)
-        self.tab = np.full(2 * len(self.slots) + 1, self.full)  # slot values, complements, all ones
         self.wrong = int(np.bitwise_count(self.err).sum())
 
     def best(self) -> tuple[int, tuple] | None:
         """The winner (j, factors), applied; None when no candidate scores above 0.
 
-        Applying it flips line j's value and error mask on the rows the
-        winner activates, and lowers wrong by its score. That is exactly
-        what _realize(j, factors) does to the lines: it flips line j there
-        and restores every other line.
+        Applying it flips line j's error mask on the rows the winner
+        activates, and the tab entries of every slot that reads line j (its
+        value and complement), and lowers wrong by its score. That is
+        exactly what _realize(j, factors) does to the lines: it flips line
+        j there and restores every other line.
         """
         if not self.wrong:
             return None
-        n = len(self.slots)
-        held, flipped = self.tab[:n], self.tab[n : 2 * n]
-        np.bitwise_xor(self.v.take(self.sa), self.v.take(self.sb), out=held)
-        np.bitwise_xor(held, self.full, out=flipped)
         act = self.tab.take(self.i1) & self.tab.take(self.i2)
         # each active row is fixed where it was wrong and broken elsewhere;
         # fixed - broken wraps in uint8 and reads back exactly as int8
         fixed = np.bitwise_count(self.err[:, None] & act)
         broken = np.bitwise_count(act) - fixed
-        score = (fixed - broken).view(np.int8).ravel().take(self.cell)
-        k = int(np.argmax(score))
+        score = (fixed - broken).view(np.int8).take(self.cell)
+        k = int(score.argmax())
         if score[k] <= 0:
             return None
         out_line, p = divmod(int(self.cell[k]), len(act))
-        self.v[self.n_in + out_line] ^= act[p]
+        self.tab[self.readers[out_line]] ^= act[p]
         self.err[out_line] ^= act[p]
         self.wrong -= int(score[k])
+        n = len(self.slots)
         picked = (int(self.i1[p]), int(self.i2[p]))
         return self.n_in + out_line, tuple((self.slots[i % n], bool(i >= n)) for i in picked if i != 2 * n)
 

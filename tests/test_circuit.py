@@ -14,7 +14,9 @@ from shorcompile.circuit import (
     cnot,
     cost,
     evaluate,
+    input_vectors,
     not_gate,
+    output_vectors,
     toffoli,
     verify,
 )
@@ -101,6 +103,28 @@ def test_verify_catches_unrestored_input():
     circ = Circuit(2, (0,), (1,), (cnot(0, 1), cnot(1, 0)))
     bad = verify(circ, TruthTable(1, 1, (0, 1)))
     assert bad and bad[0].input_after != bad[0].x
+
+
+def test_equal_tables_compare_and_hash_equal_whether_or_not_columns_were_read():
+    read, fresh = TruthTable(2, 3, (0, 5, 2, 7)), TruthTable(2, 3, (0, 5, 2, 7))
+    assert read.columns == (0b1010, 0b1100, 0b1010)
+    assert "columns" in vars(read) and "columns" not in vars(fresh)
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert read != TruthTable(2, 3, (0, 5, 2, 6))
+
+
+def test_callers_own_the_packed_lists():
+    """Each call returns a list of its own: mutating one leaves the packed
+    columns, and so every later call, as they were."""
+    table = TruthTable(2, 2, (0, 1, 2, 3))
+    outs = output_vectors(table)
+    outs[0] ^= 1
+    outs.append(9)
+    assert output_vectors(table) == [0b1100, 0b1010] and table.columns == (0b1100, 0b1010)
+    ins = input_vectors(2)
+    ins[1] = 0
+    ins.clear()
+    assert input_vectors(2) == [0b1100, 0b1010]
 
 
 def test_cost_weights():

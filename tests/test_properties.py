@@ -1,4 +1,5 @@
-"""Property tests: the packed evaluator against the row-at-a-time reference,
+"""Property tests: the packed input and output columns against per-call
+packing, the packed evaluator against the row-at-a-time reference,
 the template JSON encoder against json.dumps of the document dict, the
 synthesizer's candidates against the gates built for them, its vectorized
 candidate scorer, fresh and through its own winners, against a
@@ -64,6 +65,25 @@ def gates(draw, width: int) -> Gate:
     negs = draw(st.lists(st.booleans(), min_size=n_controls, max_size=n_controls))
     controls = tuple(Control(ln, neg) for ln, neg in zip(lines[1:], negs))
     return Gate(KINDS[n_controls], controls, lines[0])
+
+
+def reference_output_vectors(table: TruthTable) -> list[int]:
+    """The string packing output_vectors ran on every call, as the reference for the kept columns."""
+    text = "".join(format(y, f"0{table.n_out}b") for y in reversed(table.rows))
+    return [int(text[b :: table.n_out], 2) for b in range(table.n_out)]
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_packed_columns_match_per_call_packing(n_in, n_out, data):
+    """The kept output columns equal the per-call string packing, read first
+    or second; every input line holds bit (x >> (n_in - 1 - i)) & 1 at row x."""
+    rows = data.draw(st.lists(st.integers(0, (1 << n_out) - 1), min_size=1 << n_in, max_size=1 << n_in))
+    table = TruthTable(n_in, n_out, tuple(rows))
+    want = reference_output_vectors(table)
+    assert output_vectors(table) == want and table.columns == tuple(want) and output_vectors(table) == want
+    for i, vec in enumerate(input_vectors(n_in)):
+        assert vec == sum(((x >> (n_in - 1 - i)) & 1) << x for x in range(1 << n_in)), (n_in, i)
 
 
 @st.composite
@@ -349,13 +369,21 @@ def test_vectorized_scorer_at_the_64_bit_edges():
     assert winners == 8
 
 
+def reference_factor_table(slots: tuple, lines: list[int], full: int) -> list[int]:
+    """Every slot's value (the XOR of its lines), then every complement, then all ones."""
+    held = [activation(lines, ((ln, False),), full) for ln in slots]
+    return held + [h ^ full for h in held] + [full]
+
+
 def _check_winners(n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int) -> None:
     """Drive a scorer for up to 6 rounds through its own winners. A plain-Python
-    copy of the lines runs each winner's gates, and every best() must be the
-    winner a fresh reference scoring of that copy picks."""
+    copy of the lines runs each winner's gates, every best() must be the
+    winner a fresh reference scoring of that copy picks, and after each round
+    the scorer's factor table must be the one rebuilt from the copy."""
     targets = {j: vecs[j] ^ errs.get(j, 0) for j in range(n_in, len(vecs))}
     lines = list(vecs)
     scorer = _Scorer(n_in, vecs, errs, allow_neg, full)
+    assert scorer.tab.tolist() == reference_factor_table(scorer.slots, lines, full)
     for _ in range(6):
         errs = {j: err for j, t in targets.items() if (err := lines[j] ^ t)}
         winner = scorer.best()
@@ -364,9 +392,9 @@ def _check_winners(n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: 
             break
         for g in _realize(*winner):
             apply_packed(lines, g, full)
+        assert scorer.tab.tolist() == reference_factor_table(scorer.slots, lines, full), winner
     residuals = [lines[j] ^ t for j, t in targets.items()]
     assert scorer.err.tolist() == residuals
-    assert scorer.v.tolist()[:-1] == lines
     assert scorer.wrong == sum(r.bit_count() for r in residuals)
 
 

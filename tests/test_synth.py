@@ -289,15 +289,21 @@ def test_interned_gate_caches_stay_within_their_bounds():
 def test_widest_catalogue_is_read_only_int16_and_smaller_than_three_rows(allow_neg):
     """The (cell, pairs) catalogue must not outgrow the 3 x C int16 rows
     (i1, i2, j) it replaced, C being the candidate count; the slot index
-    arrays sa and sb cached with it are read-only too."""
-    slots, sa, sb, cell, pairs = _catalogue(6, 12, allow_neg)
+    arrays sa and sb cached with it are read-only too, and so is the int16
+    readers array: per output line, the factor-table entries of the slots
+    that read it, then their complements."""
+    slots, sa, sb, cell, pairs, readers = _catalogue(6, 12, allow_neg)
     count = sum(1 for j in range(6, 12) for _ in _candidates(6, 12, j, allow_neg))
     assert cell.shape == (count,) and pairs.shape[0] == 2
     assert len(slots) == sa.shape[0] == sb.shape[0] == 12 + 12 * 11 // 2
     assert not sa.flags.writeable and not sb.flags.writeable
-    for arr in (cell, pairs):
+    for arr in (cell, pairs, readers):
         assert arr.dtype == np.int16 and not arr.flags.writeable
     assert cell.nbytes + pairs.nbytes <= 3 * 2 * count
+    n = len(slots)
+    for j, row in enumerate(readers.tolist(), 6):
+        mine = [s for s, lines in enumerate(slots) if j in lines]
+        assert row == mine + [s + n for s in mine], j
 
 
 def _greedy_key(candidate):
@@ -314,7 +320,7 @@ def test_catalogue_order_is_the_full_tie_break_key():
     on all 72 shapes under the 6-bit cap."""
     for n_in, n_out, allow_neg in itertools.product(range(1, 7), range(1, 7), (True, False)):
         width = n_in + n_out
-        slots, _, _, cell, pairs = _catalogue(n_in, width, allow_neg)
+        slots, _, _, cell, pairs, _ = _catalogue(n_in, width, allow_neg)
         index, ones = {lines: s for s, lines in enumerate(slots)}, 2 * len(slots)
         every = [(j, f, q) for j in range(n_in, width) for f, q in _candidates(n_in, width, j, allow_neg)]
         want = []
@@ -338,7 +344,7 @@ def test_catalogue_pairs_are_the_target_free_enumeration():
     to exactly the pairs whose factors do not read line j."""
     for n_in, n_out, allow_neg in itertools.product(range(1, 7), range(1, 7), (True, False)):
         width, shape = n_in + n_out, (n_in, n_out, allow_neg)
-        slots, _, _, cell, pairs = _catalogue(n_in, width, allow_neg)
+        slots, _, _, cell, pairs, _ = _catalogue(n_in, width, allow_neg)
         index, ones = {lines: s for s, lines in enumerate(slots)}, 2 * len(slots)
 
         def ref(factors):
