@@ -49,8 +49,6 @@ from .numtheory import (
     PostProcessStatus,
     Semiprime,
     TrivialFactorError,
-    allowed_periods,
-    carmichael,
     continued_fraction_order,
     coprime_order_table,
     factor_semiprime,

@@ -139,7 +139,11 @@ class Mismatch:
 
 
 @lru_cache(maxsize=8)
-def _input_columns(n_in: int) -> tuple[int, ...]:
+def input_vectors(n_in: int) -> tuple[int, ...]:
+    """Packed value of each input line (bit x = input x), line 0 = most significant.
+
+    Each width is packed once into one tuple, kept for the last 8 widths.
+    """
     # line i is 2**p zeros then 2**p ones (p = n_in - 1 - i), doubled up to
     # 2**n_in bits; the block ends in a 1, so its bit length is the shift
     vecs = []
@@ -150,23 +154,6 @@ def _input_columns(n_in: int) -> tuple[int, ...]:
             v |= v << v.bit_length()
         vecs.append(v)
     return tuple(vecs)
-
-
-def input_vectors(n_in: int) -> list[int]:
-    """Packed value of each input line (bit x = input x), line 0 = most significant.
-
-    Each width is packed once into an immutable tuple, and the last 8 widths
-    are kept; every call returns a list of its own.
-    """
-    return list(_input_columns(n_in))
-
-
-def output_vectors(table: TruthTable) -> list[int]:
-    """Packed value of each output bit of the table (bit x = row x), MSB first.
-
-    A list of its own, copied from the columns the table packs once (TruthTable.columns).
-    """
-    return list(table.columns)
 
 
 def apply_packed(lines: list[int], gate: Gate, full: int) -> None:
@@ -221,10 +208,10 @@ def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
 def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
     """All inputs where the circuit disagrees with the table or clobbers x.
 
-    Every row runs at once on packed line values, loaded from the packed
-    input columns of the width and checked against the table's own packed
-    output columns, neither repacked per call; the Mismatch records of the
-    rows that differ, in ascending x, are read from the same values.
+    Every row runs at once on packed line values, loaded from the width's
+    input_vectors and checked against table.columns, the tuples each is
+    packed into once; the Mismatch records of the rows that differ, in
+    ascending x, are read from the same values.
     """
     if circuit.n_in != table.n_in or circuit.n_out != table.n_out:
         raise ValueError(
@@ -232,7 +219,7 @@ def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
             f"table {table.n_in}/{table.n_out}"
         )
     n_rows = len(table.rows)
-    in_vecs = _input_columns(circuit.n_in)
+    in_vecs = input_vectors(circuit.n_in)
     lines = _run(circuit, in_vecs, (1 << n_rows) - 1)
     diff = 0
     for line, want in zip(circuit.output_lines + circuit.input_lines, table.columns + in_vecs):

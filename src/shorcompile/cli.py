@@ -223,21 +223,18 @@ class _Golden(NamedTuple):  # a NamedTuple is defined at import in a seventh of 
     matches a computed int key, and its text otherwise, which matches none:
     ``02`` and `` 2`` are not ``2``. A value cell is a float when it reads
     as one and its text otherwise. A tolerance is a float, or None when its
-    cell does not read as one. ``text`` is kept for the cells a report quotes.
-    ``malformed`` has one problem line for a missing header, or one per row
-    whose cell count is not the header's: such a file is reported by them alone.
+    cell does not read as one. ``rows[i]`` is the row's cells as parsed, for
+    a report to quote. ``malformed`` has one problem line for a missing header,
+    or one per row whose cell count is not the header's, at the line the row
+    starts on: such a file is reported by them alone.
     """
 
-    text: str
     header: list[str]
     malformed: tuple[str, ...]
+    rows: list[list[str]]
     keys: tuple[tuple[int | str, ...], ...]
     values: tuple[tuple[float | str, ...], ...]
     tolerances: tuple[float | None, ...]
-
-    def cells(self, index: int) -> list[str]:
-        """Row ``index``'s cells as written; row 0 is the first row after the header."""
-        return next(csv.reader([self.text.splitlines()[index + 1]]))
 
 
 def _key_cell(cell: str) -> int | str:
@@ -268,18 +265,24 @@ def _golden(directory, stem: str, key: int) -> _Golden:
         text = directory.joinpath(stem + ".csv").read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValueError(f"no bundled golden table {stem}") from None
-    header, *rows = [*csv.reader(text.splitlines())] or [[]]
+    reader = csv.reader(text.splitlines())
+    header = next(reader, [])
+    # a quoted cell may span lines, so a row starts on the line after the one the row before it ends on
+    rows, ends = [], [reader.line_num]
+    for row in reader:
+        rows.append(row)
+        ends.append(reader.line_num)
     malformed = tuple(
-        f"{stem} line {number}: {len(row)} cells, header has {len(header)}"
-        for number, row in enumerate(rows, 2)
+        f"{stem} line {end + 1}: {len(row)} cells, header has {len(header)}"
+        for end, row in zip(ends, rows)
         if len(row) != len(header)
     ) if header else (f"{stem} line 1: no header",)
     # each distinct value or tolerance text is read once, into one float that every row holding it shares
     numbers = {cell: _number(cell) for cell in {c for row in rows for c in row[key:-1] + row[-1:]}}
     return _Golden(
-        text,
         header,
         malformed,
+        rows,
         keys=tuple(tuple(map(_key_cell, row[:key])) for row in rows),
         values=tuple(tuple(c if numbers[c] is None else numbers[c] for c in row[key:-1]) for row in rows),
         tolerances=tuple(numbers[row[-1]] if row else None for row in rows),
@@ -309,29 +312,27 @@ def _diff(table: Table, dists: _Dists = _distributions) -> list[str]:
         return [f"{stem}: golden columns {','.join(golden.header)}, expected {','.join(names)},tolerance"]
     computed = {tuple(row[:key]): row[key:] for row in table.rows(dists)}
     problems = []
-    for index, (name, want, tol) in enumerate(zip(golden.keys, golden.values, golden.tolerances)):
+    for name, want, tol, cells in zip(golden.keys, golden.values, golden.tolerances, golden.rows):
         got = computed.pop(name, None)
         if got is None:
             problems.append(f"{stem} {_named(names, name)}: golden row missing")
             continue
         if tol is None:
-            cell = golden.cells(index)[-1]
-            problems.append(f"{stem} {_named(names, name)}: golden tolerance {cell!r} is not a number")
+            problems.append(f"{stem} {_named(names, name)}: golden tolerance {cells[-1]!r} is not a number")
             continue
         tol += _TOL_SLACK
         for column, (w, g) in enumerate(zip(want, got), key):
             if isinstance(g, str):  # a text cell, compared as written
-                bad = g != (w if isinstance(w, str) else golden.cells(index)[column])
+                bad = g != (w if isinstance(w, str) else cells[column])
             elif isinstance(w, str):
                 problems.append(f"{stem} {_named(names, name)}: golden {names[column]} {w!r} is not a number")
                 break
             else:
                 bad = abs(g - w) > tol
             if bad:
-                written = golden.cells(index)[key:-1]
                 problems.append(
                     f"{stem} {_named(names, name)}: "
-                    f"golden {_named(names[key:], written)}, computed {_named(names[key:], got)}"
+                    f"golden {_named(names[key:], cells[key:-1])}, computed {_named(names[key:], got)}"
                 )
                 break
     problems.extend(f"{stem} {_named(names, name)}: extra computed row" for name in computed)

@@ -95,16 +95,6 @@ def factor_semiprime(n: int) -> Semiprime:
     return Semiprime(n, *factors)
 
 
-def carmichael(p: int, q: int) -> int:
-    """lcm(p - 1, q - 1) for distinct odd primes p and q."""
-    return Semiprime(p * q, p, q).carmichael()
-
-
-def allowed_periods(p: int, q: int) -> list[int]:
-    """Semiprime.allowed_periods for distinct odd primes p and q."""
-    return Semiprime(p * q, p, q).allowed_periods()
-
-
 @dataclass(frozen=True)
 class OrderRecord:
     a: int

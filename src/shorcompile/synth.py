@@ -31,10 +31,10 @@ its own verification, which runs on every row of every circuit, raises
 SynthesisError, a fault of this module; the command line exits 3 on it.
 
 Throughout, boolean functions over the 2**n_in inputs are packed into int
-bitmasks (bit x = value at input x) by the helpers in circuit.py, which
-pack the input columns once per width and a table's output columns once
-per table; only the affine fit and the greedy scorer copy them into
-uint64 arrays.
+bitmasks (bit x = value at input x): circuit.input_vectors packs the input
+columns once per width and TruthTable.columns a table's output columns
+once per table, each into a tuple every caller reads as is; only the
+affine fit and the greedy scorer copy them into uint64 arrays.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .circuit import (
     cnot,
     input_vectors,
     not_gate,
-    output_vectors,
     toffoli,
     verify,
 )
@@ -150,7 +149,7 @@ def fit_linear(table: TruthTable) -> LinearFit:
     check_register_widths(table.n_in, table.n_out)
     n = table.n_in
     values, terms = _affine_forms(n)
-    targets = output_vectors(table)
+    targets = table.columns
     miss = np.bitwise_count(values ^ np.array(targets, dtype=np.uint64)[:, None])
     bits = []
     for target, f in zip(targets, np.argmin(miss.astype(np.int32) << 3 | terms, axis=1).tolist()):
@@ -406,7 +405,7 @@ def plan_cascades(
     errs = {j: sum(1 << x for x in bit.mismatches) for j, bit in enumerate(fit.bits, n_in) if bit.mismatches}
     if not errs:
         return CascadePlan(())
-    vecs = input_vectors(n_in) + [t ^ errs.get(j, 0) for j, t in enumerate(output_vectors(table), n_in)]
+    vecs = [*input_vectors(n_in), *(t ^ errs.get(j, 0) for j, t in enumerate(table.columns, n_in))]
     scorer = _Scorer(n_in, vecs, errs, allow_negative_controls, (1 << (1 << n_in)) - 1)
     steps: list[Gate] = []
     while (best := scorer.best()) is not None:

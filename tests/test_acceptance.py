@@ -17,8 +17,6 @@ from shorcompile.library import ERRATA, FIGURE_IDS, LIBRARY, PRINTED_F4_33_TABLE
 from shorcompile.modexp import GKind, compile_modexp, full_compile
 from shorcompile.numtheory import (
     PostProcessStatus,
-    allowed_periods,
-    carmichael,
     coprime_order_table,
     factor_semiprime,
     shor_postprocess,
@@ -82,9 +80,9 @@ def test_criterion_02_allowed_periods_table():
         for row in golden:
             sp = factor_semiprime(int(row["N"]))
             assert (sp.p, sp.q) == (int(row["p"]), int(row["q"]))
-            assert carmichael(sp.p, sp.q) == int(row["lambda"])
+            assert sp.carmichael() == int(row["lambda"])
             want = [int(d) for d in row["periods"].split(";")]
-            assert allowed_periods(sp.p, sp.q) == want, row["N"]
+            assert sp.allowed_periods() == want, row["N"]
 
 
 def test_criterion_03_circuits_match_captions_and_tables():

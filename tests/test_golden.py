@@ -125,6 +125,10 @@ def test_a_key_cell_matches_only_as_written(tmp_path, monkeypatch, capsys, text)
         # p=3 has S=0.23828125, against a tolerance of 0.001
         ("separability_m3k3", {(3, 1): "0.2372"}, "separability_m3k3 p=3: golden S=0.2372, computed S=0.238281"),
         ("separability_m3k3", {(3, 1): "0.2373"}, None),
+        # a cell written quoted over two lines reads without its line break and moves every later
+        # row down a line: a report quotes its own row's cells, not the line the row's index names
+        ("orders_n21", {(1, 1): "4\n"}, "orders_n21 a=2: golden r=4, computed r=6"),
+        ("orders_n21", {(1, 1): "6\n", (3, 1): "99"}, "orders_n21 a=5: golden r=99, computed r=6"),
     ],
 )
 def test_a_value_is_checked_against_its_tolerance(tmp_path, monkeypatch, capsys, stem, edits, problem):
@@ -165,12 +169,14 @@ def test_a_malformed_cell_is_one_fail_line(tmp_path, monkeypatch, capsys, stem, 
         ("separability_m3k3", "\n3,0.238,0.001\n", "\n3,0.001\n", "separability_m3k3 line 4: 2 cells, header has 3"),
         # the last of five cells would be read as the tolerance
         ("orders_n21", "\n4,3,0\n", "\n4,3,0,9,9\n", "orders_n21 line 3: 5 cells, header has 3"),
+        # a problem line names the line its row starts on: row a=2 now fills lines 2 and 3
+        ("orders_n21", "\n2,6,0\n4,3,0\n", '\n2,"6\n",0\n4,3\n', "orders_n21 line 4: 2 cells, header has 3"),
         # a blank line is a row of no cells, not a golden row with an empty key
         ("orders_n21", "tolerance\n", "tolerance\n\n", "orders_n21 line 2: 0 cells, header has 3"),
         # an empty file has no header to unpack
         ("orders_n33", None, "", "orders_n33 line 1: no header"),
     ],
-    ids=["short", "long", "blank", "empty"],
+    ids=["short", "long", "after-a-two-line-cell", "blank", "empty"],
 )
 def test_a_row_of_the_wrong_width_is_one_fail_line(tmp_path, monkeypatch, capsys, stem, old, new, problem):
     """A golden row is as wide as its header; ``old`` None replaces the whole file with ``new``."""
@@ -220,7 +226,8 @@ _CELL_TEXT = st.one_of(
     st.integers(-300, 300).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["", "x", "tol", "nan", "inf", "-0", "+2", "02", " 2", "2 ", "1e-3", "1_0", "2;4", "0x10"]),
-    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+    # printable ASCII and the line break, which the writer quotes into a cell spanning lines
+    st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.just("\n"), max_size=6),
 )
 
 

@@ -12,8 +12,6 @@ from shorcompile.numtheory import (
     PostProcessStatus,
     Semiprime,
     TrivialFactorError,
-    allowed_periods,
-    carmichael,
     continued_fraction_order,
     coprime_order_table,
     factor_semiprime,
@@ -85,7 +83,7 @@ def test_carmichael_is_the_exponent_of_the_group():
     # lambda(pq) must be the exact maximum order, not merely an upper bound
     for p, q in [(3, 5), (3, 7), (3, 11), (5, 7), (5, 11), (7, 11), (3, 29)]:
         n = p * q
-        lam = carmichael(p, q)
+        lam = Semiprime(n, p, q).carmichael()
         orders = [_order_oracle(a, n) for a in range(2, n) if math.gcd(a, n) == 1]
         assert all(lam % r == 0 for r in orders)
         assert lam in orders or lam == 1
@@ -93,17 +91,18 @@ def test_carmichael_is_the_exponent_of_the_group():
 
 def test_allowed_periods_are_nontrivial_divisors():
     for p, q in [(3, 5), (3, 7), (5, 13), (7, 11)]:
-        lam = carmichael(p, q)
-        periods = allowed_periods(p, q)
+        sp = Semiprime(p * q, p, q)
+        lam = sp.carmichael()
+        periods = sp.allowed_periods()
         assert periods == sorted(d for d in range(2, lam + 1) if lam % d == 0)
 
 
 def test_allowed_periods_known_rows():
-    assert allowed_periods(3, 5) == [2, 4]
-    assert allowed_periods(3, 7) == [2, 3, 6]
-    assert allowed_periods(3, 11) == [2, 5, 10]
-    assert allowed_periods(7, 11) == [2, 3, 5, 6, 10, 15, 30]
-    assert allowed_periods(3, 29) == [2, 4, 7, 14, 28]
+    assert Semiprime(15, 3, 5).allowed_periods() == [2, 4]
+    assert Semiprime(21, 3, 7).allowed_periods() == [2, 3, 6]
+    assert Semiprime(33, 3, 11).allowed_periods() == [2, 5, 10]
+    assert Semiprime(77, 7, 11).allowed_periods() == [2, 3, 5, 6, 10, 15, 30]
+    assert Semiprime(87, 3, 29).allowed_periods() == [2, 4, 7, 14, 28]
 
 
 def test_coprime_order_table_n15():
