@@ -265,7 +265,7 @@ def _golden(directory, stem: str, key: int) -> _Golden:
         text = directory.joinpath(stem + ".csv").read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValueError(f"no bundled golden table {stem}") from None
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))  # the CSV line rule, which str.splitlines is not
     header = next(reader, [])
     # a quoted cell may span lines, so a row starts on the line after the one the row before it ends on
     rows, ends = [], [reader.line_num]
@@ -294,7 +294,11 @@ def _cell(value: object) -> object:
 
 
 def _named(names: tuple[str, ...], cells: Iterable[object]) -> str:
-    return " ".join(f"{name}={_cell(c)}" for name, c in zip(names, cells))
+    # an unprintable text cell (a line break, say) is shown by its repr: a report stays one line
+    return " ".join(
+        f"{name}={c!r}" if isinstance(c, str) and not c.isprintable() else f"{name}={_cell(c)}"
+        for name, c in zip(names, cells)
+    )
 
 
 def _diff(table: Table, dists: _Dists = _distributions) -> list[str]:

@@ -1,40 +1,41 @@
-"""Two-stage reversible synthesis from truth tables.
+"""Reversible synthesis from truth tables: three stages over packed error masks.
 
-Stage one fits each output bit with the best affine XOR form over the input
-bits, scoring every form of the input width from a cached table in one numpy
-argmin, and emits it as CNOT copies. Stage two repairs the remaining wrong
-entries greedily. A candidate is a target line and up to two control
+A boolean function over the 2**n_in inputs is an int bitmask (bit x = value
+at input x): circuit.input_vectors packs the input columns once per width
+and TruthTable.columns a table's output columns once per table, as tuples.
+An output line's error mask holds the rows where the line, as the gates so
+far leave it, differs from its column; the stages hand them on as a tuple.
+
+Linear: fit_linear picks each output bit's best affine XOR form over the
+inputs, scoring every form of the width from a cached table in one numpy
+argmin, and _emit_linear emits the forms as CNOT copies. Each line is then
+wrong on exactly its fit's mismatches, which plan_cascades packs once.
+
+Greedy (_greedy): a candidate is a target line and up to two control
 factors, each the XOR of one or two lines with a polarity (a two-line
 Toffoli factor is an input-line pair borrowed in place and restored). Its
 shape does not depend on the line values, and its target only rules out
 the shapes whose factors read it, so _candidates is enumerated once per
 (n_in, width, polarity setting), with no target, into one read-only
-catalogue: int16 arrays that store each shape once, as a factor pair, and
-every candidate in tie-break order, as its cell of an outputs x pairs score
-matrix. Each plan packs every factor slot's value (at most 64 rows) into
-a uint64 once; every round ANDs each factor pair once and popcounts it
-against every output line's error mask into that matrix, in uint8 read
-back as int8; each candidate gathers its score from it, the first best
-score is the winner, and gates are built only for it. A winner's gates
-flip only its target line, by the rows it activates, since every borrowed
-line is restored, so the scorer applies that flip to its own state, the
-only copy planning keeps: the line's error mask and the slots that read
-the line; no gate is run before verification. Chaining gate outputs into
-later controls is where Toffoli cascades come from. Whatever the greedy
-pass cannot clear is finished off from the algebraic normal form of the
-residual, so synthesis always terminates, and exactly one circuit comes
-out per table and polarity setting; nothing searches for a cheaper one. A
-monomial's mop-up gates depend only on the register shape, so each
-sequence is built once and appended unsimulated. Gates are built through
-interned constructors, so equal gates are one object. A circuit that fails
-its own verification, which runs on every row of every circuit, raises
-SynthesisError, a fault of this module; the command line exits 3 on it.
+catalogue of int16 arrays: each shape once, as a factor pair, and every
+candidate in tie-break order, as its cell of an outputs x pairs score
+matrix. Each plan packs every factor slot's value into a uint64 once;
+every round ANDs each factor pair once and popcounts it against every mask
+into that matrix, the first best score wins, and gates are built only for
+the winner. They flip only its target line, by the rows it activates, so
+the stage applies that flip to the mask and to the slots that read the
+line, the only copy of its state; no gate runs before verification.
+Chaining gate outputs into later controls is where Toffoli cascades come
+from.
 
-Throughout, boolean functions over the 2**n_in inputs are packed into int
-bitmasks (bit x = value at input x): circuit.input_vectors packs the input
-columns once per width and TruthTable.columns a table's output columns
-once per table, each into a tuple every caller reads as is; only the
-affine fit and the greedy scorer copy them into uint64 arrays.
+Mop-up (_mop_up): what greedy leaves is emitted from the algebraic normal
+form of each mask, so synthesis always terminates with exactly one circuit
+per table and polarity setting. A monomial's gates depend only on the
+register shape, so each sequence is built once and appended unsimulated.
+
+Gates come from interned constructors, so equal gates are one object.
+synthesize verifies every circuit on every row; a failure raises
+SynthesisError, a fault of this module, and the command line exits 3.
 """
 
 from __future__ import annotations
@@ -158,10 +159,10 @@ def fit_linear(table: TruthTable) -> LinearFit:
     return LinearFit(n, tuple(bits))
 
 
-def _emit_linear(fit: LinearFit, n_in: int, allow_neg: bool = True) -> list[Gate]:
+def _emit_linear(fit: LinearFit, allow_neg: bool = True) -> list[Gate]:
     """CNOT copies realizing the fitted forms, the constant folded into the first one if allowed."""
     gates: list[Gate] = []
-    for j, bit in enumerate(fit.bits, n_in):
+    for j, bit in enumerate(fit.bits, fit.n_in):
         sources = tuple(_set_bits(bit.form.mask))
         if bit.form.const and (not sources or not allow_neg):
             gates += _realize(j, ())
@@ -235,7 +236,7 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
     pair; slot s holds line sa[s] XOR line sb[s], where a lone line's sb is
     width, a zero line appended after the last. A candidate flips its
     target line j where entries i1 and i2 of a round's factor table (see
-    _Scorer) both hold: entry s is the value of slot s, s + len(slots) its
+    _greedy) both hold: entry s is the value of slot s, s + len(slots) its
     complement and 2*len(slots) all ones, where a lone factor's i2 and both
     of a NOT's indices point. The int16 pairs (2 x P) holds the (i1, i2) of
     each j=None shape of _candidates once, in order, less the shapes that
@@ -279,65 +280,57 @@ def _catalogue(n_in: int, width: int, allow_neg: bool) -> tuple:
     return slots, sa, sb, cell, pairs, readers
 
 
-class _Scorer:
-    """The greedy line state, and the winner among every candidate, rescored each round.
+def _greedy(table: TruthTable, errs: tuple[int, ...], allow_neg: bool) -> tuple[list[Gate], tuple[int, ...]]:
+    """The greedy repair: its gates, and every output line's error mask after them.
 
-    tab, the factor table (see _catalogue), and err, every output line's
-    error mask, are the only copy of the greedy state: tab is built once
-    from the line values and each winner updates it in place. A
-    candidate's score is the wrong entries of its target line j it fixes
-    minus the right ones it breaks; only positive scores qualify, so the
-    candidates of a line absent from errs (error mask 0) never do. Each
-    round ANDs each distinct factor pair once and scores it against every
-    output line at once, into an n_out x pairs matrix whose long axis is
-    innermost; candidates gather their scores from it through cell. The
-    catalogue is in tie-break order (see _candidates), so the first argmax
-    is the winner. Line values pack at most 64 rows (n_in <= 6), one
-    uint64 each, so every score lies in [-64, 64]. wrong counts the wrong
-    entries over all output lines.
+    Each round rescores every candidate and emits the winner, until every
+    mask is 0 or no candidate scores above 0. A candidate's score is the
+    wrong entries of its target line j it fixes minus the right ones it
+    breaks, so a line whose mask is 0 has no candidate that qualifies.
+    Each round ANDs each distinct factor pair once and scores it against
+    every output line at once, into an n_out x pairs matrix whose long
+    axis is innermost; candidates gather their scores from it through
+    cell. The catalogue is in tie-break order (see _candidates), so the
+    first argmax is the winner. Line values pack at most 64 rows
+    (n_in <= 6), one uint64 each, so every score lies in [-64, 64].
+
+    tab, the factor table (see _catalogue), and err, the error masks, are
+    the only copy of the greedy state: tab is built once from the line
+    values, each output line being its column XOR its mask. A winner
+    flips line j's mask on the rows it activates, and the tab entries of
+    every slot that reads line j (its value and complement): exactly what
+    _realize(j, factors) does to the lines, flipping line j there and
+    restoring every other line. A table with no wrong entry builds no state.
     """
-
-    def __init__(self, n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int) -> None:
-        width = len(vecs)
-        self.n_in = n_in
-        self.slots, sa, sb, self.cell, (self.i1, self.i2), readers = _catalogue(n_in, width, allow_neg)
-        # a fancy index casts an int16 index array on every use: cast once per plan
-        self.readers = readers.astype(np.intp)
-        n, full = len(self.slots), np.uint64(full)
-        v = np.array(vecs + [0], dtype=np.uint64)
-        self.tab = np.full(2 * n + 1, full)  # slot values, complements, all ones
-        np.bitwise_xor(v.take(sa), v.take(sb), out=self.tab[:n])
-        np.bitwise_xor(self.tab[:n], full, out=self.tab[n : 2 * n])
-        self.err = np.array([errs.get(ln, 0) for ln in range(n_in, width)], dtype=np.uint64)
-        self.wrong = int(np.bitwise_count(self.err).sum())
-
-    def best(self) -> tuple[int, tuple] | None:
-        """The winner (j, factors), applied; None when no candidate scores above 0.
-
-        Applying it flips line j's error mask on the rows the winner
-        activates, and the tab entries of every slot that reads line j (its
-        value and complement), and lowers wrong by its score. That is
-        exactly what _realize(j, factors) does to the lines: it flips line
-        j there and restores every other line.
-        """
-        if not self.wrong:
-            return None
-        act = self.tab.take(self.i1) & self.tab.take(self.i2)
-        # each active row is fixed where it was wrong and broken elsewhere;
-        # fixed - broken wraps in uint8 and reads back exactly as int8
-        fixed = np.bitwise_count(self.err[:, None] & act)
-        broken = np.bitwise_count(act) - fixed
-        score = (fixed - broken).view(np.int8).take(self.cell)
+    n_in = table.n_in
+    gates: list[Gate] = []
+    if not any(errs):
+        return gates, errs
+    slots, sa, sb, cell, (i1, i2), readers = _catalogue(n_in, n_in + table.n_out, allow_neg)
+    # a fancy index casts an int16 index array on every use: cast once per plan
+    readers = readers.astype(np.intp)
+    n, full = len(slots), np.uint64((1 << (1 << n_in)) - 1)
+    v = np.array([*input_vectors(n_in), *(t ^ e for t, e in zip(table.columns, errs)), 0], dtype=np.uint64)
+    tab = np.full(2 * n + 1, full)  # slot values, complements, all ones
+    np.bitwise_xor(v.take(sa), v.take(sb), out=tab[:n])
+    np.bitwise_xor(tab[:n], full, out=tab[n : 2 * n])
+    err = np.array(errs, dtype=np.uint64)
+    while err.any():
+        act = tab.take(i1) & tab.take(i2)
+        # each active row is fixed where it was wrong and broken elsewhere; the
+        # score fixed - (active - fixed) wraps in uint8 and reads back exactly as int8
+        fixed = np.bitwise_count(err[:, None] & act)
+        score = (fixed - (np.bitwise_count(act) - fixed)).view(np.int8).take(cell)
         k = int(score.argmax())
         if score[k] <= 0:
-            return None
-        out_line, p = divmod(int(self.cell[k]), len(act))
-        self.tab[self.readers[out_line]] ^= act[p]
-        self.err[out_line] ^= act[p]
-        self.wrong -= int(score[k])
-        n = len(self.slots)
-        picked = (int(self.i1[p]), int(self.i2[p]))
-        return self.n_in + out_line, tuple((self.slots[i % n], bool(i >= n)) for i in picked if i != 2 * n)
+            break
+        out_line, p = divmod(int(cell[k]), len(act))
+        tab[readers[out_line]] ^= act[p]
+        err[out_line] ^= act[p]
+        factors = tuple((slots[i % n], i >= n) for i in (int(i1[p]), int(i2[p])) if i != 2 * n)
+        gates += _realize(n_in + out_line, factors)
+        del fixed, score  # freed before the next round's n_out x pairs temporary, not alongside it
+    return gates, tuple(err.tolist())
 
 
 def _anf_monomials(err: int, n_in: int) -> list[int]:
@@ -381,11 +374,25 @@ def _monomial_gates(term: int, n_in: int, j: int, width: int) -> tuple[Gate, ...
     """Gates flipping line j exactly on the monomial's support, restoring all else.
 
     They depend only on the arguments, not on the line values, so each
-    sequence is built once (at most 2646 under the 6-bit cap);
-    plan_cascades does not run them.
+    sequence is built once (at most 2646 under the 6-bit cap); _mop_up
+    does not run them.
     """
     lines = sorted(n_in - 1 - p for p in range(n_in) if (term >> p) & 1)
     return tuple(_multi_controlled_flip(lines, j, n_in, width))
+
+
+def _mop_up(table: TruthTable, errs: tuple[int, ...]) -> list[Gate]:
+    """Gates clearing every output line's error mask from its algebraic normal form.
+
+    Each monomial's gates flip only line j, by the monomial, so the masks
+    stay put and nothing needs simulating; this always completes.
+    """
+    n_in, width = table.n_in, table.n_in + table.n_out
+    gates: list[Gate] = []
+    for j, err in enumerate(errs, n_in):
+        for term in _anf_monomials(err, n_in):
+            gates += _monomial_gates(term, n_in, j, width)
+    return gates
 
 
 def plan_cascades(
@@ -393,30 +400,13 @@ def plan_cascades(
 ) -> CascadePlan:
     """Repair plan for everything the linear stage left wrong; no gate is run.
 
-    Greedy phase: among all candidates, pick the one fixing the most wrong
-    entries net of newly broken ones; ties go to the cheapest, in the order
-    _candidates documents. When no candidate has a positive net score, the
-    remaining residual is emitted from its algebraic normal form, which
-    always completes.
+    The linear stage leaves each output line wrong on exactly its fit's
+    mismatches. The greedy repair (_greedy) clears what it can; the ANF
+    mop-up (_mop_up) emits the rest.
     """
-    n_in = table.n_in
-    width = n_in + table.n_out
-    # the linear stage leaves each output line wrong on exactly its fit's mismatches
-    errs = {j: sum(1 << x for x in bit.mismatches) for j, bit in enumerate(fit.bits, n_in) if bit.mismatches}
-    if not errs:
-        return CascadePlan(())
-    vecs = [*input_vectors(n_in), *(t ^ errs.get(j, 0) for j, t in enumerate(table.columns, n_in))]
-    scorer = _Scorer(n_in, vecs, errs, allow_negative_controls, (1 << (1 << n_in)) - 1)
-    steps: list[Gate] = []
-    while (best := scorer.best()) is not None:
-        steps += _realize(*best)
-    # each monomial's gates flip only line j, by the monomial, so the
-    # residuals stay put and nothing needs simulating
-    for j, err in enumerate(scorer.err.tolist(), n_in):
-        if err:
-            for term in _anf_monomials(err, n_in):
-                steps += _monomial_gates(term, n_in, j, width)
-    return CascadePlan(tuple(steps))
+    errs = tuple(sum(1 << x for x in bit.mismatches) for bit in fit.bits)
+    steps, errs = _greedy(table, errs, allow_negative_controls)
+    return CascadePlan((*steps, *_mop_up(table, errs)))
 
 
 def synthesize(table: TruthTable, *, allow_negative_controls: bool = True) -> Circuit:
@@ -443,7 +433,7 @@ def synthesize(table: TruthTable, *, allow_negative_controls: bool = True) -> Ci
         table.n_in + table.n_out,
         tuple(range(table.n_in)),
         tuple(range(table.n_in, table.n_in + table.n_out)),
-        tuple(_emit_linear(fit, table.n_in, allow_negative_controls)) + plan.steps,
+        tuple(_emit_linear(fit, allow_negative_controls)) + plan.steps,
     )
     bad = verify(circ, table)
     if bad:

@@ -5,6 +5,7 @@ the gate's status is readable straight off a captured pytest run.
 """
 
 import csv
+import io
 import random
 import time
 from importlib import resources
@@ -55,7 +56,7 @@ class _report:
 
 def _golden(name: str) -> list[dict]:
     path = resources.files("shorcompile").joinpath("golden").joinpath(name)
-    return list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
+    return list(csv.DictReader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
 
 
 def _dist(p: int) -> ProbDist:

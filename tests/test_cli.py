@@ -163,7 +163,7 @@ def _edit_golden(rows, key, edit):
 def test_diff_golden_reports_each_edit(tmp_path, monkeypatch, capsys, label, table, edit):
     shutil.copytree(cli._GOLDEN_DIR, tmp_path, dirs_exist_ok=True)
     target = tmp_path / f"{table.stem}.csv"
-    rows = list(csv.reader(target.read_text(encoding="utf-8").splitlines()))
+    rows = list(csv.reader(io.StringIO(target.read_text(encoding="utf-8"), newline="")))
     rows, message = _edit_golden(rows, table.key, edit)
     with open(target, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -9,6 +9,7 @@ list.
 
 import csv
 import functools
+import io
 import itertools
 import math
 import shutil
@@ -30,7 +31,10 @@ def _cell(value):
 
 
 def _named(names, cells):
-    return " ".join(f"{name}={_cell(c)}" for name, c in zip(names, cells))
+    return " ".join(
+        f"{name}={c!r}" if isinstance(c, str) and not c.isprintable() else f"{name}={_cell(c)}"
+        for name, c in zip(names, cells)
+    )
 
 
 def _finite(cell):
@@ -43,7 +47,7 @@ def _finite(cell):
 def reference_diff(table, directory, dists):
     """``table``'s problems against ``<directory>/<stem>.csv``, parsed on this call."""
     text = Path(directory, f"{table.stem}.csv").read_text(encoding="utf-8")
-    header, *golden = csv.reader(text.splitlines())
+    header, *golden = csv.reader(io.StringIO(text, newline=""))
     if header != [*table.header, "tolerance"]:
         return [f"{table.stem}: golden columns {','.join(header)}, expected {','.join(table.header)},tolerance"]
     key, names = table.key, table.header
@@ -72,12 +76,14 @@ _TABLES = {table.stem: (label, table) for label, table in cli._GOLDENS}
 
 def _bundled_rows(stem):
     text = cli._GOLDEN_DIR.joinpath(f"{stem}.csv").read_text(encoding="utf-8")
-    return list(csv.reader(text.splitlines()))
+    return list(csv.reader(io.StringIO(text, newline="")))
 
 
 def _write_golden(directory, stem, rows):
+    # with both line-break characters in its terminator, the writer quotes a cell
+    # holding either one on every Python version, so each cell reads back as written
     with open(Path(directory, f"{stem}.csv"), "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        csv.writer(fh, lineterminator="\r\n").writerows(rows)
 
 
 def _diff_golden_with(tmp_path, monkeypatch, capsys, stem, edits):
@@ -125,10 +131,25 @@ def test_a_key_cell_matches_only_as_written(tmp_path, monkeypatch, capsys, text)
         # p=3 has S=0.23828125, against a tolerance of 0.001
         ("separability_m3k3", {(3, 1): "0.2372"}, "separability_m3k3 p=3: golden S=0.2372, computed S=0.238281"),
         ("separability_m3k3", {(3, 1): "0.2373"}, None),
-        # a cell written quoted over two lines reads without its line break and moves every later
-        # row down a line: a report quotes its own row's cells, not the line the row's index names
-        ("orders_n21", {(1, 1): "4\n"}, "orders_n21 a=2: golden r=4, computed r=6"),
+        # a cell written quoted over two lines reads with its line break, shown by its repr, and
+        # moves every later row down a line: a report quotes its own row's cells, not the line the
+        # row's index names
+        ("orders_n21", {(1, 1): "4\n"}, "orders_n21 a=2: golden r='4\\n', computed r=6"),
         ("orders_n21", {(1, 1): "6\n", (3, 1): "99"}, "orders_n21 a=5: golden r=99, computed r=6"),
+        # a text cell is compared as written, its trailing line break included
+        (
+            "allowed_periods_max90",
+            {(1, 4): "2;4\n"},
+            "allowed_periods_max90 N=15: golden p=3 q=5 lambda=4 periods='2;4\\n', "
+            "computed p=3 q=5 lambda=4 periods=2;4",
+        ),
+        # a form feed, which csv.writer leaves unquoted, ends no CSV line: one cell, one mismatch
+        (
+            "allowed_periods_max90",
+            {(1, 4): "2\x0c4"},
+            "allowed_periods_max90 N=15: golden p=3 q=5 lambda=4 periods='2\\x0c4', "
+            "computed p=3 q=5 lambda=4 periods=2;4",
+        ),
     ],
 )
 def test_a_value_is_checked_against_its_tolerance(tmp_path, monkeypatch, capsys, stem, edits, problem):
@@ -226,8 +247,9 @@ _CELL_TEXT = st.one_of(
     st.integers(-300, 300).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["", "x", "tol", "nan", "inf", "-0", "+2", "02", " 2", "2 ", "1e-3", "1_0", "2;4", "0x10"]),
-    # printable ASCII and the line break, which the writer quotes into a cell spanning lines
-    st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.just("\n"), max_size=6),
+    # printable ASCII, the line breaks, which the writer quotes into a cell spanning lines, and
+    # characters str.splitlines also breaks on, which the writer leaves unquoted
+    st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\n\r\x0c\u2028"), max_size=6),
 )
 
 

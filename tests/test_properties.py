@@ -1,11 +1,12 @@
 """Property tests: the packed input and output columns against per-call
 packing, the packed evaluator against the row-at-a-time reference,
 the template JSON encoder against json.dumps of the document dict, the
-synthesizer's candidates against the gates built for them, its vectorized
-candidate scorer, fresh and through its own winners, against a
-plain-Python one, its packed ANF transform against a list-based one, its
-ANF mop-up gates against the flip each monomial asks for, and the
-order-finding sampler against numpy's own weighted draw."""
+synthesizer's candidates against the gates built for them, its greedy
+repair, whole gate list and returned error masks, against a plain-Python
+loop that scores every candidate each round, its packed ANF transform
+against a list-based one, its ANF mop-up gates against the flip each
+monomial asks for, and the order-finding sampler against numpy's own
+weighted draw."""
 
 import json
 import math
@@ -37,9 +38,9 @@ from shorcompile.synth import (
     AffineForm,
     BitFit,
     SynthesisError,
-    _Scorer,
     _anf_monomials,
     _candidates,
+    _greedy,
     _monomial_gates,
     _realize,
     fit_linear,
@@ -309,113 +310,111 @@ def reference_best_candidate(n_in, vecs, errs, allow_neg, full):
     return None if best is None else best[1:]
 
 
+def reference_greedy(table: TruthTable, errs: tuple[int, ...], allow_neg: bool) -> tuple[list[Gate], tuple[int, ...]]:
+    """The greedy stage one plain-Python round at a time: reference_best_candidate's
+    winner, its _realize gates run on every line through apply_packed, until it
+    returns None; then the gates and every output line's error mask."""
+    n_in, full = table.n_in, (1 << (1 << table.n_in)) - 1
+    lines = [*input_vectors(n_in), *(t ^ e for t, e in zip(table.columns, errs))]
+    gates: list[Gate] = []
+    while True:
+        masks = tuple(lines[j] ^ t for j, t in enumerate(table.columns, n_in))
+        winner = reference_best_candidate(n_in, lines, {j: m for j, m in enumerate(masks, n_in) if m}, allow_neg, full)
+        if winner is None:
+            return gates, masks
+        for g in _realize(*winner):
+            apply_packed(lines, g, full)
+            gates.append(g)
+
+
+def table_of_columns(n_in: int, columns: list[int]) -> TruthTable:
+    """The table whose output lines, most significant first, hold the packed columns."""
+    n_out = len(columns)
+    rows = [sum((c >> x & 1) << (n_out - 1 - b) for b, c in enumerate(columns)) for x in range(1 << n_in)]
+    return TruthTable(n_in, n_out, tuple(rows))
+
+
+def _check_greedy(table: TruthTable, errs: tuple[int, ...], allow_neg: bool) -> int:
+    """_greedy's gates and masks equal the reference loop's; returns the gate count."""
+    gates, masks = _greedy(table, errs, allow_neg)
+    assert (gates, masks) == reference_greedy(table, errs, allow_neg), (table, errs, allow_neg)
+    return len(gates)
+
+
 def _line_values(n_in: int) -> st.SearchStrategy[int]:
     """Any packed line value, with all ones and the half-way edges drawn often."""
     full = (1 << (1 << n_in)) - 1
     return st.one_of(st.integers(0, full), st.sampled_from([0, full, full >> 1, (full >> 1) + 1]))
 
 
-def _draw_scorer_state(data, n_in: int) -> tuple[list[int], dict[int, int], bool, int]:
+def _draw_greedy_state(data, n_in: int) -> tuple[TruthTable, tuple[int, ...], bool]:
+    """A table of drawn output columns and a drawn error mask per output line."""
     n_out = data.draw(st.integers(1, 6))
-    width, full = n_in + n_out, (1 << (1 << n_in)) - 1
-    vecs = data.draw(st.lists(_line_values(n_in), min_size=width, max_size=width))
+    columns = data.draw(st.lists(_line_values(n_in), min_size=n_out, max_size=n_out))
     masks = data.draw(st.lists(_line_values(n_in), min_size=n_out, max_size=n_out))
-    errs = {n_in + ol: m for ol, m in enumerate(masks) if m}
-    return vecs, errs, data.draw(st.booleans()), full
+    return table_of_columns(n_in, columns), tuple(masks), data.draw(st.booleans())
 
 
-def _check_scorer(data, n_in: int) -> None:
-    vecs, errs, allow_neg, full = _draw_scorer_state(data, n_in)
-    want = reference_best_candidate(n_in, vecs, errs, allow_neg, full)
-    assert _Scorer(n_in, vecs, errs, allow_neg, full).best() == want
+def _random_greedy_state(rng: random.Random, max_out: int) -> tuple[TruthTable, tuple[int, ...], bool]:
+    """Few rows, where equal best scores are common and the tie-break order decides."""
+    n_in, n_out = rng.randint(1, 3), rng.randint(1, max_out)
+    full = (1 << (1 << n_in)) - 1
+    columns = [rng.randint(0, full) for _ in range(n_out)]
+    masks = tuple(rng.randint(0, full) if rng.random() < 0.8 else 0 for _ in range(n_out))
+    return table_of_columns(n_in, columns), masks, rng.random() < 0.5
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_vectorized_scorer_picks_the_reference_winner(n_in, data):
-    _check_scorer(data, n_in)
+    """Every round of _greedy picks the winner a plain-Python scoring of every candidate picks."""
+    _check_greedy(*_draw_greedy_state(data, n_in))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_vectorized_scorer_on_64_row_lines(data):
     """n_in = 6: all ones is 2**64 - 1, where overflow or sign slips would show."""
-    _check_scorer(data, 6)
+    _check_greedy(*_draw_greedy_state(data, 6))
 
 
 def test_vectorized_scorer_breaks_ties_like_the_reference():
     """Few rows make equal best scores common, so the tie-break order decides many cases."""
     rng = random.Random(2718)
     for _ in range(2000):
-        n_in, n_out = rng.randint(1, 3), rng.randint(1, 4)
-        width, full = n_in + n_out, (1 << (1 << n_in)) - 1
-        vecs = [rng.randint(0, full) for _ in range(width)]
-        errs = {n_in + ol: m for ol in range(n_out) if (m := rng.randint(0, full))}
-        allow_neg = rng.random() < 0.5
-        want = reference_best_candidate(n_in, vecs, errs, allow_neg, full)
-        assert _Scorer(n_in, vecs, errs, allow_neg, full).best() == want, (n_in, vecs, errs, allow_neg)
+        _check_greedy(*_random_greedy_state(rng, 4))
 
 
 def test_vectorized_scorer_at_the_64_bit_edges():
+    """Output lines holding 0 and all ones, with masks at the 64th row: a lone
+    wrong row (top) has no positive-score candidate; the other masks do."""
     full = (1 << 64) - 1
-    top, vecs = 1 << 63, [*input_vectors(6), 0, full]
-    # a lone wrong row (top) has no positive-score candidate; the rest do
-    winners = 0
-    for errs in ({6: full}, {7: full}, {6: top}, {6: top | 1, 7: full ^ top}, {6: full, 7: full}):
+    top = 1 << 63
+    repaired = 0
+    for errs in ((full, 0), (0, full), (top, 0), (top | 1, full ^ top), (full, full)):
         for allow_neg in (False, True):
-            want = reference_best_candidate(6, vecs, errs, allow_neg, full)
-            assert _Scorer(6, vecs, errs, allow_neg, full).best() == want, (errs, allow_neg)
-            winners += want is not None
-    assert winners == 8
-
-
-def reference_factor_table(slots: tuple, lines: list[int], full: int) -> list[int]:
-    """Every slot's value (the XOR of its lines), then every complement, then all ones."""
-    held = [activation(lines, ((ln, False),), full) for ln in slots]
-    return held + [h ^ full for h in held] + [full]
-
-
-def _check_winners(n_in: int, vecs: list[int], errs: dict[int, int], allow_neg: bool, full: int) -> None:
-    """Drive a scorer for up to 6 rounds through its own winners. A plain-Python
-    copy of the lines runs each winner's gates, every best() must be the
-    winner a fresh reference scoring of that copy picks, and after each round
-    the scorer's factor table must be the one rebuilt from the copy."""
-    targets = {j: vecs[j] ^ errs.get(j, 0) for j in range(n_in, len(vecs))}
-    lines = list(vecs)
-    scorer = _Scorer(n_in, vecs, errs, allow_neg, full)
-    assert scorer.tab.tolist() == reference_factor_table(scorer.slots, lines, full)
-    for _ in range(6):
-        errs = {j: err for j, t in targets.items() if (err := lines[j] ^ t)}
-        winner = scorer.best()
-        assert winner == reference_best_candidate(n_in, lines, errs, allow_neg, full), (lines, errs)
-        if winner is None:
-            break
-        for g in _realize(*winner):
-            apply_packed(lines, g, full)
-        assert scorer.tab.tolist() == reference_factor_table(scorer.slots, lines, full), winner
-    residuals = [lines[j] ^ t for j, t in targets.items()]
-    assert scorer.err.tolist() == residuals
-    assert scorer.wrong == sum(r.bit_count() for r in residuals)
+            # the lines hold 0 and full, so each column is its line value XOR its mask
+            repaired += _check_greedy(table_of_columns(6, [errs[0], full ^ errs[1]]), errs, allow_neg) > 0
+    assert repaired == 8
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 6), st.data())
-def test_scorer_applies_its_own_winners(n_in, data):
-    """The scorer keeps the only copy of the greedy line state: each winner
-    it returns must leave that state where the winner's gates leave the lines."""
-    _check_winners(n_in, *_draw_scorer_state(data, n_in))
+@given(near_affine_tables(), st.booleans())
+def test_scorer_applies_its_own_winners(table, allow_neg):
+    """The state the greedy stage gets from the linear fit: each line wrong on its
+    fit's mismatches. _greedy keeps the only copy of that line state, so each
+    winner must leave it where the winner's gates leave the lines."""
+    errs = tuple(sum(1 << x for x in bit.mismatches) for bit in fit_linear(table).bits)
+    _check_greedy(table, errs, allow_neg)
 
 
 def test_scorer_winners_break_ties_like_the_reference():
-    """Few rows make equal best scores common, so a stale line value or
-    error mask shows up as a different tie-break winner."""
+    """Few rows make equal best scores common, so a stale line value or error
+    mask shows up as a different tie-break winner in a later round; up to 6
+    output lines, so a winner's flip reaches the factors of many other lines."""
     rng = random.Random(1618)
     for _ in range(150):
-        n_in, n_out = rng.randint(1, 3), rng.randint(1, 4)
-        width, full = n_in + n_out, (1 << (1 << n_in)) - 1
-        vecs = [rng.randint(0, full) for _ in range(width)]
-        errs = {n_in + ol: m for ol in range(n_out) if (m := rng.randint(0, full))}
-        _check_winners(n_in, vecs, errs, rng.random() < 0.5, full)
+        _check_greedy(*_random_greedy_state(rng, 6))
 
 
 def reference_anf_monomials(err: int, n_in: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Two-stage synthesis: linear fitting, greedy repair, width refusals."""
+"""Synthesis: linear fitting, greedy repair, ANF mop-up, per-stage costs, width refusals."""
 
 import hashlib
 import itertools
@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from test_properties import reference_circuit_dict
 
-from shorcompile.circuit import circuit_from_json, circuit_to_json, cost, render_gates, verify
+from shorcompile import synth
+from shorcompile.circuit import Circuit, circuit_from_json, circuit_to_json, cost, render_gates, verify
 from shorcompile.library import FIGURE_IDS, LIBRARY
 from shorcompile.modexp import GKind, TruthTable, compile_modexp, full_compile
 from shorcompile.numtheory import factor_semiprime
@@ -18,7 +19,10 @@ from shorcompile.synth import (
     _candidates,
     _catalogue,
     _cnot,
+    _emit_linear,
+    _greedy,
     _monomial_gates,
+    _mop_up,
     _not,
     _toffoli,
     fit_linear,
@@ -248,6 +252,44 @@ def test_sweep_circuits_are_pinned():
                         text = f"refused: {exc}"
                     digest.update(f"{a} {n} {strategy} {allow_neg}\n{text}\n".encode())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def test_sweep_cost_splits_by_stage():
+    """The 341 sweep tables that synthesize, folded stage by stage: the linear
+    fit's gates, then _greedy from the fit's error masks, then _mop_up from
+    greedy's. Together they are synthesize's circuit; the pins are each
+    stage's total qcost and Toffoli count."""
+    totals = {"linear": [0, 0], "greedy": [0, 0], "mop-up": [0, 0]}
+    for n in _odd_semiprimes_below(90):
+        for a in range(2, n):
+            if math.gcd(a, n) != 1:
+                continue
+            table = full_compile(a, n).table
+            if max(table.n_in, table.n_out) > 6:
+                continue
+            fit = fit_linear(table)
+            errs = tuple(sum(1 << x for x in bit.mismatches) for bit in fit.bits)
+            greedy, errs = _greedy(table, errs, True)
+            stages = {"linear": _emit_linear(fit), "greedy": greedy, "mop-up": _mop_up(table, errs)}
+            width = table.n_in + table.n_out
+            assert [g for gates in stages.values() for g in gates] == list(synthesize(table).gates), (a, n)
+            for name, gates in stages.items():
+                report = cost(Circuit(width, (), (), tuple(gates)))
+                totals[name][0] += report.quantum_cost
+                totals[name][1] += report.n_toffoli
+    assert totals == {"linear": [2099, 0], "greedy": [11342, 1627], "mop-up": [176762, 29359]}
+
+
+def test_an_exact_linear_fit_builds_no_greedy_state(monkeypatch):
+    """A table the affine fit realizes exactly plans no repair and never reaches the catalogue."""
+    table = LIBRARY["f2_15_full"].table
+
+    def refuse(*args):
+        raise AssertionError("catalogue built for an exact fit")
+
+    monkeypatch.setattr(synth, "_catalogue", refuse)
+    assert plan_cascades(fit_linear(table), table).steps == ()
+    assert _greedy(table, (0,) * table.n_out, True) == ([], (0,) * table.n_out)
 
 
 def test_interned_builders_return_one_object_per_typed_argument_tuple():
