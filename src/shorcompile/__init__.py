@@ -3,8 +3,8 @@
 The package covers the classical side (orders, allowed periods, the
 post-processing step that turns a period into factors), truth-table
 construction and compression for modular exponentiation, a reversible
-gate IR, a two-stage synthesizer, and a dense simulator for the
-period-finding register pair.
+gate IR, a three-stage synthesizer, a dense simulator for the register
+pair, and order finding that samples its distribution in closed form.
 """
 
 from types import ModuleType as _ModuleType

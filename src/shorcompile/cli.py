@@ -422,12 +422,10 @@ def _load_circuit(args: argparse.Namespace) -> tuple[Circuit, TruthTable | None,
 
 def cmd_circuit(args: argparse.Namespace) -> int:
     circ, table, label = _load_circuit(args)
-    if args.action == "cost":
-        print(_cost_line(cost(circ)))
-        return EXIT_OK
-    if args.action == "show":
-        print(f"{label}: width={circ.width} inputs={list(circ.input_lines)} outputs={list(circ.output_lines)}")
-        print(render_gates(circ))
+    if args.action != "verify":
+        if args.action == "show":
+            print(f"{label}: width={circ.width} inputs={list(circ.input_lines)} outputs={list(circ.output_lines)}")
+            print(render_gates(circ))
         print(_cost_line(cost(circ)))
         return EXIT_OK
     # verify
@@ -670,14 +668,26 @@ def cmd_diff_golden(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Leaf(NamedTuple):
+    """A leaf parser: its non-help actions in declared order, the same keyed by option string, its ``func``."""
+
+    actions: tuple[argparse.Action, ...]
+    options: dict[str, argparse.Action]
+    func: Callable[[argparse.Namespace], int]
+
+
+# The argv words that name each leaf, ``("synth",)`` or ``("tables", "orders")``; filled by build_parser.
+_LEAVES: dict[tuple[str, ...], _Leaf] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built below at import and shared by every call.
 
     Parsing reads it and never changes it; callers must not change it either.
-    ``entrypoint`` reads a command's options off the option table of that
-    command's parser in this tree, and the whole parser reads argv only for
-    help, the version and usage errors (see ``_parse``).
+    It also fills ``_LEAVES``, off which ``entrypoint`` reads a command's
+    options; the whole parser reads argv only for help, the version and
+    usage errors (see ``_parse``).
     """
     parser = argparse.ArgumentParser(prog="shorcompile", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -698,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         t.add_argument("--format", choices=("text", "csv", "json"), default="text")
         t.add_argument("--out", help="directory to write <table>.csv and <table>.json into")
         t.add_argument("--diff-golden", action="store_true", help="compare against the bundled golden table")
-    tables.set_defaults(func=cmd_tables)
+        t.set_defaults(func=cmd_tables)
 
     circ = sub.add_parser("circuit", help="inspect or check a reversible circuit")
     circ.add_argument("action", choices=("show", "verify", "cost"))
@@ -741,6 +751,11 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser("diff-golden", help="recompute all bundled tables and circuits and compare")
     diff.set_defaults(func=cmd_diff_golden)
 
+    leaves = [((name,), leaf) for name, leaf in sub.choices.items() if leaf is not tables]
+    for words, leaf in leaves + [(("tables", kind), leaf) for kind, leaf in tsub.choices.items()]:
+        actions = tuple(action for action in leaf._actions if action.default is not argparse.SUPPRESS)
+        options = {option: action for action in actions for option in action.option_strings}
+        _LEAVES[words] = _Leaf(actions, options, leaf.get_default("func"))
     return parser
 
 
@@ -749,32 +764,28 @@ def build_parser() -> argparse.ArgumentParser:
 build_parser()
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction | None:
-    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+def _read(leaf: _Leaf, tokens: list[str]) -> dict | None:
+    """``{dest: value or default}`` in ``leaf``'s declared order, read from ``tokens``, or None.
 
-
-def _read(leaf: argparse.ArgumentParser, tokens: list[str]) -> dict | None:
-    """The values ``leaf`` sets from ``tokens``, read off its option table, or None.
-
-    An exact ``store`` option string (nargs None) takes the next token,
-    which must not start with ``-``; a ``store_true`` one sets True; a bare
-    token fills the next positional. A value must convert with its action's
-    ``type`` and be one of its ``choices``, and every required action must
-    be seen. Any other token or outcome returns None.
+    An exact option string takes the next token, which must not start with
+    ``-``, or for a flag (``nargs`` 0) sets its ``const``; a bare token fills
+    the next positional. A value must convert with its action's ``type`` and
+    be one of its ``choices``, and every required action must be seen. Any
+    other token or outcome returns None.
     """
-    positionals = [action for action in leaf._actions if not action.option_strings]
+    positionals = [action for action in leaf.actions if not action.option_strings]
     values = {}
     tokens = iter(tokens)
     for token in tokens:
-        action = leaf._option_string_actions.get(token)
-        if type(action) is argparse._StoreTrueAction:
-            values[action.dest] = True
+        action = leaf.options.get(token)
+        if action is not None and action.nargs == 0:
+            values[action.dest] = action.const
             continue
         if action is None and positionals and not token.startswith("-"):
             action, text = positionals.pop(0), token
         else:
             text = next(tokens, "-")  # a missing value reads as a refused one
-        if type(action) is not argparse._StoreAction or action.nargs is not None or text.startswith("-"):
+        if action is None or text.startswith("-"):
             return None
         try:
             value = action.type(text) if action.type else text
@@ -783,42 +794,37 @@ def _read(leaf: argparse.ArgumentParser, tokens: list[str]) -> dict | None:
         if action.choices is not None and value not in action.choices:
             return None
         values[action.dest] = value
-    for action in leaf._actions:
-        if action.dest not in values:
-            if action.required:
-                return None
-            if action.default is not argparse.SUPPRESS:
-                values[action.dest] = action.default
-    return {**leaf._defaults, **values}
+    if any(action.required and action.dest not in values for action in leaf.actions):
+        return None
+    return {action.dest: values.get(action.dest, action.default) for action in leaf.actions}
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, read straight off an option table where it can.
+    """``build_parser().parse_args(argv)``, read straight off ``_LEAVES`` where it can.
 
-    The subcommands argv names (the command, and a ``tables`` kind) lead to
-    the leaf parser the whole parser would hand the rest to, and ``_read``
-    reads the rest off that leaf's option table. What it does not read (an
+    argv's first word, or its first two for a ``tables`` kind, name a leaf,
+    and ``_read`` reads the rest off that leaf's actions. The Namespace is
+    the one the whole parser builds, in its order: ``command``, ``kind``,
+    the leaf's values, ``func``. What ``_read`` does not read (an
     abbreviation, ``--opt=value``, ``--``, ``-h``, a value that starts with
     ``-``, an unknown option, a failed conversion or choice, a missing
-    required option, a stray token), and a path that stops before a leaf, go
-    to the whole parser, so help, the version and every usage error print
-    what ``build_parser().parse_args(argv)`` prints.
+    required option, a stray token), and argv that names no leaf, go to the
+    whole parser, so help, the version and every usage error print what
+    ``build_parser().parse_args(argv)`` prints.
     """
-    parser, rest, dests = build_parser(), argv, {}
-    while (sub := _subcommands(parser)) is not None and rest and rest[0] in sub.choices:
-        dests[sub.dest] = rest[0]
-        dests.update(parser._defaults)  # ``tables`` sets ``func`` before its kind's parser runs
-        parser, rest = sub.choices[rest[0]], rest[1:]
-    if sub is None and (values := _read(parser, rest)) is not None:
-        return argparse.Namespace(**{**dests, **values})
+    words = tuple(argv[:1]) if tuple(argv[:1]) in _LEAVES else tuple(argv[:2])
+    if (leaf := _LEAVES.get(words)) is not None and (values := _read(leaf, argv[len(words):])) is not None:
+        args = argparse.Namespace(**dict(zip(("command", "kind"), words)))
+        vars(args).update(values, func=leaf.func)  # one update, not a setattr per value
+        return args
     return build_parser().parse_args(argv)
 
 
 def entrypoint(argv: list[str] | None = None) -> int:
     """Run the command argv (by default ``sys.argv[1:]``) names and return its exit code.
 
-    A command's options are read straight off its parser's option table
-    (see ``_parse``); argv in any other form goes to the whole parser, which
+    A command's options are read straight off its leaf's actions (see
+    ``_parse``); argv in any other form goes to the whole parser, which
     prints help, the version and every usage error exactly as
     ``build_parser().parse_args(argv)`` does.
     """
@@ -833,9 +839,5 @@ def entrypoint(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def main() -> None:
-    sys.exit(entrypoint())
-
-
 if __name__ == "__main__":
-    main()
+    sys.exit(entrypoint())

@@ -7,9 +7,9 @@ small injective map g, shrinking the output register before any circuit is
 synthesized. Three map families are supported: integer logarithm base a,
 affine (y - c) / d, and rank order. ``compile_modexp`` applies one family
 (or none) at a chosen input width; ``full_compile`` also picks the width,
-ceil(log2 r), and the first family of LOG, AFFINE, RANK that fits. Both
-refuse an input register wider than synthesis supports before building any
-row.
+ceil(log2 r), and LOG when it fits, else AFFINE, which fits every output
+set (d = 1, c = 0 always does). Both refuse an input register wider than
+synthesis supports before building any row.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class GDescriptor:
 
     kind LOG uses g(y) = log_base(y) over plain integers, AFFINE uses
     g(y) = (y - c) / d, RANK maps the i-th smallest realized output to i.
-    RANK is not a closed-form map, so full_compile picks it only when
-    nothing else fits.
+    RANK is not a closed-form map; full_compile never picks it, since
+    AFFINE always fits.
     """
 
     kind: GKind
@@ -158,14 +158,15 @@ def _int_log(y: int, base: int) -> int | None:
     return e if v == y else None
 
 
-def _affine_descriptor(outputs: tuple[int, ...], n: int) -> GDescriptor | None:
+def _affine_descriptor(outputs: tuple[int, ...], n: int) -> GDescriptor:
     """Best (c, d) by (max mapped value, d, c); d in 1..n, c in 0..d.
 
     Every output is congruent to the smallest, y0, mod d exactly when d
     divides g = gcd(y - y0), so only those d fit, and then only with
     c = y0 mod d, or c = d when that residue is 0; c must not exceed y0.
-    Distinct outputs stay distinct under any single (c, d), so injectivity
-    holds whenever divisibility does.
+    d = 1, c = 0 always fits, so there is always a best (c, d). Distinct
+    outputs stay distinct under any single (c, d), so injectivity holds
+    whenever divisibility does.
     """
     ys = sorted(set(outputs))
     g = math.gcd(*(y - ys[0] for y in ys))
@@ -176,14 +177,12 @@ def _affine_descriptor(outputs: tuple[int, ...], n: int) -> GDescriptor | None:
         for c in (ys[0] % d, d)
         if c <= ys[0] and (ys[0] - c) % d == 0
     ]
-    if not keys:
-        return None
     _, d, c = min(keys)
     return GDescriptor(GKind.AFFINE, c=c, d=d)
 
 
 def _fit_g(kind: GKind, outputs: tuple[int, ...], a: int, n: int) -> GDescriptor | None:
-    """The kind's g map for these outputs, or None when the family does not fit."""
+    """The kind's g map for these outputs, or None when LOG does not fit; no other family can miss."""
     if kind is GKind.NONE:
         return GDescriptor(GKind.NONE)
     if kind is GKind.LOG:
@@ -216,10 +215,8 @@ def _compile(
         g = _fit_g(kind, raw, a, n)
         if g is not None:
             break
-    else:  # only a lone LOG or AFFINE request can miss
-        if kind is GKind.LOG:
-            raise ValueError(f"some output is not an integer power of {a}")
-        raise ValueError(f"no affine (c, d) with d <= {n} fits the outputs")
+    else:  # only a lone LOG request can miss
+        raise ValueError(f"some output is not an integer power of {a}")
     rows = tuple(g.apply(y) for y in raw)
     n_out = (n - 1).bit_length() if kind is GKind.NONE else max(1, max(rows).bit_length())
     return CompiledFunction(a, n, r, g, TruthTable(n_in, n_out, rows), level)
@@ -230,16 +227,16 @@ def compile_modexp(a: int, n: int, n_in: int | None, kind: GKind) -> CompiledFun
 
     n_in None means ceil(log2 r). GKind.NONE gives the uncompiled level;
     LOG, AFFINE and RANK give the partially compiled one. Raises ValueError
-    for n_in over 6 bits, before any row is built, and when the family does
-    not fit the realized outputs.
+    for n_in over 6 bits, before any row is built, and for LOG when some
+    realized output is not a power of a; the other families always fit.
     """
     level = CompileLevel.UNCOMPILED if kind is GKind.NONE else CompileLevel.PARTIAL
     return _compile(a, n, n_in, (kind,), level)
 
 
 def full_compile(a: int, n: int) -> CompiledFunction:
-    """Shrink both registers: n_in = ceil(log2 r), g the first of LOG, AFFINE, RANK that fits.
+    """Shrink both registers: n_in = ceil(log2 r), g LOG when it fits, else AFFINE.
 
     Raises ValueError when n_in is over 6 bits, before any row is built.
     """
-    return _compile(a, n, None, (GKind.LOG, GKind.AFFINE, GKind.RANK), CompileLevel.FULL)
+    return _compile(a, n, None, (GKind.LOG, GKind.AFFINE), CompileLevel.FULL)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -98,6 +99,21 @@ def test_tables_out_writes_files(tmp_path, capsys):
     assert len(doc["rows"]) == 19
 
 
+def test_tables_options_in_any_order_write_the_same_bytes(tmp_path, capsys):
+    """The manifest's params follow the kind's declared options, not argv:
+    ``--k=2`` goes to the whole parser, the other two are read off the table."""
+    orders = (("--k", "2", "--m", "3"), ("--m", "3", "--k", "2"), ("--k=2", "--m", "3"))
+    printed, written = set(), set()
+    for i, options in enumerate(orders):
+        code, out, _ = run(capsys, "tables", "separability", *options, "--format", "json")
+        assert code == EXIT_OK
+        printed.add(out)
+        assert run(capsys, "tables", "separability", *options, "--out", str(tmp_path / str(i)))[0] == EXIT_OK
+        written.add(tuple((tmp_path / str(i) / f"separability_m3k2.{ext}").read_bytes() for ext in ("csv", "json")))
+    assert len(printed) == 1 and len(written) == 1
+    assert json.loads(printed.pop())["manifest"]["params"] == {"kind": "separability", "m": 3, "k": 2}
+
+
 def test_tables_diff_golden_all_kinds(capsys):
     for argv in (
         ("tables", "orders", "--N", "21", "--diff-golden"),
@@ -134,6 +150,25 @@ def test_diff_golden_runs_every_check(capsys):
                   "probabilities", "separability", "reduced density", "figure circuits"):
         assert f"{label}" in out
     assert "FAIL" not in out
+
+
+def test_diff_golden_reports_a_figure_circuit_that_fails_its_table_and_caption(monkeypatch, capsys):
+    real = cli.library_entry
+
+    def short_f4_21(name):  # f4_21 less its last gate, a CNOT
+        entry = real(name)
+        if name != "f4_21":
+            return entry
+        return dataclasses.replace(entry, circuit=dataclasses.replace(entry.circuit, gates=entry.circuit.gates[:-1]))
+
+    monkeypatch.setattr(cli, "library_entry", short_f4_21)
+    code, out, _ = run(capsys, "diff-golden")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-3:] == [
+        "figure circuits: FAIL",
+        "  f4_21: 4 mismatching rows, first at x=4",
+        "  f4_21: counts T=2 CN=11, caption T=2 CN=12",
+    ]
 
 
 def test_golden_registry_covers_every_bundled_file():
@@ -236,6 +271,18 @@ def test_circuit_verify_detects_mismatch(tmp_path, capsys):
     code, out, _ = run(capsys, "circuit", "verify", "--file", str(cpath), "--table", str(tpath))
     assert code == EXIT_MISMATCH
     assert "mismatch" in out
+
+
+def test_circuit_verify_lists_sixteen_mismatches_then_counts_the_rest(tmp_path, capsys):
+    # no gates: the output line stays 0 on all 32 rows of an all-ones table
+    circ_doc = {"width": 6, "input_lines": [0, 1, 2, 3, 4], "output_lines": [5], "gates": []}
+    (tmp_path / "c.json").write_text(json.dumps(circ_doc))
+    (tmp_path / "t.json").write_text(json.dumps({"n_in": 5, "n_out": 1, "rows": [1] * 32}))
+    code, out, _ = run(capsys, "circuit", "verify", "--file", str(tmp_path / "c.json"), "--table", str(tmp_path / "t.json"))
+    assert code == EXIT_MISMATCH
+    lines = out.splitlines()
+    assert len(lines) == 18 and all(line.startswith("mismatch at x=") for line in lines[:16])
+    assert lines[16:] == ["... 16 more", "FAIL: 32 of 32 rows differ"]
 
 
 @pytest.mark.parametrize("doc", ['{"n_in": 1, "rows": [0, 1]}', "[1, 2]"])
@@ -443,6 +490,12 @@ def test_synth_text_output_compares_to_library(capsys):
     assert "library f4_21_full" in out
 
 
+def test_synth_text_notes_the_f4_33_erratum(capsys):
+    code, out, _ = run(capsys, "synth", "--a", "4", "--N", "33")
+    assert code == EXIT_OK
+    assert "note: bundled f4_33_full realizes a different table for this triple\n" in out
+
+
 def test_synth_json_document(tmp_path, capsys):
     out_file = tmp_path / "circ.json"
     code, out, _ = run(
@@ -586,12 +639,13 @@ def test_cli_exits_cleanly_on_drawn_arguments(argv):
 
 
 def _parsed(parse, argv):
-    """The values ``parse(argv)`` returns, each as its repr, or the code it exits
-    with, and what it prints. A repr tells 1 from 1.0 and matches nan to nan."""
+    """The values ``parse(argv)`` returns, in order, each as its repr, or the code
+    it exits with, and what it prints. A repr tells 1 from 1.0 and matches nan to
+    nan; the order is what a command that reads ``vars(args)`` writes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = {name: repr(value) for name, value in vars(parse(list(argv))).items()}
+            result = [(name, repr(value)) for name, value in vars(parse(list(argv))).items()]
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
@@ -697,6 +751,21 @@ def test_factor_minus_one_branch(capsys):
     assert code == EXIT_MISMATCH
     assert "minus-one-congruence" in out
     assert "no factors" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_factor_reports_an_order_not_recovered(capsys, fmt):
+    code, out, _ = run(capsys, "factor", "--N", "15", "--a", "2", "--shots", "1", "--seed", "0", "--format", fmt)
+    assert code == EXIT_MISMATCH
+    if fmt == "text":
+        assert out.splitlines() == [
+            "a=2: shots=1 M=256 recovered_order=None status=order-not-recovered",
+            "no factors recovered",
+        ]
+    else:
+        doc = json.loads(out)
+        assert doc["attempts"] == [{"a": 2, "recovered_order": None, "m": 8, "status": "order-not-recovered"}]
+        assert doc["factors"] is None
 
 
 def test_factor_rejects_prime_power(capsys):

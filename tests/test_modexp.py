@@ -274,5 +274,7 @@ def output_sets(draw) -> tuple[int, ...]:
 @settings(max_examples=200)
 @given(output_sets(), st.integers(1, 80))
 def test_affine_descriptor_matches_brute_force(outputs, n):
-    assert _affine_descriptor(outputs, n) == reference_affine_descriptor(outputs, n)
+    """d = 1, c = 0 fits every output set, so the family always fits."""
+    got = _affine_descriptor(outputs, n)
+    assert got is not None and got == reference_affine_descriptor(outputs, n)
 

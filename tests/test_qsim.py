@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from shorcompile import qsim
 from shorcompile.cli import EXIT_USAGE, entrypoint
 from shorcompile.numtheory import multiplicative_order, prime_factors
 from shorcompile.qsim import (
@@ -314,6 +315,20 @@ def test_order_finding_deterministic_per_seed():
     r2 = order_finding_run(2, 15, 50, seed=42)
     assert r1.samples == r2.samples
     assert r1.recovered_order == r2.recovered_order
+
+
+def test_order_finding_restarts_the_lcm_when_junk_candidates_blow_it_up(monkeypatch):
+    """Under a uniform distribution most shots give junk candidates. Their lcm
+    passes N**2, so the run restarts from the latest one: the multiple it
+    verifies stays within N**2 (956916991800 without the restart), and it
+    still recovers r."""
+    m = _register_sizes(85)[0]
+    monkeypatch.setattr(qsim, "_order_finding_probabilities", lambda a, n: (m, np.full(1 << m, 1.0 / (1 << m))))
+    verified = []
+    reduce = qsim._reduce_to_exact_order
+    monkeypatch.setattr(qsim, "_reduce_to_exact_order", lambda a, n, big: verified.append(big) or reduce(a, n, big))
+    assert order_finding_run(2, 85, 128, seed=0).recovered_order == 8
+    assert verified == [5016]  # 8 * 627, within 85**2 = 7225
 
 
 def test_order_finding_rejects_shared_factor():
