@@ -301,7 +301,7 @@ def _named(names: tuple[str, ...], cells: Iterable[object]) -> str:
     )
 
 
-def _diff(table: Table, dists: _Dists = _distributions) -> list[str]:
+def _diff(table: Table, dists: _Dists) -> list[str]:
     """Compare ``table`` with its golden, matching rows on their key columns.
 
     String cells must be equal and numeric cells agree within the row's
@@ -367,17 +367,13 @@ def _check_circuits() -> list[str]:
 
 
 # Options every ``tables`` kind shares; the rest are the kind's parameters.
-_TABLE_OPTIONS = ("command", "kind", "func", "format", "out", "diff_golden")
+_TABLE_OPTIONS = ("command", "kind", "func", "format", "out")
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
     kind = args.kind
     params = {name: value for name, value in vars(args).items() if name not in _TABLE_OPTIONS}
     table = _KINDS[kind](**params)
-
-    if args.diff_golden:
-        return EXIT_OK if _report(f"golden diff {kind}", _diff(table)) else EXIT_MISMATCH
-
     rows = [list(map(_cell, row)) for row in table.rows(_distributions)]
     if not args.out and args.format == "text":
         sys.stdout.write(_text_table(table.header, rows) + "\n")
@@ -707,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     for t in (t_orders, t_allowed, t_prob, t_sep):
         t.add_argument("--format", choices=("text", "csv", "json"), default="text")
         t.add_argument("--out", help="directory to write <table>.csv and <table>.json into")
-        t.add_argument("--diff-golden", action="store_true", help="compare against the bundled golden table")
         t.set_defaults(func=cmd_tables)
 
     circ = sub.add_parser("circuit", help="inspect or check a reversible circuit")

@@ -117,6 +117,8 @@ class GDescriptor:
             if y < self.c or (y - self.c) % self.d:
                 raise ValueError(f"(y - {self.c}) / {self.d} is not a nonneg integer for y={y}")
             return (y - self.c) // self.d
+        if y not in self.sorted_outputs:
+            raise ValueError(f"{y} is not one of the realized outputs {self.sorted_outputs}")
         return self.sorted_outputs.index(y)
 
     def invert(self, v: int) -> int:

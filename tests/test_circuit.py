@@ -54,6 +54,11 @@ def test_evaluate_loads_msb_first():
     assert y == 0
 
 
+def test_evaluate_refuses_an_input_wider_than_its_register():
+    with pytest.raises(ValueError, match="x=4 does not fit in 2 input bits"):
+        evaluate(library_entry("f4_21_full").circuit, 4)
+
+
 def test_evaluate_all_library_entries():
     for name in FIGURE_IDS:
         e = LIBRARY[name]
@@ -177,11 +182,13 @@ def test_circuit_checks_every_distinct_gate_object():
         (lambda: Circuit(3, (0.0,), (True,), ()), "integers, got 0.0"),
         (lambda: Circuit(3.0, (0,), (1,), ()), "integers, got 3.0"),
         (lambda: Circuit(3, (0,), (1,), (cnot(0, 2, neg=0),)), "polarity must be true or false, got 0"),
+        (lambda: Circuit(2, (0,), (-1,), ()), "register line out of range"),
+        (lambda: Circuit(2, (0,), (2,), ()), "register line out of range"),
     ],
-    ids=("bool-gate-line", "float-gate-line", "register-lines", "width", "int-polarity"),
+    ids=("bool-gate-line", "float-gate-line", "register-lines", "width", "int-polarity", "line-below", "line-above"),
 )
 def test_circuit_refuses_non_int_lines_and_non_bool_polarities(make, message):
-    """circuit_to_json would write True as a bare name and 1.0 as a float."""
+    """circuit_to_json would write True as a bare name and 1.0 as a float; a register line must lie in the width."""
     with pytest.raises(ValueError, match=message):
         make()
 

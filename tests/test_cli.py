@@ -114,35 +114,6 @@ def test_tables_options_in_any_order_write_the_same_bytes(tmp_path, capsys):
     assert json.loads(printed.pop())["manifest"]["params"] == {"kind": "separability", "m": 3, "k": 2}
 
 
-def test_tables_diff_golden_all_kinds(capsys):
-    for argv in (
-        ("tables", "orders", "--N", "21", "--diff-golden"),
-        ("tables", "orders", "--N", "33", "--diff-golden"),
-        ("tables", "allowed-periods", "--diff-golden"),
-        ("tables", "probabilities", "--diff-golden"),
-        ("tables", "separability", "--diff-golden"),
-    ):
-        code, out, _ = run(capsys, *argv)
-        assert code == EXIT_OK, argv
-        assert "ok" in out
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("orders", "--N", "15"),
-        ("probabilities", "--m", "2"),
-        ("separability", "--k", "4"),
-        ("allowed-periods", "--max-N", "50"),
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_tables_diff_golden_rejects_uncovered_params(capsys, argv):
-    code, _, err = run(capsys, "tables", *argv, "--diff-golden")
-    assert code == EXIT_USAGE
-    assert "golden" in err
-
-
 def test_diff_golden_runs_every_check(capsys):
     code, out, _ = run(capsys, "diff-golden")
     assert code == EXIT_OK
@@ -241,6 +212,17 @@ def test_diff_golden_reads_the_golden_directory_of_each_call(tmp_path, monkeypat
         code, out, _ = run(capsys, "diff-golden")
         outcomes.append((code, "orders N=21: FAIL" in out))
     assert outcomes == [(EXIT_OK, False), (EXIT_MISMATCH, True), (EXIT_OK, False)]
+
+
+def test_diff_golden_refuses_a_golden_directory_that_lacks_a_registered_file(tmp_path, monkeypatch, capsys):
+    shutil.copytree(cli._GOLDEN_DIR, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "rho_p3.csv").unlink()
+    monkeypatch.setattr(cli, "_GOLDEN_DIR", tmp_path)
+    code, out, err = run(capsys, "diff-golden")
+    assert code == EXIT_USAGE
+    assert cli._GOLDENS[-1][1].stem == "rho_p3"
+    assert out.splitlines() == [f"{label}: ok" for label, _ in cli._GOLDENS[:-1]]
+    assert err == "error: no bundled golden table rho_p3\n"
 
 
 def test_circuit_cost_line(capsys):
@@ -531,13 +513,20 @@ def test_synth_refuses_n_in_with_full_compile(monkeypatch, capsys):
         ("synth", "--a", "4", "--N", "21", "--max-cost", "5"),
         ("synth", "--a", "4", "--N", "21", "--max-gates", "5"),
         ("simulate", "--p", "3", "--inverse-qft"),
+        ("tables", "orders", "--N", "21", "--diff-golden"),
+        ("tables", "allowed-periods", "--diff-golden"),
+        ("tables", "probabilities", "--diff-golden"),
+        ("tables", "separability", "--diff-golden"),
     ],
 )
 def test_deleted_options_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         entrypoint(list(argv))
     assert exc.value.code == EXIT_USAGE
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # each argv ends with its deleted option, then that option's value if it took one
+    deleted = max(i for i, token in enumerate(argv) if token.startswith("--"))
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith("unrecognized arguments: " + " ".join(argv[deleted:]))
 
 
 def _leaf_parsers(parser, path=()):
@@ -772,6 +761,12 @@ def test_factor_rejects_prime_power(capsys):
     code, _, err = run(capsys, "factor", "--N", "27", "--shots", "10")
     assert code == EXIT_USAGE
     assert "prime power" in err
+
+
+def test_factor_rejects_prime(capsys):
+    code, _, err = run(capsys, "factor", "--N", "13", "--shots", "10")
+    assert code == EXIT_USAGE
+    assert err == "error: N=13 is prime\n"
 
 
 def test_factor_rejects_even(capsys):

@@ -101,6 +101,24 @@ def test_gdescriptor_roundtrips():
     assert aff.apply(10) == 3 and aff.invert(3) == 10
     rank = GDescriptor(GKind.RANK, sorted_outputs=(1, 4, 16))
     assert rank.apply(16) == 2 and rank.invert(2) == 16
+    none = GDescriptor(GKind.NONE)
+    assert none.apply(5) == 5 and none.invert(5) == 5
+
+
+@pytest.mark.parametrize(
+    ("g", "message"),
+    [
+        (GDescriptor(GKind.LOG, base=4), "5 is not an integer power of 4"),
+        # _int_log's base < 2 guard: without it v *= 1 would loop forever
+        (GDescriptor(GKind.LOG, base=1), "5 is not an integer power of 1"),
+        (GDescriptor(GKind.AFFINE, c=1, d=3), r"\(y - 1\) / 3 is not a nonneg integer for y=5"),
+        (GDescriptor(GKind.RANK, sorted_outputs=(1, 4)), r"5 is not one of the realized outputs \(1, 4\)"),
+    ],
+    ids=("log", "log-base-1", "affine", "rank"),
+)
+def test_gdescriptor_refuses_a_value_outside_its_map(g, message):
+    with pytest.raises(ValueError, match=message):
+        g.apply(5)
 
 
 def test_uncompiled_known_tables():

@@ -227,6 +227,21 @@ def test_shor_postprocess_rejects_wrong_order():
         shor_postprocess(15, 2, 8)  # multiple of the order, not the order
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: coprime_order_table(2), "modulus too small"),
+        (lambda: shor_postprocess(15, 3, 4), "base must be coprime to the modulus"),
+        (lambda: continued_fraction_order(1, 6, 15), "m must be a power of two, at least 2"),
+        (lambda: continued_fraction_order(8, 8, 15), "need 0 <= k < m"),
+    ],
+    ids=("order-table-modulus", "postprocess-base", "cf-m", "cf-k"),
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_shor_postprocess_exhaustive_over_small_semiprimes():
     # every outcome must be factors equal to (p, q) or a named failure branch
     for n in (15, 21, 33, 35):

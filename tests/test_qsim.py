@@ -78,6 +78,7 @@ def test_state_norm_bound_is_1e_12(excess, ok):
         ([math.nan, 0.5], "lie in"),
         ([0.5, math.nan], "lie in"),
         ([math.nan], "lie in"),
+        ([[0.5, 0.5]], "one dimensional"),
     ],
 )
 def test_probability_bounds(probs, message):
@@ -86,6 +87,23 @@ def test_probability_bounds(probs, message):
     else:
         with pytest.raises(ValueError, match=message):
             ProbDist(np.array(probs))
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: StateVector(1, 1, np.array([1.0, 0.0, 0.0], dtype=complex)), r"length must be 2\*\*\(m\+k\)"),
+        (lambda: DensityMatrix(2, np.eye(3) / 3), r"shape must be \(dim, dim\)"),
+        # trace 1 and Hermitian, but with a negative eigenvalue
+        (lambda: DensityMatrix(2, np.diag([1.5, -0.5])), "must be positive semidefinite"),
+        (lambda: noisy_separability(2.0, NoiseParams(1.0), 3), r"S=2.0 outside \[1/2\*\*m, 1\]"),
+        (lambda: order_finding_run(2, 1, 8, 0), "modulus must be at least 2"),
+    ],
+    ids=("state-length", "density-shape", "density-psd", "separability-range", "order-finding-modulus"),
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_apply_period_map_writes_x_mod_p():
