@@ -22,7 +22,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
+from ._checked import checked_record
 from .modexp import TruthTable
 
 
@@ -35,6 +37,9 @@ class GateKind(Enum):
 _CONTROL_COUNT = {GateKind.NOT: 0, GateKind.CNOT: 1, GateKind.TOFFOLI: 2}
 
 
+# Control and Gate stay frozen dataclasses: the per-gate loops of verify and
+# synthesis read their fields, and on CPython 3.11 a named-tuple field read is an
+# unspecialized descriptor call, about twice the cost of a dataclass field read.
 @dataclass(frozen=True)
 class Control:
     line: int
@@ -87,23 +92,21 @@ def _checked_bool(value: object) -> bool:
     return value
 
 
-@dataclass(frozen=True)
-class Circuit:
-    width: int
-    input_lines: tuple[int, ...]
-    output_lines: tuple[int, ...]
-    gates: tuple[Gate, ...]
+class Circuit(checked_record("Circuit", "width input_lines output_lines gates")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        width = _checked_int(self.width)
-        lines = [_checked_int(ln) for ln in (*self.input_lines, *self.output_lines)]
+    def __new__(
+        cls, width: int, input_lines: tuple[int, ...], output_lines: tuple[int, ...], gates: tuple[Gate, ...]
+    ) -> Circuit:
+        _checked_int(width)
+        lines = [_checked_int(ln) for ln in (*input_lines, *output_lines)]
         if len(set(lines)) != len(lines):
             raise ValueError("input and output lines must be disjoint")
         if max(lines, default=-1) >= width or min(lines, default=0) < 0:
             raise ValueError("register line out of range")
         # gates are frozen, so a gate object repeated at several positions
         # (synthesis reuses them) is checked once
-        for g in {id(g): g for g in self.gates}.values():
+        for g in {id(g): g for g in gates}.values():
             lo = hi = g.target
             for c in g.controls:
                 if c.line > hi:
@@ -111,7 +114,8 @@ class Circuit:
                 elif c.line < lo:
                     lo = c.line
             if lo < 0 or hi >= width:
-                raise ValueError(f"gate {g} uses a line outside width {self.width}")
+                raise ValueError(f"gate {g} uses a line outside width {width}")
+        return tuple.__new__(cls, (width, input_lines, output_lines, gates))
 
     @property
     def n_in(self) -> int:
@@ -122,16 +126,14 @@ class Circuit:
         return len(self.output_lines)
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     n_toffoli: int
     n_cnot: int
     n_not: int
     quantum_cost: int
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     x: int
     expected: int
     got: int

@@ -26,8 +26,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
@@ -129,8 +128,7 @@ def _cost_line(report: CostReport) -> str:
 _Dists = Callable[[int, int], list[tuple[int, StateVector, ProbDist]]]
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """A table that ``tables`` emits or ``diff-golden`` checks.
 
     Its bundled golden, if any, is ``golden/<stem>.csv``: the header's
@@ -213,10 +211,10 @@ _GOLDENS: tuple[tuple[str, Table], ...] = (
     ("reduced density p=3", Table("rho_p3", ("row", "col", "re", "im"), 2, _rho_rows)),
 )
 
-_GOLDEN_DIR = resources.files("shorcompile").joinpath("golden")
+_GOLDEN_DIR = Path(__file__).with_name("golden")
 
 
-class _Golden(NamedTuple):  # a NamedTuple is defined at import in a seventh of a dataclass's time
+class _Golden(NamedTuple):
     """A golden CSV file, parsed once: row i is ``keys[i]``, ``values[i]``, ``tolerances[i]``.
 
     A key cell is an int when it is the canonical decimal of one, so it
@@ -472,7 +470,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "g": json.dumps(compiled.g.kind.value),
             "table": table.to_json(),
             "circuit": circ_text,
-            "cost": json.dumps(vars(report)),
+            "cost": json.dumps(report._asdict()),
         }
         if comparison:
             members["comparison"] = json.dumps(comparison)

@@ -13,14 +13,13 @@ disappears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import Circuit, cnot, toffoli
 from .modexp import TruthTable
 
 
-@dataclass(frozen=True)
-class LibraryEntry:
+class LibraryEntry(NamedTuple):
     name: str
     base: int
     modulus: int

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
+from ._checked import checked_record
 from .numtheory import multiplicative_order
 
 # Synthesis packs each line's values over all 2**n_in rows into one uint64.
@@ -34,29 +35,26 @@ def check_register_widths(n_in: int, n_out: int = 1) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(checked_record("TruthTable", "n_in n_out rows")):
     """Total map from n_in-bit inputs to n_out-bit outputs, indexed by input value."""
 
-    n_in: int
-    n_out: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for v in (self.n_in, self.n_out, *self.rows):
+    # no __slots__: the instance dict holds the cached columns
+    def __new__(cls, n_in: int, n_out: int, rows: tuple[int, ...]) -> TruthTable:
+        for v in (n_in, n_out, *rows):
             # exactly int: a bool is an int subclass, and JSON writes it as true/false
             if type(v) is not int:
                 raise ValueError(f"truth table numbers must be JSON integers, got {v!r}")
-        if self.n_in < 1 or self.n_out < 1:
+        if n_in < 1 or n_out < 1:
             raise ValueError("register widths must be positive")
         # the bit lengths are compared first, so no shift is by a number too
         # large to allocate (n_in or n_out of 10**12 in a document)
-        n_rows = len(self.rows)
-        if n_rows.bit_length() != self.n_in + 1 or n_rows != 1 << self.n_in:
+        n_rows = len(rows)
+        if n_rows.bit_length() != n_in + 1 or n_rows != 1 << n_in:
             raise ValueError("row count must equal 2**n_in")
-        for x, y in enumerate(self.rows):
-            if y < 0 or y.bit_length() > self.n_out:
-                raise ValueError(f"output {y} at x={x} does not fit in {self.n_out} bits")
+        for x, y in enumerate(rows):
+            if y < 0 or y.bit_length() > n_out:
+                raise ValueError(f"output {y} at x={x} does not fit in {n_out} bits")
+        return tuple.__new__(cls, (n_in, n_out, rows))
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
@@ -89,8 +87,7 @@ class GKind(Enum):
     RANK = "rank"
 
 
-@dataclass(frozen=True)
-class GDescriptor:
+class GDescriptor(NamedTuple):
     """Injective map g applied residue-wise to the outputs of a truth table.
 
     kind LOG uses g(y) = log_base(y) over plain integers, AFFINE uses
@@ -137,8 +134,7 @@ class CompileLevel(Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
-class CompiledFunction:
+class CompiledFunction(NamedTuple):
     """A truth table for a**x mod N together with the g map that produced it."""
 
     base: int

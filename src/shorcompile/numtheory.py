@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+from ._checked import checked_record
 
 
 # multiplicative_order walks r steps, r < n; it refuses n >= _ORDER_BOUND.
@@ -56,22 +58,20 @@ def multiplicative_order(a: int, n: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class Semiprime:
+class Semiprime(checked_record("Semiprime", "n p q")):
     """Product of two distinct odd primes."""
 
-    n: int
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p == self.q:
+    def __new__(cls, n: int, p: int, q: int) -> Semiprime:
+        if p == q:
             raise ValueError("prime factors must be distinct")
-        for f in (self.p, self.q):
+        for f in (p, q):
             if f == 2 or not is_prime(f):
                 raise ValueError(f"{f} is not an odd prime")
-        if self.p * self.q != self.n:
-            raise ValueError(f"{self.p} * {self.q} != {self.n}")
+        if p * q != n:
+            raise ValueError(f"{p} * {q} != {n}")
+        return tuple.__new__(cls, (n, p, q))
 
     def carmichael(self) -> int:
         """lcm(p - 1, q - 1)."""
@@ -95,8 +95,7 @@ def factor_semiprime(n: int) -> Semiprime:
     return Semiprime(n, *factors)
 
 
-@dataclass(frozen=True)
-class OrderRecord:
+class OrderRecord(NamedTuple):
     a: int
     r: int
 
@@ -124,8 +123,7 @@ class PostProcessStatus(Enum):
     MINUS_ONE_CONGRUENCE = "minus-one-congruence"
 
 
-@dataclass(frozen=True)
-class PostProcessOutcome:
+class PostProcessOutcome(NamedTuple):
     status: PostProcessStatus
     factors: tuple[int, int] | None = None
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._checked import checked_record
 from .numtheory import continued_fraction_order, multiplicative_order, prime_factors
 
 _MAX_QUBITS = 20
@@ -40,54 +41,50 @@ def check_registers(m: int, k: int) -> None:
         raise ValueError(f"register sizes {m}+{k} out of range")
 
 
-@dataclass(frozen=True)
-class StateVector:
-    m: int
-    k: int
-    amplitudes: np.ndarray  # complex128, length 2**(m+k)
+class StateVector(checked_record("StateVector", "m k amplitudes")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_registers(self.m, self.k)
-        if self.amplitudes.shape != (1 << (self.m + self.k),):
+    def __new__(cls, m: int, k: int, amplitudes: np.ndarray) -> StateVector:  # complex128, length 2**(m+k)
+        check_registers(m, k)
+        if amplitudes.shape != (1 << (m + k),):
             raise ValueError("amplitude array length must be 2**(m+k)")
-        norm = float(np.vdot(self.amplitudes, self.amplitudes).real)  # the sum of abs(amplitude)**2
+        norm = float(np.vdot(amplitudes, amplitudes).real)  # the sum of abs(amplitude)**2
         if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails
             raise ValueError(f"state norm {norm} deviates from 1")
+        return tuple.__new__(cls, (m, k, amplitudes))
 
     def grid(self) -> np.ndarray:
         """Amplitudes reshaped to (input value, output value)."""
         return self.amplitudes.reshape(1 << self.m, 1 << self.k)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    dim: int
-    entries: np.ndarray
+class DensityMatrix(checked_record("DensityMatrix", "dim entries")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.entries.shape != (self.dim, self.dim):
+    def __new__(cls, dim: int, entries: np.ndarray) -> DensityMatrix:
+        if entries.shape != (dim, dim):
             raise ValueError("entry matrix shape must be (dim, dim)")
-        if not np.isfinite(self.entries).all():
+        if not np.isfinite(entries).all():
             raise ValueError("density matrix entries must be finite")
-        # np.allclose(self.entries, adjoint, atol=1e-12) written out, without its per-call overhead
-        adjoint = self.entries.conj().T
-        if not (np.abs(self.entries - adjoint) <= 1e-12 + 1e-5 * np.abs(adjoint)).all():
+        # np.allclose(entries, adjoint, atol=1e-12) written out, without its per-call overhead
+        adjoint = entries.conj().T
+        if not (np.abs(entries - adjoint) <= 1e-12 + 1e-5 * np.abs(adjoint)).all():
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(self.entries).real - 1.0) > 1e-12:
+        if abs(np.trace(entries).real - 1.0) > 1e-12:
             raise ValueError("density matrix trace must be 1")
-        if np.min(np.linalg.eigvalsh(self.entries)) < -1e-10:
+        if np.min(np.linalg.eigvalsh(entries)) < -1e-10:
             raise ValueError("density matrix must be positive semidefinite")
+        return tuple.__new__(cls, (dim, entries))
 
     def spectrum(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.entries)
 
 
-@dataclass(frozen=True)
-class ProbDist:
-    probabilities: np.ndarray
+class ProbDist(checked_record("ProbDist", "probabilities")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p = self.probabilities
+    def __new__(cls, probabilities: np.ndarray) -> ProbDist:
+        p = probabilities
         if p.ndim != 1:
             raise ValueError("probability array must be one dimensional")
         # each check is written not (within bounds), so that NaN fails it
@@ -95,17 +92,18 @@ class ProbDist:
             raise ValueError("probabilities must lie in [0, 1]")
         if not abs(float(p.sum()) - 1.0) <= 1e-12:
             raise ValueError("probabilities must sum to 1")
+        return tuple.__new__(cls, (p,))
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(checked_record("NoiseParams", "epsilon")):
     """epsilon = 1 leaves the state untouched; 0 is maximally mixed."""
 
-    epsilon: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
+    def __new__(cls, epsilon: float) -> NoiseParams:
+        if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
+        return tuple.__new__(cls, (epsilon,))
 
 
 def uniform_input_state(m: int, k: int) -> StateVector:
@@ -222,8 +220,7 @@ def sample(dist: ProbDist, shots: int, seed: int) -> ProbDist:
     return ProbDist(counts / shots)
 
 
-@dataclass(frozen=True)
-class OrderFindingResult:
+class OrderFindingResult(NamedTuple):
     """One seeded run; ``samples`` holds every drawn shot, including those
     after the shot that verified the order."""
 

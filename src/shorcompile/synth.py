@@ -41,9 +41,9 @@ SynthesisError, a fault of this module, and the command line exits 3.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,30 +80,26 @@ _cnot = lru_cache(maxsize=None, typed=True)(cnot)
 _toffoli = lru_cache(maxsize=None, typed=True)(toffoli)
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(NamedTuple):
     """XOR of the input lines in mask, plus an optional constant 1."""
 
     mask: int
     const: bool
 
 
-@dataclass(frozen=True)
-class BitFit:
+class BitFit(NamedTuple):
     form: AffineForm
     mismatches: frozenset[int]
 
 
-@dataclass(frozen=True)
-class LinearFit:
+class LinearFit(NamedTuple):
     """Per output line (most significant first): chosen form and mismatch set."""
 
     n_in: int
     bits: tuple[BitFit, ...]
 
 
-@dataclass(frozen=True)
-class CascadePlan:
+class CascadePlan(NamedTuple):
     """The repair steps, which follow the linear stage's gates."""
 
     steps: tuple[Gate, ...]

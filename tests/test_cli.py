@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import copy
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -63,13 +62,13 @@ def test_tables_allowed_periods_row_count(capsys):
 
 def test_tables_allowed_periods_validates_each_semiprime_once(capsys, monkeypatch):
     validated = []
-    check = numtheory.Semiprime.__post_init__
+    check = numtheory.Semiprime.__new__
 
-    def counting(sp):
-        validated.append(sp.n)
-        check(sp)
+    def counting(cls, n, p, q):
+        validated.append(n)
+        return check(cls, n, p, q)
 
-    monkeypatch.setattr(numtheory.Semiprime, "__post_init__", counting)
+    monkeypatch.setattr(numtheory.Semiprime, "__new__", counting)
     code, out, _ = run(capsys, "tables", "allowed-periods", "--format", "csv")
     assert code == EXIT_OK
     ns = [int(row.split(",")[0]) for row in out.strip().splitlines()[1:]]
@@ -130,7 +129,7 @@ def test_diff_golden_reports_a_figure_circuit_that_fails_its_table_and_caption(m
         entry = real(name)
         if name != "f4_21":
             return entry
-        return dataclasses.replace(entry, circuit=dataclasses.replace(entry.circuit, gates=entry.circuit.gates[:-1]))
+        return entry._replace(circuit=entry.circuit._replace(gates=entry.circuit.gates[:-1]))
 
     monkeypatch.setattr(cli, "library_entry", short_f4_21)
     code, out, _ = run(capsys, "diff-golden")

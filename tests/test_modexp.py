@@ -1,6 +1,5 @@
 """Truth tables and the classical compile layer."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -228,7 +227,7 @@ def test_compiled_tables_are_pinned():
             except ValueError as exc:
                 record, pick = (key, str(exc)), "refused"
             else:
-                record = (key, cf.table.rows, cf.table.n_out, dataclasses.astuple(cf.g), cf.level.value, cf.period)
+                record = (key, cf.table.rows, cf.table.n_out, tuple(cf.g), cf.level.value, cf.period)
                 pick = cf.g.kind.value
             digest.update((repr(record) + "\n").encode())
             picks[key[0], pick] = picks.get((key[0], pick), 0) + 1
