@@ -2,7 +2,8 @@
 
 Circuits are evaluated classically, on packed bit vectors that hold every
 input row at once (``verify``) or one row (``evaluate``); nothing here
-builds a statevector.
+builds a statevector. The packed-row format is modexp's: its ``pack``,
+``unpack``, ``set_bits`` and ``input_vectors`` load and read the lines.
 
 Line 0 is the top line of a circuit diagram. Bit significance is carried by
 the input_lines/output_lines orderings (first element = most significant),
@@ -21,11 +22,11 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import partial
 from typing import NamedTuple
 
-from ._checked import checked_record
-from .modexp import TruthTable
+from ._checked import checked_record, exact_int
+from .modexp import TruthTable, input_vectors, pack, set_bits, unpack
 
 
 class GateKind(Enum):
@@ -47,7 +48,8 @@ class Control:
 
     def __post_init__(self) -> None:
         _checked_int(self.line)
-        _checked_bool(self.neg)
+        if not isinstance(self.neg, bool):
+            raise ValueError(f"control polarity must be true or false, got {self.neg!r}")
 
 
 @dataclass(frozen=True)
@@ -79,17 +81,7 @@ def toffoli(c1: int, c2: int, target: int, neg1: bool = False, neg2: bool = Fals
     return Gate(GateKind.TOFFOLI, (Control(c1, neg1), Control(c2, neg2)), target)
 
 
-def _checked_int(value: object) -> int:
-    """value, if its type is exactly int: a bool is an int subclass, but JSON writes it as true/false."""
-    if type(value) is not int:
-        raise ValueError(f"circuit lines and width must be integers, got {value!r}")
-    return value
-
-
-def _checked_bool(value: object) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"control polarity must be true or false, got {value!r}")
-    return value
+_checked_int = partial(exact_int, message="circuit lines and width must be integers")
 
 
 class Circuit(checked_record("Circuit", "width input_lines output_lines gates")):
@@ -140,24 +132,6 @@ class Mismatch(NamedTuple):
     input_after: int
 
 
-@lru_cache(maxsize=8)
-def input_vectors(n_in: int) -> tuple[int, ...]:
-    """Packed value of each input line (bit x = input x), line 0 = most significant.
-
-    Each width is packed once into one tuple, kept for the last 8 widths.
-    """
-    # line i is 2**p zeros then 2**p ones (p = n_in - 1 - i), doubled up to
-    # 2**n_in bits; the block ends in a 1, so its bit length is the shift
-    vecs = []
-    for line in range(n_in):
-        half = 1 << (n_in - 1 - line)
-        v = ((1 << half) - 1) << half
-        while v.bit_length() < 1 << n_in:
-            v |= v << v.bit_length()
-        vecs.append(v)
-    return tuple(vecs)
-
-
 def apply_packed(lines: list[int], gate: Gate, full: int) -> None:
     """Apply one gate in place to packed line values.
 
@@ -170,7 +144,7 @@ def apply_packed(lines: list[int], gate: Gate, full: int) -> None:
     lines[gate.target] ^= act
 
 
-def _run(circuit: Circuit, vecs: list[int], full: int) -> defaultdict[int, int]:
+def _run(circuit: Circuit, vecs: tuple[int, ...], full: int) -> defaultdict[int, int]:
     """Packed line values after the gates, vecs on the input lines, zero elsewhere.
 
     Keyed by line, so only the lines the circuit uses are held, whatever its width.
@@ -179,19 +153,6 @@ def _run(circuit: Circuit, vecs: list[int], full: int) -> defaultdict[int, int]:
     for g in circuit.gates:
         apply_packed(lines, g, full)
     return lines
-
-
-def _register(lines: dict[int, int], order: tuple[int, ...], n_rows: int) -> list[int]:
-    """Per row, the value with bit i, counted from the most significant, on line order[i].
-
-    Each line is read once, as binary text: testing bit x of a 2**n_in-bit
-    value for each row x would take time quadratic in the rows.
-    """
-    values = [0] * n_rows
-    for line in order:
-        text = format(lines[line], f"0{n_rows}b")
-        values = [v << 1 | (bit == "1") for v, bit in zip(values, reversed(text))]
-    return values
 
 
 def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
@@ -203,17 +164,17 @@ def evaluate(circuit: Circuit, x: int) -> tuple[int, int]:
     n_in = circuit.n_in
     if not 0 <= x < 1 << n_in:
         raise ValueError(f"x={x} does not fit in {n_in} input bits")
-    lines = _run(circuit, [(x >> (n_in - 1 - i)) & 1 for i in range(n_in)], 1)
-    return _register(lines, circuit.output_lines, 1)[0], _register(lines, circuit.input_lines, 1)[0]
+    lines = _run(circuit, pack((x,), n_in), 1)
+    (row,) = unpack([lines[ln] for ln in circuit.output_lines + circuit.input_lines], 1)  # y above x
+    return row >> n_in, row & ((1 << n_in) - 1)
 
 
 def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
     """All inputs where the circuit disagrees with the table or clobbers x.
 
-    Every row runs at once on packed line values, loaded from the width's
-    input_vectors and checked against table.columns, the tuples each is
-    packed into once; the Mismatch records of the rows that differ, in
-    ascending x, are read from the same values.
+    Every row runs at once on packed line values, loaded from input_vectors
+    and checked against table.columns; the rows that differ, in ascending
+    x, are read back from the same values.
     """
     if circuit.n_in != table.n_in or circuit.n_out != table.n_out:
         raise ValueError(
@@ -228,10 +189,9 @@ def verify(circuit: Circuit, table: TruthTable) -> list[Mismatch]:
         diff |= lines[line] ^ want
     if not diff:
         return []
-    got = _register(lines, circuit.output_lines, n_rows)
-    after = _register(lines, circuit.input_lines, n_rows)
-    rows = reversed(format(diff, f"0{n_rows}b"))
-    return [Mismatch(x, table.rows[x], got[x], after[x]) for x, bit in enumerate(rows) if bit == "1"]
+    got = unpack([lines[ln] for ln in circuit.output_lines], n_rows)
+    after = unpack([lines[ln] for ln in circuit.input_lines], n_rows)
+    return [Mismatch(x, table.rows[x], got[x], after[x]) for x in set_bits(diff)]
 
 
 def cost(circuit: Circuit) -> CostReport:

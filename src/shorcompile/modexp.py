@@ -10,17 +10,22 @@ affine (y - c) / d, and rank order. ``compile_modexp`` applies one family
 ceil(log2 r), and LOG when it fits, else AFFINE, which fits every output
 set (d = 1, c = 0 always does). Both refuse an input register wider than
 synthesis supports before building any row.
+
+Later stages read a table as packed rows, one int per bit (most significant
+first) with bit x = row x; ``pack``, ``unpack``, ``set_bits`` and
+``input_vectors`` here are the one copy of that format.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Sequence
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from ._checked import checked_record
+from ._checked import checked_record, exact_int
 from .numtheory import multiplicative_order
 
 # Synthesis packs each line's values over all 2**n_in rows into one uint64.
@@ -35,15 +40,54 @@ def check_register_widths(n_in: int, n_out: int = 1) -> None:
         )
 
 
+def pack(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The packed rows: per bit of the width-bit rows, MSB first, one int with bit x = row x."""
+    spec = f"0{width}b"
+    text = "".join([format(y, spec) for y in reversed(rows)])
+    return tuple([int(text[b::width], 2) for b in range(width)])
+
+
+def unpack(columns: Iterable[int], n_rows: int) -> list[int]:
+    """pack's inverse. Each column is read once, as text: testing its bit x per row x is quadratic."""
+    values = [0] * n_rows
+    for column in columns:
+        text = format(column, f"0{n_rows}b")
+        values = [v << 1 | (bit == "1") for v, bit in zip(values, reversed(text))]
+    return values
+
+
+def set_bits(m: int) -> list[int]:
+    """The positions of m's set bits, ascending: the rows a packed mask holds."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+@lru_cache(maxsize=8)
+def input_vectors(n_in: int) -> tuple[int, ...]:
+    """pack(range(2**n_in), n_in), the columns of every n_in-bit input, kept for the last 8 widths."""
+    # line i is 2**p zeros then 2**p ones (p = n_in - 1 - i), doubled up to 2**n_in bits in
+    # time linear in the rows, unlike pack; the block ends in a 1, so its bit length is the shift
+    vecs = []
+    for line in range(n_in):
+        half = 1 << (n_in - 1 - line)
+        v = ((1 << half) - 1) << half
+        while v.bit_length() < 1 << n_in:
+            v |= v << v.bit_length()
+        vecs.append(v)
+    return tuple(vecs)
+
+
 class TruthTable(checked_record("TruthTable", "n_in n_out rows")):
     """Total map from n_in-bit inputs to n_out-bit outputs, indexed by input value."""
 
     # no __slots__: the instance dict holds the cached columns
     def __new__(cls, n_in: int, n_out: int, rows: tuple[int, ...]) -> TruthTable:
         for v in (n_in, n_out, *rows):
-            # exactly int: a bool is an int subclass, and JSON writes it as true/false
-            if type(v) is not int:
-                raise ValueError(f"truth table numbers must be JSON integers, got {v!r}")
+            exact_int(v, "truth table numbers must be JSON integers")
         if n_in < 1 or n_out < 1:
             raise ValueError("register widths must be positive")
         # the bit lengths are compared first, so no shift is by a number too
@@ -58,14 +102,8 @@ class TruthTable(checked_record("TruthTable", "n_in n_out rows")):
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
-        """Packed value of each output bit (bit x = row x), MSB first.
-
-        Packed on first use and kept with the table; it is not a field, so
-        equality and hashing ignore it.
-        """
-        n_out, spec = self.n_out, f"0{self.n_out}b"
-        text = "".join([format(y, spec) for y in reversed(self.rows)])
-        return tuple([int(text[b::n_out], 2) for b in range(n_out)])
+        """pack(rows, n_out), kept with the table; not a field, so equality and hashing ignore it."""
+        return pack(self.rows, self.n_out)
 
     def to_json(self) -> str:
         return json.dumps({"n_in": self.n_in, "n_out": self.n_out, "rows": self.rows})

@@ -41,7 +41,19 @@ def check_registers(m: int, k: int) -> None:
         raise ValueError(f"register sizes {m}+{k} out of range")
 
 
-class StateVector(checked_record("StateVector", "m k amplitudes")):
+class _ArrayRecord:
+    """Same type and every field np.array_equal: a tuple's own == refuses two distinct arrays."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(map(np.array_equal, self, other))
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+
+class StateVector(_ArrayRecord, checked_record("StateVector", "m k amplitudes")):
     __slots__ = ()
 
     def __new__(cls, m: int, k: int, amplitudes: np.ndarray) -> StateVector:  # complex128, length 2**(m+k)
@@ -58,7 +70,7 @@ class StateVector(checked_record("StateVector", "m k amplitudes")):
         return self.amplitudes.reshape(1 << self.m, 1 << self.k)
 
 
-class DensityMatrix(checked_record("DensityMatrix", "dim entries")):
+class DensityMatrix(_ArrayRecord, checked_record("DensityMatrix", "dim entries")):
     __slots__ = ()
 
     def __new__(cls, dim: int, entries: np.ndarray) -> DensityMatrix:
@@ -80,7 +92,7 @@ class DensityMatrix(checked_record("DensityMatrix", "dim entries")):
         return np.linalg.eigvalsh(self.entries)
 
 
-class ProbDist(checked_record("ProbDist", "probabilities")):
+class ProbDist(_ArrayRecord, checked_record("ProbDist", "probabilities")):
     __slots__ = ()
 
     def __new__(cls, probabilities: np.ndarray) -> ProbDist:

@@ -1,8 +1,8 @@
 """Reversible synthesis from truth tables: three stages over packed error masks.
 
 A boolean function over the 2**n_in inputs is an int bitmask (bit x = value
-at input x): circuit.input_vectors packs the input columns once per width
-and TruthTable.columns a table's output columns once per table, as tuples.
+at input x), the packed-row format modexp owns: input_vectors packs the input
+columns once per width and TruthTable.columns a table's output columns once.
 An output line's error mask holds the rows where the line, as the gates so
 far leave it, differs from its column; the stages hand them on as a tuple.
 
@@ -47,16 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    Gate,
-    cnot,
-    input_vectors,
-    not_gate,
-    toffoli,
-    verify,
-)
-from .modexp import TruthTable, check_register_widths
+from .circuit import Circuit, Gate, cnot, not_gate, toffoli, verify
+from .modexp import TruthTable, check_register_widths, input_vectors, set_bits
 
 __all__ = [
     "AffineForm",
@@ -126,16 +118,6 @@ def _affine_forms(n_in: int) -> tuple[np.ndarray, np.ndarray]:
     return values, terms
 
 
-def _set_bits(m: int) -> list[int]:
-    """The positions of m's set bits, ascending."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
-
-
 def fit_linear(table: TruthTable) -> LinearFit:
     """Best affine GF(2) form per output bit, by exhaustive scoring.
 
@@ -151,7 +133,7 @@ def fit_linear(table: TruthTable) -> LinearFit:
     bits = []
     for target, f in zip(targets, np.argmin(miss.astype(np.int32) << 3 | terms, axis=1).tolist()):
         m = int(values[f]) ^ target
-        bits.append(BitFit(AffineForm(f >> 1, bool(f & 1)), frozenset(_set_bits(m))))
+        bits.append(BitFit(AffineForm(f >> 1, bool(f & 1)), frozenset(set_bits(m))))
     return LinearFit(n, tuple(bits))
 
 
@@ -159,7 +141,7 @@ def _emit_linear(fit: LinearFit, allow_neg: bool = True) -> list[Gate]:
     """CNOT copies realizing the fitted forms, the constant folded into the first one if allowed."""
     gates: list[Gate] = []
     for j, bit in enumerate(fit.bits, fit.n_in):
-        sources = tuple(_set_bits(bit.form.mask))
+        sources = tuple(set_bits(bit.form.mask))
         if bit.form.const and (not sources or not allow_neg):
             gates += _realize(j, ())
         if sources:
@@ -336,7 +318,7 @@ def _anf_monomials(err: int, n_in: int) -> list[int]:
     # XORs its coefficient into row x + 2**p
     for p, vec in enumerate(reversed(input_vectors(n_in))):
         err ^= (err & ~vec) << (1 << p)
-    return _set_bits(err)
+    return set_bits(err)
 
 
 def _multi_controlled_flip(controls: list[int], j: int, n_in: int, width: int) -> list[Gate]:

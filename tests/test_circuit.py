@@ -14,13 +14,12 @@ from shorcompile.circuit import (
     cnot,
     cost,
     evaluate,
-    input_vectors,
     not_gate,
     toffoli,
     verify,
 )
 from shorcompile.library import FIGURE_IDS, LIBRARY, library_entry
-from shorcompile.modexp import TruthTable
+from shorcompile.modexp import TruthTable, input_vectors
 
 
 def test_gate_constructors_and_validation():
@@ -90,7 +89,7 @@ def test_verify_unpacks_no_rows_when_every_row_matches(monkeypatch):
     def read(*_):
         raise AssertionError("a circuit that verifies needs no per-row values")
 
-    monkeypatch.setattr(circuit_module, "_register", read)
+    monkeypatch.setattr(circuit_module, "unpack", read)
     for name in FIGURE_IDS:
         e = library_entry(name)
         assert verify(e.circuit, e.table) == []

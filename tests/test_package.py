@@ -59,32 +59,45 @@ def test_the_only_exported_dataclasses_are_gate_and_control():
     assert exported == {"Control", "Gate"}
 
 
-# One valid record of each checked type, a field edit its constructor refuses, and the refusal.
+# One valid record of each checked type, a field edit its constructor refuses and the
+# refusal, and a field edit it accepts.
 _CHECKED = [
-    (Circuit(2, (0,), (1,), (cnot(0, 1),)), {"width": -5}, "register line out of range"),
-    (TruthTable(1, 1, (0, 1)), {"n_out": 0}, "register widths must be positive"),
-    (Semiprime(15, 3, 5), {"q": 7}, "3 * 7 != 15"),
-    (StateVector(1, 1, np.full(4, 0.5, dtype=np.complex128)), {"k": 2}, "amplitude array length must be 2**(m+k)"),
-    (DensityMatrix(2, np.eye(2) / 2), {"dim": 3}, "entry matrix shape must be (dim, dim)"),
-    (ProbDist(np.array([0.25, 0.75])), {"probabilities": np.array([0.5, 0.6])}, "probabilities must sum to 1"),
-    (NoiseParams(0.5), {"epsilon": 1.5}, "epsilon must lie in [0, 1]"),
+    (Circuit(2, (0,), (1,), (cnot(0, 1),)), {"width": -5}, "register line out of range", {"gates": ()}),
+    (TruthTable(1, 1, (0, 1)), {"n_out": 0}, "register widths must be positive", {"rows": (1, 0)}),
+    (Semiprime(15, 3, 5), {"q": 7}, "3 * 7 != 15", {"n": 21, "q": 7}),
+    (
+        StateVector(1, 1, np.full(4, 0.5, dtype=np.complex128)),
+        {"k": 2},
+        "amplitude array length must be 2**(m+k)",
+        {"amplitudes": np.array([0.5, 0.5, 0.5, -0.5], dtype=np.complex128)},
+    ),
+    (
+        DensityMatrix(2, np.eye(2) / 2),
+        {"dim": 3},
+        "entry matrix shape must be (dim, dim)",
+        {"entries": np.diag([0.25, 0.75])},
+    ),
+    (
+        ProbDist(np.array([0.25, 0.75])),
+        {"probabilities": np.array([0.5, 0.6])},
+        "probabilities must sum to 1",
+        {"probabilities": np.array([0.5, 0.5])},
+    ),
+    (NoiseParams(0.5), {"epsilon": 1.5}, "epsilon must lie in [0, 1]", {"epsilon": 0.25}),
 ]
 
 
-def _same(a, b) -> bool:
-    """Equal type and fields, an array field compared by value."""
-    return type(a) is type(b) and all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b, strict=True)
-    )
+@pytest.mark.parametrize("record, edit, message, other", _CHECKED, ids=[type(r).__name__ for r, *_ in _CHECKED])
+def test_checked_records_validate_replace_and_round_trip(record, edit, message, other):
+    """_replace builds through the constructor, so it refuses what the constructor refuses.
 
-
-@pytest.mark.parametrize("record, edit, message", _CHECKED, ids=[type(r).__name__ for r, _, _ in _CHECKED])
-def test_checked_records_validate_replace_and_round_trip(record, edit, message):
-    """_replace builds through the constructor, so it refuses what the constructor refuses."""
+    A copy compares equal, an array field by value, and an edited record unequal.
+    """
     for build in (lambda: type(record)(**{**record._asdict(), **edit}), lambda: record._replace(**edit)):
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == message
-    assert _same(record._replace(), record)
-    assert _same(pickle.loads(pickle.dumps(record)), record)
-    assert _same(copy.copy(record), record)
+    for same in (record._replace(), pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert same == record and not same != record
+    edited = record._replace(**other)
+    assert edited != record and not edited == record

@@ -1,5 +1,5 @@
-"""Property tests: the packed input and output columns against per-call
-packing, the packed evaluator against the row-at-a-time reference,
+"""Property tests: the packed input and output columns, and their unpacking,
+against bitwise sums over the rows, the packed evaluator against the row-at-a-time reference,
 the template JSON encoder against json.dumps of the document dict, the
 synthesizer's candidates against the gates built for them, its greedy
 repair, whole gate list and returned error masks, against a plain-Python
@@ -28,11 +28,10 @@ from shorcompile.circuit import (
     circuit_to_json,
     cost,
     evaluate,
-    input_vectors,
     verify,
 )
 from shorcompile.library import LIBRARY
-from shorcompile.modexp import TruthTable
+from shorcompile.modexp import TruthTable, input_vectors, pack, set_bits, unpack
 from shorcompile.qsim import _order_finding_probabilities, order_finding_run
 from shorcompile.synth import (
     AffineForm,
@@ -67,24 +66,29 @@ def gates(draw, width: int) -> Gate:
     return Gate(KINDS[n_controls], controls, lines[0])
 
 
-def reference_output_vectors(table: TruthTable) -> list[int]:
-    """The string packing circuit.output_vectors ran on every call, as the reference for the kept columns."""
-    text = "".join(format(y, f"0{table.n_out}b") for y in reversed(table.rows))
-    return [int(text[b :: table.n_out], 2) for b in range(table.n_out)]
+def reference_pack(rows: list[int], width: int) -> list[int]:
+    """Bit x of column b is bit b, counted from the most significant, of row x: a bitwise sum."""
+    return [sum(((y >> (width - 1 - b)) & 1) << x for x, y in enumerate(rows)) for b in range(width)]
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
 def test_packed_columns_match_per_call_packing(n_in, n_out, data):
-    """The kept output columns equal the per-call string packing, and a second
-    read is the same tuple; every input line holds bit (x >> (n_in - 1 - i)) & 1 at row x."""
+    """The kept output columns equal a bitwise sum over the rows, a second read is
+    the same tuple, and unpack reads the rows back; set_bits lists each column's
+    rows; every input line holds bit (x >> (n_in - 1 - i)) & 1 at row x, and
+    input_vectors' doubling loop packs what pack does, at every width to 8."""
     rows = data.draw(st.lists(st.integers(0, (1 << n_out) - 1), min_size=1 << n_in, max_size=1 << n_in))
     table = TruthTable(n_in, n_out, tuple(rows))
-    want = reference_output_vectors(table)
     first = table.columns
-    assert first == tuple(want) and table.columns is first
+    assert first == tuple(reference_pack(rows, n_out)) and table.columns is first
+    assert unpack(first, 1 << n_in) == rows
+    for m in (*first, *input_vectors(n_in)):
+        assert set_bits(m) == [x for x in range(m.bit_length()) if m >> x & 1]
     for i, vec in enumerate(input_vectors(n_in)):
         assert vec == sum(((x >> (n_in - 1 - i)) & 1) << x for x in range(1 << n_in)), (n_in, i)
+    for n in range(1, 9):
+        assert input_vectors(n) == pack(range(1 << n), n), n
 
 
 @st.composite
