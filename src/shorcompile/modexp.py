@@ -57,13 +57,12 @@ def unpack(columns: Iterable[int], n_rows: int) -> list[int]:
 
 
 def set_bits(m: int) -> list[int]:
-    """The positions of m's set bits, ascending: the rows a packed mask holds."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
+    """The positions of m's set bits, ascending: the rows a packed mask holds.
+
+    m is read once, as text: clearing its low bit per set bit copies m each
+    time, quadratic in the rows of a wide, mostly set mask.
+    """
+    return [x for x, bit in enumerate(reversed(format(m, "b"))) if bit == "1"]
 
 
 @lru_cache(maxsize=8)
