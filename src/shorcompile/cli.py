@@ -60,9 +60,12 @@ from .qsim import (
     depolarize,
     estimate_epsilon,
     input_probabilities,
+    input_probability_stack,
     noisy_separability,
     order_finding_run,
+    period_map_stack,
     qft_input,
+    qft_input_stack,
     reduce_to_input,
     sample,
     separability_index,
@@ -153,11 +156,12 @@ def _at_most(option: str, value: int, bound: int) -> None:
 def _distributions(m: int, k: int) -> list[tuple[int, StateVector, ProbDist]]:
     """The post-transform state and its input distribution for every period p the registers allow."""
     check_registers(m, k)  # before 1 << m is evaluated
-    periods = min(1 << m, 1 << k)
-    _at_most("the amplitudes of min(2**m, 2**k) states of 2**(m+k)", periods << (m + k), _MAX_TABLE_AMPLITUDES)
-    start = uniform_input_state(m, k)
-    states = [(p, qft_input(apply_period_map(start, p))) for p in range(1, periods + 1)]
-    return [(p, state, input_probabilities(state)) for p, state in states]
+    periods = range(1, min(1 << m, 1 << k) + 1)
+    _at_most("the amplitudes of min(2**m, 2**k) states of 2**(m+k)", len(periods) << (m + k), _MAX_TABLE_AMPLITUDES)
+    # every period's state in one stack: one index write, one in-place transform, one probability pass
+    grids = qft_input_stack(period_map_stack(uniform_input_state(m, k), periods))
+    probs = input_probability_stack(grids)
+    return [(p, StateVector(m, k, g.reshape(-1)), ProbDist(q)) for p, g, q in zip(periods, grids, probs)]
 
 
 def _order_rows(n: int) -> list[tuple]:

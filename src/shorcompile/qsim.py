@@ -8,9 +8,13 @@ separability index) serves ``simulate``, ``tables probabilities`` and
 ``tables separability``, and the m = 3 figures. The period map writes
 x mod p into the output register directly; compiled circuits are checked
 classically by ``circuit.verify``, so this module does not use the circuit
-IR. Order finding samples the input register's distribution from its
-closed form in the order and M = 2**m, without building the statevector,
-then recovers the multiplicative order from the seeded measurements.
+IR. Its three array steps, the period map, the transform and the
+probabilities, take a stack of (input value, output value) grids with a
+leading period axis, so the tables build every period in one pass; the
+one-state functions are their one-period case. Order finding samples the
+input register's distribution from its closed form in the order and
+M = 2**m, without building the statevector, then recovers the
+multiplicative order from the seeded measurements.
 
 Sampling uses numpy's default PCG64 generator; all sampling entry points
 take an explicit seed and are bit-reproducible.
@@ -126,26 +130,48 @@ def uniform_input_state(m: int, k: int) -> StateVector:
     return StateVector(m, k, amps)
 
 
+def period_map_stack(state: StateVector, periods: range) -> np.ndarray:
+    """|j>|0>  ->  |j>|j mod p> for each p in ``periods``, a nonempty range.
+
+    Returns the mapped grids as one (len(periods), 2**m, 2**k) stack.
+    """
+    m, k = state.m, state.k
+    for p in (periods[0], periods[-1]):  # a range's ends bound every period in it
+        if not 1 <= p <= 1 << m:
+            raise ValueError(f"period {p} outside 1..2**m")
+        if p - 1 >= 1 << k:
+            raise ValueError(f"period {p} does not fit the {k}-bit output register")
+    grid = state.grid()
+    if k and np.max(np.abs(grid[:, 1:])) > 1e-12:
+        raise ValueError("output register must start in |0>")
+    xs = np.arange(1 << m)
+    grids = np.zeros((len(periods), 1 << m, 1 << k), dtype=np.complex128)
+    grids[np.arange(len(periods))[:, None], xs, xs % np.array(periods)[:, None]] = grid[:, 0]
+    return grids
+
+
+def qft_input_stack(grids: np.ndarray) -> np.ndarray:
+    """QFT on the input register of each grid in a (..., 2**m, 2**k) stack,
+    in place: |j> -> sum_k omega^(jk) |k> / sqrt(2**m), omega = exp(+2 pi i / 2**m)."""
+    return np.fft.ifft(grids, axis=-2, norm="ortho", out=grids)
+
+
+def input_probability_stack(grids: np.ndarray) -> np.ndarray:
+    """Measurement distribution of the input register of each grid in a (..., 2**m, 2**k) stack."""
+    weights = np.abs(grids)
+    np.square(weights, out=weights)  # in place: a stack at the table bound takes one 2 MiB temporary, not two
+    probs = np.sum(weights, axis=-1)
+    return np.clip(probs, 0.0, None, out=probs)
+
+
 def apply_period_map(state: StateVector, p: int) -> StateVector:
     """|j>|0>  ->  |j>|j mod p>."""
-    if not 1 <= p <= 1 << state.m:
-        raise ValueError(f"period {p} outside 1..2**m")
-    if p - 1 >= 1 << state.k:
-        raise ValueError(f"period {p} does not fit the {state.k}-bit output register")
-    grid = state.grid()
-    if state.k and np.max(np.abs(grid[:, 1:])) > 1e-12:
-        raise ValueError("output register must start in |0>")
-    xs = np.arange(1 << state.m)
-    amps = np.zeros_like(state.amplitudes)
-    amps[(xs << state.k) + (xs % p)] = grid[:, 0]
-    return StateVector(state.m, state.k, amps)
+    return StateVector(state.m, state.k, period_map_stack(state, range(p, p + 1))[0].reshape(-1))
 
 
 def qft_input(state: StateVector) -> StateVector:
-    """QFT on the input register: |j> -> sum_k omega^(jk) |k> / sqrt(2**m),
-    omega = exp(+2 pi i / 2**m)."""
-    out = np.fft.ifft(state.grid(), axis=0, norm="ortho")
-    return StateVector(state.m, state.k, out.reshape(-1))
+    """QFT on the input register (``qft_input_stack``), into a new state."""
+    return StateVector(state.m, state.k, qft_input_stack(state.grid().copy()).reshape(-1))
 
 
 def reduce_to_input(state: StateVector) -> DensityMatrix:
@@ -157,8 +183,7 @@ def reduce_to_input(state: StateVector) -> DensityMatrix:
 
 def input_probabilities(state: StateVector) -> ProbDist:
     """Measurement distribution of the input register."""
-    probs = np.sum(np.abs(state.grid()) ** 2, axis=1)
-    return ProbDist(np.clip(probs, 0.0, None))
+    return ProbDist(input_probability_stack(state.grid()))
 
 
 def depolarize(dist: ProbDist, noise: NoiseParams) -> ProbDist:

@@ -279,6 +279,11 @@ def _greedy(table: TruthTable, errs: tuple[int, ...], allow_neg: bool) -> tuple[
     every slot that reads line j (its value and complement): exactly what
     _realize(j, factors) does to the lines, flipping line j there and
     restoring every other line. A table with no wrong entry builds no state.
+
+    A winner scores at least 1, so each round lowers the total error
+    popcount by at least 1, and that popcount at the start bounds the
+    rounds. A scorer that breaks this raises SynthesisError at the bound
+    instead of looping.
     """
     n_in = table.n_in
     gates: list[Gate] = []
@@ -293,7 +298,11 @@ def _greedy(table: TruthTable, errs: tuple[int, ...], allow_neg: bool) -> tuple[
     np.bitwise_xor(v.take(sa), v.take(sb), out=tab[:n])
     np.bitwise_xor(tab[:n], full, out=tab[n : 2 * n])
     err = np.array(errs, dtype=np.uint64)
+    rounds = int(np.bitwise_count(err).sum())
     while err.any():
+        if not rounds:
+            raise SynthesisError("greedy repair did not lower the error count in every round")
+        rounds -= 1
         act = tab.take(i1) & tab.take(i2)
         # each active row is fixed where it was wrong and broken elsewhere; the
         # score fixed - (active - fixed) wraps in uint8 and reads back exactly as int8

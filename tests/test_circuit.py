@@ -1,5 +1,7 @@
 """Reversible gate IR: evaluation, verification, cost, JSON documents."""
 
+import hashlib
+
 import pytest
 from test_properties import apply_gate
 
@@ -65,6 +67,29 @@ def test_evaluate_all_library_entries():
             y, x_after = evaluate(e.circuit, x)
             assert y == want, (name, x)
             assert x_after == x, (name, x)
+
+
+# The eight library circuits as data: each one's width and the sha256 of its
+# circuit_to_json document. Re-record an entry only with a deliberate change
+# to that circuit, and say why in CHANGES.md.
+PINNED_LIBRARY_CIRCUITS = {
+    "f2_15": (6, "4b550a9f84314be56aa4b0cc693610d7d67fd249c8c351e50eb0517495fedc5f"),
+    "f2_15_full": (4, "2c9b5dd6813c0599051da84548c497b353c25127197ea6a9bed0e15af03756f0"),
+    "f4_15": (4, "2f8698de75f6d4931c5fae35bd072f5542753ac0a8dea9c47d052ee19723ee0a"),
+    "f4_15_full": (2, "61318055c9c77dd199392677d529d5a4dd28c0a4b4e01b07b821b70536ee88f7"),
+    "f4_21": (8, "b19a48a4e66c815237d39c30dc0fa17460eeee7d7cf3f3999de109d31d3f5f75"),
+    "f4_21_partial": (5, "7eb70c0afc9416e8845d5ddefabfbeba8eddd4faa133b039f61847b6921bd201"),
+    "f4_21_full": (4, "5c8d6728d9e44422ac5393a530f46a817ec00f7caa6e92a6703d7a22e1549f6d"),
+    "f4_33_full": (7, "9d78527339d4d761963db331cf1ca88f77cef3227ffe4a35cd9f0e31089c41bf"),
+}
+
+
+def test_library_circuits_are_pinned():
+    got = {
+        name: (LIBRARY[name].circuit.width, hashlib.sha256(circuit_to_json(LIBRARY[name].circuit).encode()).hexdigest())
+        for name in FIGURE_IDS
+    }
+    assert got == PINNED_LIBRARY_CIRCUITS
 
 
 def test_library_lookup_rejects_unknown_id():

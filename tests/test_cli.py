@@ -183,7 +183,7 @@ def test_diff_golden_reports_each_edit(tmp_path, monkeypatch, capsys, label, tab
 def test_diff_golden_recomputes_on_every_call(monkeypatch, capsys):
     """Only the golden files outlive a call: each call rebuilds every table, state and circuit check."""
     calls = dict.fromkeys(
-        ("uniform_input_state", "apply_period_map", "reduce_to_input", "verify", "coprime_order_table"), 0
+        ("uniform_input_state", "period_map_stack", "reduce_to_input", "verify", "coprime_order_table"), 0
     )
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(cli, name)):
@@ -193,8 +193,8 @@ def test_diff_golden_recomputes_on_every_call(monkeypatch, capsys):
         monkeypatch.setattr(cli, name, counted)
     assert run(capsys, "diff-golden")[0] == EXIT_OK
     once = dict(calls)
-    # the eight m=3 periods are mapped once, and the p=3 density reuses its state
-    assert once == {"uniform_input_state": 1, "apply_period_map": 8, "reduce_to_input": 1,
+    # the eight m=3 periods are mapped once, in one stack, and the p=3 density reuses its state
+    assert once == {"uniform_input_state": 1, "period_map_stack": 1, "reduce_to_input": 1,
                     "verify": 8, "coprime_order_table": 2}
     assert run(capsys, "diff-golden")[0] == EXIT_OK
     assert calls == {name: 2 * count for name, count in once.items()}
@@ -866,8 +866,8 @@ def test_simulate_and_factor_share_one_shot_rule(capsys, shots):
         (("allowed-periods", "--max-N", "16385"), "factor_semiprime", "--max-N must be at most 16384, got 16385"),
         (("allowed-periods", "--max-N", str(2**64)), "factor_semiprime", f"at most 16384, got {2**64}"),
         # 1024 states of 2**20 amplitudes: 16 GiB
-        (("probabilities", "--m", "10", "--k", "10"), "apply_period_map", "at most 262144, got 1073741824"),
-        (("separability", "--m", "7", "--k", "7"), "apply_period_map", "at most 262144, got 2097152"),
+        (("probabilities", "--m", "10", "--k", "10"), "period_map_stack", "at most 262144, got 1073741824"),
+        (("separability", "--m", "7", "--k", "7"), "period_map_stack", "at most 262144, got 2097152"),
     ],
     ids=("orders", "allowed-periods", "allowed-periods-huge", "probabilities", "separability"),
 )

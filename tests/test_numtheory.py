@@ -113,6 +113,10 @@ def test_coprime_order_table_n15():
     assert all(isinstance(rec, OrderRecord) for rec in table)
 
 
+def test_coprime_order_table_accepts_its_least_modulus():
+    assert coprime_order_table(3) == [OrderRecord(2, 2)]
+
+
 def test_coprime_order_table_matches_oracle():
     for n in (21, 33, 35):
         table = coprime_order_table(n)
@@ -177,6 +181,8 @@ def test_prime_helpers_refuse_large_inputs_with_value_error():
 
 def test_multiplicative_order_refuses_moduli_at_its_bound():
     assert multiplicative_order(2, 2**20 - 1) == 20
+    with pytest.raises(ValueError, match=r"2\*\*20"):
+        multiplicative_order(3, 2**20)
     with pytest.raises(ValueError, match=r"2\*\*20"):
         multiplicative_order(2, 2**20 + 1)
     with pytest.raises(ValueError, match=r"2\*\*20"):
@@ -282,6 +288,7 @@ def test_continued_fraction_order_known_samples():
     assert continued_fraction_order(171, 512, 21) == 3
     assert continued_fraction_order(341, 512, 21) == 3
     assert continued_fraction_order(0, 256, 15) is None
+    assert continued_fraction_order(1, 2, 15) == 2  # m = 2, the least register accepted
     for k in (170, 172, 340, 342):
         assert continued_fraction_order(k, 512, 21) == 3
 

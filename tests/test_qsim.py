@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shorcompile import qsim
+from shorcompile import cli, qsim
 from shorcompile.cli import EXIT_USAGE, entrypoint
 from shorcompile.numtheory import multiplicative_order, prime_factors
 from shorcompile.qsim import (
@@ -124,6 +124,11 @@ def test_apply_period_map_validates():
     moved = apply_period_map(uniform_input_state(2, 2), 2)
     with pytest.raises(ValueError):
         apply_period_map(moved, 2)  # output register no longer |0>
+    # a stack is checked at both ends of its range of periods
+    with pytest.raises(ValueError, match="period 3 does not fit the 1-bit output register"):
+        qsim.period_map_stack(st, range(1, 4))
+    with pytest.raises(ValueError, match=r"period 0 outside 1..2\*\*m"):
+        qsim.period_map_stack(st, range(0, 2))
 
 
 def test_qft_preserves_norm_and_inverts():
@@ -149,6 +154,39 @@ def test_input_probabilities_from_state_and_density():
     p_rho = np.real(np.diag(reduce_to_input(st).entries))
     assert np.allclose(p_state, p_rho, atol=1e-12)
     assert abs(float(np.sum(p_state)) - 1.0) < 1e-12
+
+
+def _table_registers() -> list[tuple[int, int]]:
+    """Every (m, k) whose min(2**m, 2**k) states of 2**(m+k) amplitudes the tables accept."""
+    return [
+        (m, k)
+        for m in range(qsim._MAX_QUBITS + 1)
+        for k in range(qsim._MAX_QUBITS + 1 - m)
+        if min(1 << m, 1 << k) << (m + k) <= cli._MAX_TABLE_AMPLITUDES
+    ]
+
+
+def test_stacked_periods_equal_one_period_at_a_time_bit_for_bit():
+    """The tables build every period in one stack; each stacked state and
+    distribution has the bytes of the one-period functions, on the numpy at hand."""
+    registers = _table_registers()
+    assert len(registers) == 133 and (6, 6) in registers and (18, 0) in registers
+    for m, k in registers:
+        start = uniform_input_state(m, k)
+        dists = cli._distributions(m, k)
+        assert [p for p, _, _ in dists] == list(range(1, min(1 << m, 1 << k) + 1))
+        for p, state, dist in dists:
+            want = qft_input(apply_period_map(start, p))
+            assert state.amplitudes.tobytes() == want.amplitudes.tobytes(), (m, k, p)
+            assert dist.probabilities.tobytes() == input_probabilities(want).probabilities.tobytes(), (m, k, p)
+
+
+def test_largest_probability_table_is_pinned(capsys):
+    """sha256 of `tables probabilities --m 6 --k 6 --format csv`, the bound's
+    64 stacked states, so that every numpy the package supports checks it."""
+    assert entrypoint(["tables", "probabilities", "--m", "6", "--k", "6", "--format", "csv"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "83664f212bccf4b238b39833b991e4f9cd3dccad396bdec75556862f3ec5ae0d"
 
 
 def test_reduced_density_is_physical():
