@@ -12,9 +12,9 @@ IR. Its three array steps, the period map, the transform and the
 probabilities, take a stack of (input value, output value) grids with a
 leading period axis, so the tables build every period in one pass; the
 one-state functions are their one-period case. Order finding samples the
-input register's distribution from its closed form in the order and
-M = 2**m, without building the statevector, then recovers the
-multiplicative order from the seeded measurements.
+input register's distribution from ``period_distribution(m, r)``, its
+closed form in the order r and M = 2**m, without the statevector, then
+recovers the multiplicative order from the seeded measurements.
 
 Sampling uses numpy's default PCG64 generator; all sampling entry points
 take an explicit seed and are bit-reproducible.
@@ -266,49 +266,44 @@ class OrderFindingResult(NamedTuple):
     m: int  # input-register qubits; M = 2**m
 
 
-def _register_sizes(n: int) -> tuple[int, int]:
-    m = max(1, (n * n - 1).bit_length())  # the least m >= 1 with 2**m >= n**2
-    k = (n - 1).bit_length()
-    return m, k
+def _register_sizes(n: int) -> int:
+    return max(1, (n * n - 1).bit_length())  # the least m >= 1 with 2**m >= n**2
 
 
-def _order_finding_probabilities(a: int, n: int) -> tuple[int, np.ndarray]:
-    """Measurement distribution of the input register, as (m, probabilities).
+def period_distribution(m: int, p: int) -> ProbDist:
+    """Measurement distribution of the m-qubit input register for a map of period p.
 
     Closed form of superpose, exponentiate, QFT and trace out the output
-    register (Shor 1997; Nielsen & Chuang 5.3.1). With r the order of a and
-    q, s = divmod(M, r), the inputs x0 + j*r sharing residue a**x0 form s
-    combs of q + 1 teeth and r - s combs of q teeth, and P sums the combs'
-    |QFT|**2. Summed over the combs, that is the DFT of their autocorrelation:
-    M**2 P[k] = sum over |j| <= q of w_j cos(2 pi k j r / M), with lag weight
-    w_j = s (q + 1 - |j|) + (r - s) (q - |j|) = M - r |j|. Every lag j*r is a
-    multiple of 2**t, where r = 2**t r' with r' odd, so P has period
-    sub = M / 2**t: the weights go at lags +-j*r' mod sub, one real FFT of
+    register (Shor 1997; Nielsen & Chuang 5.3.1). With q, s = divmod(M, p),
+    M = 2**m, the inputs x0 + j*p sharing the value at x0 form s combs of
+    q + 1 teeth and p - s combs of q teeth, and P sums the combs' |QFT|**2.
+    Summed over the combs, that is the DFT of their autocorrelation:
+    M**2 P[k] = sum over |j| <= q of w_j cos(2 pi k j p / M), with lag weight
+    w_j = s (q + 1 - |j|) + (p - s) (q - |j|) = M - p |j|. Every lag j*p is a
+    multiple of 2**t, where p = 2**t p' with p' odd, so P has period
+    sub = M / 2**t: the weights go at lags +-j*p' mod sub, one real FFT of
     length sub gives P[0..sub/2], the mirror P[sub - k] = P[k] gives one
     period, and the period is tiled 2**t times. The weights and the FFT are
-    at most M long; the dense 2**(m+k) statevector is never built.
+    at most M long, and ``check_registers(m, 0)`` bounds M.
     """
-    m, k = _register_sizes(n)
-    if m + k > _MAX_QUBITS:
-        raise ValueError(f"registers {m}+{k} exceed the {_MAX_QUBITS}-qubit bound")
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    r = 1 if a % n == 1 else multiplicative_order(a % n, n)
+    check_registers(m, 0)  # before 1 << m is evaluated
     size = 1 << m
-    t = (r & -r).bit_length() - 1
-    odd, sub = r >> t, size >> t
-    lags = -(-size // r)  # lags 0..q, less lag q when its weight s is 0
-    weights = np.arange(size, size - lags * r, -r, dtype=float)
+    if not 1 <= p <= size:
+        raise ValueError(f"period {p} outside 1..2**m")
+    t = (p & -p).bit_length() - 1
+    odd, sub = p >> t, size >> t
+    lags = -(-size // p)  # lags 0..q, less lag q when its weight s is 0
+    weights = np.arange(size, size - lags * p, -p, dtype=float)
     acf = np.zeros(sub)
     acf[: lags * odd : odd] = weights
-    acf[sub - (lags - 1) * odd : sub : odd] += weights[:0:-1]  # overlaps lags 0..q-1 only when r' = 1
+    acf[sub - (lags - 1) * odd : sub : odd] += weights[:0:-1]  # overlaps lags 0..q-1 only when p' = 1
     probs = np.empty(size)
     period = probs[:sub]
     period[: sub // 2 + 1] = np.fft.rfft(acf).real
     period[sub // 2 + 1 :] = period[sub // 2 - 1 : 0 : -1]
     period /= size**2
     probs.reshape(-1, sub)[1:] = period
-    return m, ProbDist(np.clip(probs, 0.0, None, out=probs)).probabilities
+    return ProbDist(np.clip(probs, 0.0, None, out=probs))
 
 
 def _reduce_to_exact_order(a: int, n: int, multiple: int) -> int:
@@ -330,7 +325,7 @@ def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResu
     """Simulated order finding: superpose, exponentiate, QFT, sample, recover.
 
     All shots, at most 2**20, are drawn first by a binary search of the CDF
-    of ``_order_finding_probabilities``, built as ``Generator.choice`` builds
+    of ``period_distribution(m, r)``, built as ``Generator.choice`` builds
     it (cumsum, then divide by the last entry), so they equal
     ``rng.choice(M, size=shots, p=P)``. Each sampled k then feeds the
     continued-fraction extractor; candidates are lcm-combined until
@@ -340,7 +335,11 @@ def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResu
     if math.gcd(a, n) != 1:
         raise ValueError("a must be coprime to n")
     check_draw(shots, seed)
-    m, cdf = _order_finding_probabilities(a, n)
+    if n < 2:
+        raise ValueError("modulus must be at least 2")
+    m = _register_sizes(n)
+    r = 1 if a % n == 1 else multiplicative_order(a % n, n)
+    cdf = period_distribution(m, r).probabilities
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     ks = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")

@@ -2,11 +2,11 @@
 
 import hashlib
 import json
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweep import sweep_pairs as _sweep_pairs
 
 from shorcompile.modexp import (
     CompileLevel,
@@ -17,7 +17,7 @@ from shorcompile.modexp import (
     compile_modexp,
     full_compile,
 )
-from shorcompile.numtheory import factor_semiprime, multiplicative_order
+from shorcompile.numtheory import multiplicative_order
 
 
 def test_truth_table_validation():
@@ -197,16 +197,6 @@ def test_full_compile_prefers_log_then_affine():
     assert full_compile(4, 33).g.kind is GKind.AFFINE
 
 
-def _sweep_pairs():
-    """Each coprime (a, N), N an odd semiprime below 90: 455 pairs."""
-    for n in range(15, 90, 2):
-        try:
-            factor_semiprime(n)
-        except ValueError:
-            continue
-        yield from ((a, n) for a in range(2, n) if math.gcd(a, n) == 1)
-
-
 def test_compiled_tables_are_pinned():
     """One digest over full_compile and every kind at n_in 1..3 on the sweep pairs.
 
@@ -263,18 +253,11 @@ def reference_affine_descriptor(outputs: tuple[int, ...], n: int) -> GDescriptor
 def test_affine_descriptor_matches_brute_force_on_every_small_full_compile():
     """The raw outputs of each coprime (a, N), N an odd semiprime below 90."""
     checked = 0
-    for n in range(15, 90, 2):
-        try:
-            factor_semiprime(n)
-        except ValueError:
-            continue
-        for a in range(2, n):
-            if math.gcd(a, n) != 1:
-                continue
-            r = multiplicative_order(a, n)
-            raw = tuple(pow(a, x % r, n) for x in range(1 << max(1, (r - 1).bit_length())))
-            assert _affine_descriptor(raw, n) == reference_affine_descriptor(raw, n), (a, n)
-            checked += 1
+    for a, n in _sweep_pairs():
+        r = multiplicative_order(a, n)
+        raw = tuple(pow(a, x % r, n) for x in range(1 << max(1, (r - 1).bit_length())))
+        assert _affine_descriptor(raw, n) == reference_affine_descriptor(raw, n), (a, n)
+        checked += 1
     assert checked == 455
 
 

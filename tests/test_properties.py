@@ -32,7 +32,8 @@ from shorcompile.circuit import (
 )
 from shorcompile.library import LIBRARY
 from shorcompile.modexp import TruthTable, input_vectors, pack, set_bits, unpack
-from shorcompile.qsim import _order_finding_probabilities, order_finding_run
+from shorcompile.numtheory import multiplicative_order
+from shorcompile.qsim import _register_sizes, order_finding_run, period_distribution
 from shorcompile.synth import (
     AffineForm,
     BitFit,
@@ -498,6 +499,7 @@ def test_order_finding_draws_equal_numpy_choice(pair, seed, shots):
     """The cached-CDF sampler reproduces Generator.choice on the same probabilities,
     so a numpy release that changes choice's algorithm fails here."""
     a, n = pair
-    m, probs = _order_finding_probabilities(a, n)
+    m = _register_sizes(n)
+    probs = period_distribution(m, 1 if a == 1 else multiplicative_order(a, n)).probabilities
     want = np.random.default_rng(seed).choice(1 << m, size=shots, p=probs)
     assert order_finding_run(a, n, shots, seed).samples == tuple(want.tolist())

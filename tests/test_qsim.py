@@ -2,20 +2,21 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from sweep import sweep_pairs as _sweep_pairs
 
 from shorcompile import cli, qsim
-from shorcompile.cli import EXIT_USAGE, entrypoint
+from shorcompile.cli import EXIT_OK, EXIT_USAGE, entrypoint
 from shorcompile.numtheory import multiplicative_order, prime_factors
 from shorcompile.qsim import (
     DensityMatrix,
     NoiseParams,
     ProbDist,
     StateVector,
-    _order_finding_probabilities,
     _register_sizes,
     apply_period_map,
     depolarize,
@@ -23,6 +24,7 @@ from shorcompile.qsim import (
     input_probabilities,
     noisy_separability,
     order_finding_run,
+    period_distribution,
     qft_input,
     reduce_to_input,
     sample,
@@ -363,7 +365,7 @@ def test_register_sizes_match_the_doubling_loop():
         return m
 
     for n in [*range(4097), 2**20 - 1]:
-        assert _register_sizes(n) == (doubling(n), (n - 1).bit_length()), n
+        assert _register_sizes(n) == doubling(n), n
 
 
 def test_order_finding_deterministic_per_seed():
@@ -378,8 +380,7 @@ def test_order_finding_restarts_the_lcm_when_junk_candidates_blow_it_up(monkeypa
     passes N**2, so the run restarts from the latest one: the multiple it
     verifies stays within N**2 (956916991800 without the restart), and it
     still recovers r."""
-    m = _register_sizes(85)[0]
-    monkeypatch.setattr(qsim, "_order_finding_probabilities", lambda a, n: (m, np.full(1 << m, 1.0 / (1 << m))))
+    monkeypatch.setattr(qsim, "period_distribution", lambda m, p: ProbDist(np.full(1 << m, 1.0 / (1 << m))))
     verified = []
     reduce = qsim._reduce_to_exact_order
     monkeypatch.setattr(qsim, "_reduce_to_exact_order", lambda a, n, big: verified.append(big) or reduce(a, n, big))
@@ -421,7 +422,7 @@ def test_order_finding_accepts_the_shot_bound():
 
 def _dense_order_finding(a: int, n: int) -> np.ndarray:
     """Dense oracle: superpose, write a**x mod n to the output register, QFT, marginal."""
-    m, k = _register_sizes(n)
+    m, k = _register_sizes(n), (n - 1).bit_length()
     state = uniform_input_state(m, k)
     xs = np.arange(1 << m)
     residues = np.array([pow(a, int(x), n) for x in xs])
@@ -434,22 +435,10 @@ def _coprime_pairs(max_n: int) -> list[tuple[int, int]]:
     return [(a, n) for n in range(3, max_n + 1) for a in range(2, n) if math.gcd(a, n) == 1]
 
 
-def _sweep_pairs() -> list[tuple[int, int]]:
-    """The 455 coprime (a, N), N an odd semiprime below 90, in (N, a) order."""
-    return [
-        (a, n)
-        for n in range(15, 90, 2)
-        if list(prime_factors(n).values()) == [1, 1]
-        for a in range(2, n)
-        if math.gcd(a, n) == 1
-    ]
-
-
 @pytest.mark.parametrize("pairs", [_coprime_pairs(35), [(2, 77)]], ids=["n<=35", "a2_n77"])
 def test_order_finding_distribution_matches_dense_path(pairs):
     for a, n in pairs:
-        m, probs = _order_finding_probabilities(a, n)
-        assert m == _register_sizes(n)[0]
+        probs = period_distribution(_register_sizes(n), multiplicative_order(a, n)).probabilities
         assert np.max(np.abs(probs - _dense_order_finding(a, n))) <= 1e-15, (a, n)
 
 
@@ -457,8 +446,9 @@ def test_order_finding_distribution_matches_dense_path(pairs):
 def test_order_finding_distribution_matches_dense_path_when_16_divides_r(a, n):
     # r = 16: the kernel's transform is M / 16 long and its period is tiled 16 times
     assert multiplicative_order(a, n) == 16
-    m, probs = _order_finding_probabilities(a, n)
-    assert m == _register_sizes(n)[0] >= 12
+    m = _register_sizes(n)
+    assert m >= 12
+    probs = period_distribution(m, 16).probabilities
     assert np.max(np.abs(probs - _dense_order_finding(a, n))) <= 1e-15
 
 
@@ -478,14 +468,13 @@ def _two_comb_probabilities(m: int, r: int) -> np.ndarray:
 
 def test_order_finding_kernel_matches_the_two_comb_form():
     # every (m, r) of the sweep, plus r = 1 (a = 1), which the sweep never reaches
-    cases = {(_register_sizes(n)[0], multiplicative_order(a, n)): (a, n) for a, n in _sweep_pairs()}
-    cases.update({(_register_sizes(n)[0], 1): (1, n) for n in (15, 85)})
+    cases = {(_register_sizes(n), multiplicative_order(a, n)) for a, n in _sweep_pairs()}
+    cases |= {(_register_sizes(n), 1) for n in (15, 85)}
     rs = {r for _, r in cases}
     assert {1, 2, 4, 8, 16} <= rs and {3, 5, 15} <= rs  # r = 1, powers of two and odd r
-    for (m, r), (a, n) in sorted(cases.items()):
-        got_m, probs = _order_finding_probabilities(a, n)
-        assert got_m == m
-        assert np.max(np.abs(probs - _two_comb_probabilities(m, r))) <= 1e-15, (a, n)
+    for m, r in sorted(cases):
+        probs = period_distribution(m, r).probabilities
+        assert np.max(np.abs(probs - _two_comb_probabilities(m, r))) <= 1e-15, (m, r)
 
 
 def test_order_finding_samples_equal_dense_draws():
@@ -538,9 +527,55 @@ def test_order_finding_samples_are_pinned():
     assert digest.hexdigest() == PINNED_ORDER_FINDING_SAMPLES
 
 
-def test_order_finding_keeps_the_qubit_cap(capsys):
-    assert sum(_register_sizes(91)) == 21
-    with pytest.raises(ValueError, match="20-qubit"):
-        order_finding_run(2, 91, 10, seed=0)
-    assert entrypoint(["factor", "--N", "91", "--a", "2", "--shots", "10"]) == EXIT_USAGE
-    assert "20-qubit" in capsys.readouterr().err
+def test_period_distribution_checks_its_registers_and_period():
+    with pytest.raises(ValueError, match=r"register sizes 21\+0 out of range"):
+        period_distribution(21, 3)
+    with pytest.raises(ValueError, match=r"register sizes -1\+0 out of range"):
+        period_distribution(-1, 1)
+    for m, p in [(3, 0), (3, 9), (0, 2)]:
+        with pytest.raises(ValueError, match=rf"period {p} outside 1\.\.2\*\*m"):
+            period_distribution(m, p)
+    # p = M gives every input its own value: the transform spreads it evenly
+    assert period_distribution(3, 8) == ProbDist(np.full(8, 1 / 8))
+    assert period_distribution(0, 1) == ProbDist(np.ones(1))
+
+
+def test_period_distribution_matches_the_dense_tables_for_every_period():
+    """The closed form against the dense stacked path of ``tables``, for every
+    period p <= min(2**m, 2**k) at every (m, k) with 1 <= m <= 6 and 0 <= k <= 6."""
+    checked = 0
+    for m in range(1, 7):
+        for k in range(7):
+            for p, _, dense in cli._distributions(m, k):
+                got = period_distribution(m, p).probabilities
+                assert np.max(np.abs(got - dense.probabilities)) <= 1e-15, (m, k, p)
+                checked += 1
+    assert checked == 360
+
+
+def test_factor_runs_order_finding_past_the_old_qubit_cap(capsys):
+    # the least N with m + k > 20: m = 14, and order finding builds no k-qubit output register
+    assert entrypoint(["factor", "--N", "91", "--a", "2"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "factors: 7 13"
+
+
+def test_factor_runs_order_finding_at_the_register_bound(capsys):
+    # 1023**2 > 2**19: M = 2**20, the most entries check_registers allows
+    assert entrypoint(["factor", "--N", "1023", "--a", "2", "--shots", "64"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "M=1048576 " in out
+    assert out.splitlines()[-1] == "factors: 31 33"
+
+
+def test_factor_refuses_registers_past_the_bound_before_building_an_array(capsys):
+    # 1025**2 > 2**20: M = 2**21 float entries would be 16 MiB
+    tracemalloc.start()
+    try:
+        code = entrypoint(["factor", "--N", "1025", "--a", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: register sizes 21+0 out of range\n"
+    assert peak < 1 << 20

@@ -8,13 +8,13 @@ import random
 
 import numpy as np
 import pytest
+from sweep import odd_semiprimes_below as _odd_semiprimes_below
 from test_properties import reference_circuit_dict
 
 from shorcompile import synth
 from shorcompile.circuit import Circuit, circuit_from_json, circuit_to_json, cost, render_gates, verify
 from shorcompile.library import FIGURE_IDS, LIBRARY
 from shorcompile.modexp import GKind, TruthTable, compile_modexp, full_compile
-from shorcompile.numtheory import factor_semiprime
 from shorcompile.synth import (
     _candidates,
     _catalogue,
@@ -193,16 +193,6 @@ def test_synthesized_circuits_are_pinned(source, allow_neg):
     circ = synthesize(table, allow_negative_controls=allow_neg)
     digest = hashlib.sha256(render_gates(circ).encode()).hexdigest()
     assert (cost(circ).quantum_cost, digest) == PINNED_CIRCUITS[source, allow_neg]
-
-
-def _odd_semiprimes_below(limit: int) -> list[int]:
-    out = []
-    for n in range(15, limit, 2):
-        try:
-            out.append(factor_semiprime(n).n)
-        except ValueError:
-            pass
-    return out
 
 
 def test_every_small_full_compile_synthesizes_or_hits_the_width_cap():
