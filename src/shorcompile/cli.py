@@ -26,8 +26,11 @@ import math
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .circuit import (
@@ -92,8 +95,34 @@ _MAX_TABLE_AMPLITUDES = 1 << 18
 
 
 def _object(members: dict[str, str]) -> str:
-    """A JSON object from its members' encoded values, as ``json.dumps`` joins them."""
-    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in members.items()) + "}"
+    """A JSON object from its members' encoded values, as ``json.dumps`` joins them.
+
+    A key is encoded by the function that ``json.dumps`` calls for a str.
+    """
+    return "{" + ", ".join(f"{encode_basestring_ascii(key)}: {value}" for key, value in members.items()) + "}"
+
+
+def _json_floats(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())`` for an array of finite float64s.
+
+    Each distinct value is formatted once, by the shortest round-trip
+    ``float.__repr__`` that ``json.dumps`` writes. Values are told apart by
+    bit pattern, so 0.0 and -0.0 keep their own text. The texts fill a
+    template nested by the array's shape.
+    """
+    flat = values.ravel()
+    bits = flat.view(np.int64).tolist()
+    texts = dict(zip(bits, flat.tolist()))
+    texts = dict(zip(texts, map(float.__repr__, texts.values())))
+    template = "%s"
+    for size in reversed(values.shape):
+        template = "[" + ", ".join([template] * size) + "]"
+    return template % tuple(map(texts.__getitem__, bits))
+
+
+def _json_scalar(value: int | float | None) -> str:
+    """``json.dumps(value)`` for an int, a finite float or None, without the encoder's per-call set-up."""
+    return "null" if value is None else repr(value)
 
 
 def _document(
@@ -517,13 +546,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     s_pred = noisy_separability(s_theory, noise, m)
     floor = 1.0 / (1 << m)
 
+    # the distributions stay arrays: JSON mode writes them with _json_floats, text mode with _cell;
+    # every other member is an int, a finite float or None
     payload: dict = {
         "p": p,
         "m": m,
         "k": k,
         "epsilon": noise.epsilon,
-        "theoretical": clean.probabilities.tolist(),
-        "noisy": noisy.probabilities.tolist(),
+        "theoretical": clean.probabilities,
+        "noisy": noisy.probabilities,
         "s_theory": s_theory,
         "s_noisy_predicted": s_pred,
     }
@@ -531,7 +562,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         empirical = sample(noisy, args.shots, args.seed)
         s_obs = separability_index(empirical)
         payload["shots"] = args.shots
-        payload["empirical"] = empirical.probabilities.tolist()
+        payload["empirical"] = empirical.probabilities
         payload["s_observed"] = s_obs
         payload["epsilon_estimate"] = None
         if s_theory > floor + 1e-12:
@@ -541,41 +572,44 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 payload["epsilon_estimate"] = estimate_epsilon(s_theory, s_obs, m)
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
-
-    if args.rho:
-        rho = reduce_to_input(state)
-        entries = [[[z.real, z.imag] for z in row] for row in rho.entries.tolist()]
-        payload["rho"] = {"dim": rho.dim, "entries": entries}
+    rho = reduce_to_input(state) if args.rho else None
 
     if args.format == "json":
         # Each member is encoded once. Joined in sorted key order, the encodings
         # are json.dumps(payload, sort_keys=True), the bytes the checksum has
         # always hashed: rho, the one nested object, has its keys in sorted order.
-        encoded = {key: json.dumps(value) for key, value in payload.items()}
+        encoded = {
+            key: _json_floats(value) if isinstance(value, np.ndarray) else _json_scalar(value)
+            for key, value in payload.items()
+        }
+        if rho is not None:
+            # each entry as its [re, im] pair
+            entries = _json_floats(rho.entries.view(float).reshape(rho.dim, rho.dim, 2))
+            encoded["rho"] = _object({"dim": _json_scalar(rho.dim), "entries": entries})
         params = {"p": p, "m": m, "k": k, "epsilon": noise.epsilon, "shots": args.shots}
         hashed = _object({key: encoded[key] for key in sorted(encoded)})
         sys.stdout.write(_document("simulate", params, args.seed, "payload", hashed, encoded))
         return EXIT_OK
 
-    # text lines are formatted only here, from the payload, so JSON mode never builds them
+    # text lines are formatted only here, so JSON mode never builds them
     lines = [f"p={p} m={m} k={k} epsilon={noise.epsilon}"]
-    lines.append("theoretical: " + " ".join(map(_cell, payload["theoretical"])))
+    lines.append("theoretical: " + " ".join(map(_cell, clean.probabilities.tolist())))
     if noise.epsilon < 1.0:
-        lines.append("noisy:       " + " ".join(map(_cell, payload["noisy"])))
+        lines.append("noisy:       " + " ".join(map(_cell, noisy.probabilities.tolist())))
     lines.append(f"S_theory={s_theory:.6f} S_noisy_predicted={s_pred:.6f}")
     if args.shots:
-        drawn = " ".join(map(_cell, payload["empirical"]))
+        drawn = " ".join(map(_cell, empirical.probabilities.tolist()))
         lines.append(f"empirical:   {drawn}  (shots={args.shots} seed={args.seed})")
-        lines.append(f"S_observed={payload['s_observed']:.6f}")
+        lines.append(f"S_observed={s_obs:.6f}")
         est = payload["epsilon_estimate"]
         if est is None:
             lines.append("epsilon_estimate: n/a (separability already at the 1/2^m floor)")
         else:
             lines.append(f"epsilon_estimate={est:.6f}")
-    if args.rho:
+    if rho is not None:
         lines.append("reduced input density matrix:")
-        for row in payload["rho"]["entries"]:
-            lines.append("  " + " ".join(f"{re:+.4f}{im:+.4f}j" for re, im in row))
+        for row in rho.entries.tolist():
+            lines.append("  " + " ".join(f"{z.real:+.4f}{z.imag:+.4f}j" for z in row))
     print("\n".join(lines))
     return EXIT_OK
 

@@ -338,6 +338,7 @@ def order_finding_run(a: int, n: int, shots: int, seed: int) -> OrderFindingResu
     if n < 2:
         raise ValueError("modulus must be at least 2")
     m = _register_sizes(n)
+    check_registers(m, 0)  # before the order walk, up to n steps, not after it in period_distribution
     r = 1 if a % n == 1 else multiplicative_order(a % n, n)
     cdf = period_distribution(m, r).probabilities
     np.cumsum(cdf, out=cdf)

@@ -1032,6 +1032,7 @@ _JSON_CALLS = [
     ("synth", "--a", "7", "--N", "15"),
     ("simulate", "--p", "3"),
     ("simulate", "--p", "3", "--epsilon", "0.8", "--shots", "256", "--seed", "1", "--rho"),
+    ("simulate", "--m", "5", "--k", "4", "--p", "7", "--epsilon", "0.5", "--shots", "1000", "--rho"),
     ("factor", "--N", "15", "--a", "2", "--shots", "64", "--seed", "11"),
     ("factor", "--N", "33", "--a", "4", "--shots", "200", "--seed", "3"),  # minus-one failure
     ("factor", "--N", "15", "--a", "6"),  # gcd shortcut
@@ -1049,6 +1050,8 @@ def test_json_output_is_one_compact_line(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code in (EXIT_OK, EXIT_MISMATCH)
     _assert_one_json_line(out)
+    # every member, hand-joined or written from an array, is what json.dumps writes
+    assert out == json.dumps(json.loads(out)) + "\n"
 
 
 def test_json_files_are_one_compact_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property tests: the packed input and output columns, and their unpacking,
 against bitwise sums over the rows, the packed evaluator against the row-at-a-time reference,
 the template JSON encoder against json.dumps of the document dict, the
+float array and scalar writers against json.dumps, the
 synthesizer's candidates against the gates built for them, its greedy
 repair, whole gate list and returned error masks, against a plain-Python
 loop that scores every candidate each round, its packed ANF transform
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from shorcompile.circuit import (
     Circuit,
@@ -30,6 +32,7 @@ from shorcompile.circuit import (
     evaluate,
     verify,
 )
+from shorcompile.cli import _json_floats, _json_scalar
 from shorcompile.library import LIBRARY
 from shorcompile.modexp import TruthTable, input_vectors, pack, set_bits, unpack
 from shorcompile.numtheory import multiplicative_order
@@ -200,6 +203,33 @@ def shared_gate_circuits(draw) -> Circuit:
 @given(shared_gate_circuits())
 def test_template_encoder_writes_the_reference_encoding(circ):
     assert circuit_to_json(circ) == json.dumps(reference_circuit_dict(circ))
+
+
+# Values whose texts are easy to get wrong: both zeros (equal, with two bit
+# patterns), the least normal, subnormals down to the least, and the
+# exponent forms of repr.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 1e-5, 1.7e308, -1.7e308)
+
+
+@settings(max_examples=200)
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+        elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+    )
+)
+@example(np.array([[0.0, -0.0, 5e-324, 1e-310, 1e16], [1e-5, 1.7e308, -1.7e308, -0.0, 0.0]]))
+def test_float_array_writer_writes_the_reference_encoding(values):
+    assert _json_floats(values) == json.dumps(values.tolist())
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(st.none(), st.integers(), st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+)
+def test_scalar_writer_writes_the_reference_encoding(value):
+    assert _json_scalar(value) == json.dumps(value)
 
 
 @st.composite

@@ -10,7 +10,9 @@ import pytest
 from sweep import sweep_pairs as _sweep_pairs
 
 from shorcompile import cli, qsim
+from shorcompile.circuit import cost
 from shorcompile.cli import EXIT_OK, EXIT_USAGE, entrypoint
+from shorcompile.modexp import compile_modexp, full_compile
 from shorcompile.numtheory import multiplicative_order, prime_factors
 from shorcompile.qsim import (
     DensityMatrix,
@@ -31,6 +33,7 @@ from shorcompile.qsim import (
     separability_index,
     uniform_input_state,
 )
+from shorcompile.synth import synthesize
 
 RNG = np.random.default_rng(31337)
 
@@ -477,6 +480,32 @@ def test_order_finding_kernel_matches_the_two_comb_form():
         assert np.max(np.abs(probs - _two_comb_probabilities(m, r))) <= 1e-15, (m, r)
 
 
+def test_sweep_tables_with_r_equal_to_2_to_the_n_in_validate_one_qubit_wider():
+    """Of the 341 sweep tables that synthesize, those with r = 2**n_in map the
+    inputs one to one, so their target at m = n_in is exactly uniform, as a
+    fully depolarized device's is. One more input qubit costs nothing: r
+    divides 2**n_in, so the n_in + 1 table repeats the n_in one and
+    synthesizes, under the same g family, to the same qcost."""
+    power_of_two, moduli, other_moduli = 0, set(), set()
+    for a, n in _sweep_pairs():
+        compiled = full_compile(a, n)
+        table, r = compiled.table, compiled.period
+        if max(table.n_in, table.n_out) > 6:
+            continue
+        if r != 1 << table.n_in:
+            other_moduli.add(n)
+            continue
+        power_of_two += 1
+        moduli.add(n)
+        size = 1 << table.n_in
+        assert np.array_equal(period_distribution(table.n_in, r).probabilities, np.full(size, 1.0 / size)), (a, n)
+        wider = compile_modexp(a, n, table.n_in + 1, compiled.g.kind).table
+        assert cost(synthesize(wider)).quantum_cost == cost(synthesize(table)).quantum_cost, (a, n)
+    assert power_of_two == 123
+    # the moduli whose every synthesizing table has r = 2**n_in
+    assert sorted(moduli - other_moduli) == [15, 51, 85]
+
+
 def test_order_finding_samples_equal_dense_draws():
     for a, n, seed in [(2, 15, 0), (7, 15, 3), (4, 21, 1), (5, 33, 9), (2, 35, 4)]:
         dense = _dense_order_finding(a, n)
@@ -579,3 +608,13 @@ def test_factor_refuses_registers_past_the_bound_before_building_an_array(capsys
     assert code == EXIT_USAGE and out == ""
     assert err == "error: register sizes 21+0 out of range\n"
     assert peak < 1 << 20
+
+
+def test_factor_refuses_registers_past_the_bound_before_walking_the_order(monkeypatch, capsys):
+    # the walk takes up to N steps: 80388 for --N 1046523 --a 2, which m = 40 refuses anyway
+    def refuse(*_):
+        raise AssertionError("walked the order")
+
+    monkeypatch.setattr(qsim, "multiplicative_order", refuse)
+    assert entrypoint(["factor", "--N", "1025", "--a", "2"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: register sizes 21+0 out of range\n")
