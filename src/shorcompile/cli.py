@@ -23,7 +23,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
@@ -53,6 +52,7 @@ from .numtheory import (
     shor_postprocess,
 )
 from .qsim import (
+    MAX_RHO_QUBITS,
     NoiseParams,
     ProbDist,
     StateVector,
@@ -83,8 +83,6 @@ EXIT_SYNTHESIS = 3
 
 # guard against float dust right at a golden tolerance boundary
 _TOL_SLACK = 1e-9
-# ``simulate --rho`` builds a 2**m x 2**m complex matrix: 16 MiB at this bound
-_MAX_RHO_QUBITS = 10
 # ``tables`` refuses work past these bounds before it computes a row (the README
 # states the time taken at each): the orders of every base coprime to --N,
 _MAX_ORDERS_N = 8192
@@ -135,11 +133,6 @@ def _document(
     checksums = {checksum: hashlib.sha256(hashed.encode("utf-8")).hexdigest()}
     manifest = {"command": command, "params": params, "seed": seed, "version": __version__, "checksums": checksums}
     return _object({"manifest": json.dumps(manifest), **members}) + "\n"
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _text_table(header: tuple[str, ...], rows: list[list]) -> str:
@@ -398,7 +391,7 @@ def _check_circuits() -> list[str]:
 
 
 # Options every ``tables`` kind shares; the rest are the kind's parameters.
-_TABLE_OPTIONS = ("command", "kind", "func", "format", "out")
+_TABLE_OPTIONS = ("command", "kind", "func", "format")
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -406,23 +399,16 @@ def cmd_tables(args: argparse.Namespace) -> int:
     params = {name: value for name, value in vars(args).items() if name not in _TABLE_OPTIONS}
     table = _KINDS[kind](**params)
     rows = [list(map(_cell, row)) for row in table.rows(_distributions)]
-    if not args.out and args.format == "text":
+    if args.format == "text":
         sys.stdout.write(_text_table(table.header, rows) + "\n")
         return EXIT_OK
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([table.header, *rows])
-    texts = {"csv": buf.getvalue()}
-    if args.out or args.format == "json":
+    text = buf.getvalue()
+    if args.format == "json":
         members = {"header": json.dumps(table.header), "rows": json.dumps(rows)}
-        texts["json"] = _document("tables", {"kind": kind, **params}, None, "csv", texts["csv"], members)
-    if not args.out:
-        sys.stdout.write(texts[args.format])
-        return EXIT_OK
-    os.makedirs(args.out, exist_ok=True)
-    for ext in ("csv", "json"):
-        path = os.path.join(args.out, f"{table.stem}.{ext}")
-        _write(path, texts[ext])
-        print(f"wrote {path}")
+        text = _document("tables", {"kind": kind, **params}, None, "csv", text, members)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -495,7 +481,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "delta": report.quantum_cost - library_qcost,
         }
 
-    if args.out or args.format == "json":
+    if args.format == "json":
         # the circuit is encoded once: checksums.circuit hashes the very bytes printed
         circ_text = circuit_to_json(circ)
         members = {
@@ -508,11 +494,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if comparison:
             members["comparison"] = json.dumps(comparison)
         params = {"a": a, "N": n, "compile": strategy, "n_in": table.n_in}
-        text = _document("synth", params, None, "circuit", circ_text, members)
-        if not args.out:
-            sys.stdout.write(text)
-            return EXIT_OK
-        _write(args.out, text)
+        sys.stdout.write(_document("synth", params, None, "circuit", circ_text, members))
+        return EXIT_OK
 
     print(f"f(x) = {a}**x mod {n}, r={compiled.period}, level={compiled.level.value}, g={compiled.g.kind.value}")
     print(f"table: n_in={table.n_in} n_out={table.n_out} rows={list(table.rows)}")
@@ -525,8 +508,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"library {comparison['library']}: qcost={comparison['library_qcost']} "
             f"delta={comparison['delta']:+d}"
         )
-    if args.out:
-        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -536,8 +517,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     m, k, p = args.m, args.k, args.p
     check_seed(args.seed)  # the manifest records it even when nothing is drawn
-    if args.rho and m > _MAX_RHO_QUBITS:
-        raise ValueError(f"--rho supports at most m={_MAX_RHO_QUBITS} input qubits, got m={m}")
+    if args.rho and m > MAX_RHO_QUBITS:  # before the state is built
+        raise ValueError(f"--rho supports at most m={MAX_RHO_QUBITS} input qubits, got m={m}")
     noise = NoiseParams(args.epsilon)
     state = qft_input(apply_period_map(uniform_input_state(m, k), p))
     clean = input_probabilities(state)
@@ -738,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         t.add_argument("--k", type=int, default=3)
     for t in (t_orders, t_allowed, t_prob, t_sep):
         t.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        t.add_argument("--out", help="directory to write <table>.csv and <table>.json into")
         t.set_defaults(func=cmd_tables)
 
     circ = sub.add_parser("circuit", help="inspect or check a reversible circuit")
@@ -756,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-in", dest="n_in", type=int, help="input register width (defaults per strategy; not for --compile full)"
     )
     synth.add_argument("--no-negative-controls", action="store_true")
-    synth.add_argument("--out", help="write the result document to this JSON file")
     synth.add_argument("--format", choices=("text", "json"), default="text")
     synth.set_defaults(func=cmd_synth)
 

@@ -32,6 +32,8 @@ from ._checked import checked_record
 from .numtheory import continued_fraction_order, multiplicative_order, prime_factors
 
 _MAX_QUBITS = 20
+# reduce_to_input builds a 2**m x 2**m complex matrix: 16 MiB at this bound
+MAX_RHO_QUBITS = 10
 # order_finding_run draws every shot up front: 8 bytes each, plus a Python int per sample.
 # sample takes the same bound; its multinomial count must also fit in an int64.
 _MAX_SHOTS = 1 << 20
@@ -175,7 +177,9 @@ def qft_input(state: StateVector) -> StateVector:
 
 
 def reduce_to_input(state: StateVector) -> DensityMatrix:
-    """Partial trace over the output register."""
+    """Partial trace over the output register, for at most ``MAX_RHO_QUBITS`` input qubits."""
+    if state.m > MAX_RHO_QUBITS:  # before the 2**m x 2**m product
+        raise ValueError(f"reduce_to_input supports at most m={MAX_RHO_QUBITS} input qubits, got m={state.m}")
     grid = state.grid()
     rho = grid @ grid.conj().T
     return DensityMatrix(1 << state.m, rho)

@@ -86,30 +86,16 @@ def test_tables_json_carries_manifest(capsys):
     assert len(doc["rows"]) == 8
 
 
-def test_tables_out_writes_files(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "tables", "orders", "--N", "33", "--out", str(tmp_path)
-    )
-    assert code == EXIT_OK
-    csv_file = tmp_path / "orders_n33.csv"
-    json_file = tmp_path / "orders_n33.json"
-    assert csv_file.exists() and json_file.exists()
-    doc = json.loads(json_file.read_text())
-    assert len(doc["rows"]) == 19
-
-
-def test_tables_options_in_any_order_write_the_same_bytes(tmp_path, capsys):
+def test_tables_options_in_any_order_write_the_same_bytes(capsys):
     """The manifest's params follow the kind's declared options, not argv:
     ``--k=2`` goes to the whole parser, the other two are read off the table."""
     orders = (("--k", "2", "--m", "3"), ("--m", "3", "--k", "2"), ("--k=2", "--m", "3"))
-    printed, written = set(), set()
-    for i, options in enumerate(orders):
+    printed = set()
+    for options in orders:
         code, out, _ = run(capsys, "tables", "separability", *options, "--format", "json")
         assert code == EXIT_OK
         printed.add(out)
-        assert run(capsys, "tables", "separability", *options, "--out", str(tmp_path / str(i)))[0] == EXIT_OK
-        written.add(tuple((tmp_path / str(i) / f"separability_m3k2.{ext}").read_bytes() for ext in ("csv", "json")))
-    assert len(printed) == 1 and len(written) == 1
+    assert len(printed) == 1
     assert json.loads(printed.pop())["manifest"]["params"] == {"kind": "separability", "m": 3, "k": 2}
 
 
@@ -477,13 +463,10 @@ def test_synth_text_notes_the_f4_33_erratum(capsys):
     assert "note: bundled f4_33_full realizes a different table for this triple\n" in out
 
 
-def test_synth_json_document(tmp_path, capsys):
-    out_file = tmp_path / "circ.json"
-    code, out, _ = run(
-        capsys, "synth", "--a", "2", "--N", "15", "--compile", "full", "--out", str(out_file)
-    )
+def test_synth_json_document(capsys):
+    code, out, _ = run(capsys, "synth", "--a", "2", "--N", "15", "--compile", "full", "--format", "json")
     assert code == EXIT_OK
-    doc = json.loads(out_file.read_text())
+    doc = json.loads(out)
     assert doc["manifest"]["command"] == "synth"
     assert doc["table"]["rows"] == [0, 1, 2, 3]
     assert doc["cost"]["quantum_cost"] >= 1
@@ -516,6 +499,11 @@ def test_synth_refuses_n_in_with_full_compile(monkeypatch, capsys):
         ("tables", "allowed-periods", "--diff-golden"),
         ("tables", "probabilities", "--diff-golden"),
         ("tables", "separability", "--diff-golden"),
+        ("tables", "orders", "--N", "21", "--out", "d"),
+        ("tables", "allowed-periods", "--out", "d"),
+        ("tables", "probabilities", "--out", "d"),
+        ("tables", "separability", "--out", "d"),
+        ("synth", "--a", "7", "--N", "15", "--out", "s.json"),
     ],
 )
 def test_deleted_options_are_usage_errors(capsys, argv):
@@ -606,10 +594,10 @@ def _rough_argvs(draw):
 def test_cli_exits_cleanly_on_drawn_arguments(argv):
     """Any argv the parser's own subcommands and options spell: every run exits
     0, 1 or 2, and 2 with one error line; argparse's usage errors are
-    SystemExit(2). Exit 3, a synthesized circuit failing its own check, is a fault."""
+    SystemExit(2). Exit 3, a synthesized circuit failing its own check, is a fault.
+    No run creates a file: the directory each one runs in stays empty."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    # --out writes files; each run writes into a directory of its own
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
@@ -620,6 +608,7 @@ def test_cli_exits_cleanly_on_drawn_arguments(argv):
                     code = exc.code
         finally:
             os.chdir(cwd)
+        assert os.listdir(tmp) == [], argv
     assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE), (argv, err.getvalue())
     if code == EXIT_USAGE:
         errors = [line for line in err.getvalue().splitlines() if "error:" in line]
@@ -763,9 +752,10 @@ def test_factor_rejects_prime_power(capsys):
 
 
 def test_factor_rejects_prime(capsys):
-    code, _, err = run(capsys, "factor", "--N", "13", "--shots", "10")
-    assert code == EXIT_USAGE
-    assert err == "error: N=13 is prime\n"
+    for n in (13, 3):  # 3 passes the odd N >= 3 check and is refused as a prime
+        code, _, err = run(capsys, "factor", "--N", str(n), "--shots", "10")
+        assert code == EXIT_USAGE
+        assert err == f"error: N={n} is prime\n"
 
 
 def test_factor_rejects_even(capsys):
@@ -1054,14 +1044,6 @@ def test_json_output_is_one_compact_line(capsys, argv):
     assert out == json.dumps(json.loads(out)) + "\n"
 
 
-def test_json_files_are_one_compact_line(tmp_path, capsys):
-    synth_file = tmp_path / "circ.json"
-    assert run(capsys, "synth", "--a", "7", "--N", "15", "--out", str(synth_file))[0] == EXIT_OK
-    _assert_one_json_line(synth_file.read_text(encoding="utf-8"))
-    assert run(capsys, "tables", "separability", "--out", str(tmp_path))[0] == EXIT_OK
-    _assert_one_json_line((tmp_path / "separability_m3k3.json").read_text(encoding="utf-8"))
-
-
 def _shortest_argv(path, leaf):
     """The subcommand path plus each positional's first choice and each required option."""
     argv = list(path)
@@ -1184,18 +1166,15 @@ _CIRCUIT_INPUTS = {
 
 
 def _every_command_calls():
-    """One call per command x format x ``--out`` combination; ``<tmp>`` is a scratch directory."""
+    """One call per command x format combination; ``<tmp>`` is a scratch directory."""
     for kind in _TABLE_KINDS:
         for fmt in ("text", "csv", "json"):
             yield ("tables", *kind, "--format", fmt)
-            yield ("tables", *kind, "--format", fmt, "--out", "<tmp>/out")
     yield ("tables", "orders", "--N", "16")
     for a, n, extra in (("7", "15", ()), ("4", "21", ()), ("4", "21", ("--compile", "log")),
                         ("32", "69", ("--no-negative-controls",))):
         for fmt in ("text", "json"):
             yield ("synth", "--a", a, "--N", n, *extra, "--format", fmt)
-            yield ("synth", "--a", a, "--N", n, *extra, "--format", fmt, "--out", "<tmp>/out/s.json")
-    yield ("synth", "--a", "7", "--N", "15", "--out", "<tmp>/missing/s.json")
     for argv in (("--p", "3"), ("--p", "3", "--epsilon", "0.8", "--shots", "256", "--seed", "1", "--rho"),
                  ("--p", "8", "--epsilon", "0.3", "--shots", "500"), ("--p", "1", "--shots", "64"),
                  ("--p", "7", "--epsilon", "0.7", "--shots", "300", "--seed", "2")):
@@ -1211,15 +1190,20 @@ def _every_command_calls():
         yield ("circuit", action, "--id", "f4_33_full")
         yield ("circuit", action, "--file", "<tmp>/in/c.json", "--table", "<tmp>/in/t.json")
     yield ("circuit", "verify", "--file", "<tmp>/in/c.json")
+    # a file that cannot be read is an OSError: exit 2 with one error line
+    yield ("circuit", "show", "--file", "<tmp>/missing.json")
+    yield ("circuit", "verify", "--id", "f4_21", "--table", "<tmp>/missing.json")
 
 
-# sha256 over (argv, exit code, stdout, stderr, and the name and bytes of each
-# file written under <tmp>/out) of every _every_command_calls call, with the
-# scratch directory written as <tmp>. Recorded before the commands shared one
-# document writer; it must not change. It was re-recorded once, when order
-# finding left the 20-qubit bound on m + k: the four `factor --N 91` calls
-# now factor N, and every other call kept its bytes.
-PINNED_EVERY_COMMAND_OUTPUT = "abba27b4f8d39f1ff76145a59b608de35a818bddc9cfc08a9994d07e7f8bbadd"
+# sha256 over (argv, exit code, stdout, stderr) of every _every_command_calls
+# call, with the scratch directory written as <tmp>. Recorded before the
+# commands shared one document writer; it must not change. It was re-recorded
+# twice. Once when order finding left the 20-qubit bound on m + k: the four
+# `factor --N 91` calls now factor N, and every other call kept its bytes.
+# Once when `--out` was deleted: the calls that passed it, and the files they
+# wrote, left the digest, two missing-file calls joined it, and the new body
+# was run at the commit before the deletion to record it.
+PINNED_EVERY_COMMAND_OUTPUT = "b4b777f17148fa8542355f3311df047dccad8328bf65d83daf22c91a33c9b330"
 
 
 def test_every_command_output_is_pinned(capsys):
@@ -1230,18 +1214,12 @@ def test_every_command_output_is_pinned(capsys):
         for name, doc in _CIRCUIT_INPUTS.items():
             with open(os.path.join(tmp, "in", name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-        out_dir = os.path.join(tmp, "out")
         for argv in _every_command_calls():
-            os.mkdir(out_dir)
             code, out, err = run(capsys, *(a.replace("<tmp>", tmp) for a in argv))
             out, err = out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")
             digest.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
-            for name in sorted(os.listdir(out_dir)):
-                with open(os.path.join(out_dir, name), "rb") as fh:
-                    digest.update(f"{name}\n".encode() + fh.read() + b"\n")
-            shutil.rmtree(out_dir)
             calls += 1
-    assert calls == 24 + 1 + 16 + 1 + 10 + 14 + 9 + 1
+    assert calls == 12 + 1 + 8 + 10 + 14 + 9 + 1 + 2
     assert digest.hexdigest() == PINNED_EVERY_COMMAND_OUTPUT
 
 
@@ -1269,18 +1247,14 @@ def test_simulate_checksum_hashes_the_printed_encoding(capsys, argv):
 
 
 @pytest.mark.parametrize("a, n, compared", [(4, 21, True), (7, 15, False)])
-def test_synth_checksum_hashes_the_printed_circuit(tmp_path, capsys, a, n, compared):
-    argv = ("synth", "--a", str(a), "--N", str(n))
-    code, out, _ = run(capsys, *argv, "--format", "json")
+def test_synth_checksum_hashes_the_printed_circuit(capsys, a, n, compared):
+    code, out, _ = run(capsys, "synth", "--a", str(a), "--N", str(n), "--format", "json")
     assert code == EXIT_OK
     doc = json.loads(out)
     assert out == json.dumps(doc) + "\n"
     assert ("comparison" in doc) == compared
     circuit = circuit_from_json(json.dumps(doc["circuit"]))
     assert doc["manifest"]["checksums"] == {"circuit": _sha256(circuit_to_json(circuit))}
-    out_file = tmp_path / "synth.json"
-    assert run(capsys, *argv, "--out", str(out_file))[0] == EXIT_OK
-    assert out_file.read_text(encoding="utf-8") == out
 
 
 class _Reached(Exception):

@@ -203,6 +203,24 @@ def test_reduced_density_is_physical():
         assert np.min(rho.spectrum()) > -1e-10
 
 
+def test_reduce_to_input_refuses_a_wide_input_register_before_the_product(monkeypatch):
+    # at m = 11 the 2**11 x 2**11 complex product alone would take 64 MiB
+    state = uniform_input_state(11, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^reduce_to_input supports at most m=10 input qubits, got m=11$"):
+            reduce_to_input(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the widest register it takes, with DensityMatrix's checks (a 1024 x 1024 eigensolve) left out:
+    # every entry of the uniform input's rho is 1/2**10
+    monkeypatch.setattr(qsim, "DensityMatrix", lambda dim, entries: (dim, entries))
+    dim, entries = reduce_to_input(uniform_input_state(10, 0))
+    assert dim == 1024 and np.allclose(entries, 1 / 1024)
+
+
 def test_density_spectrum_invariant_under_transform():
     # the transform acts unitarily on the input register alone, so the
     # reduced spectrum cannot change

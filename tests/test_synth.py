@@ -270,6 +270,41 @@ def test_sweep_cost_splits_by_stage():
     assert totals == {"linear": [2099, 0], "greedy": [11342, 1627], "mop-up": [176762, 29359]}
 
 
+# The wide sweep: every coprime (a, N), N one of the 46 odd semiprimes below
+# 256, compiled at rank. In full, 3906 tables synthesize and verify, 872 hit
+# the 6-bit cap, the total qcost is 11071036, and the pass takes 5.8-8.2 s on
+# a 2-core x86-64 VM, so tier-1 walks every WIDE_STRIDE-th pair in (N, a) order.
+WIDE_STRIDE = 4
+WIDE_DIGEST = "062409eb3957426b6b4d45b4add64f8d8aedb7b445c6eada1d0a6002f6f19ba2"
+
+
+def test_wide_sweep_circuits_are_pinned():
+    """Every WIDE_STRIDE-th wide-sweep pair: its rank table synthesizes to a
+    verified circuit or is refused by the 6-bit cap. One digest over each
+    circuit's render_gates and each refusal's message, pinned with the counts
+    and the total qcost; it changes under test_sweep_circuits_are_pinned's rules."""
+    pairs = [(a, n) for n in _odd_semiprimes_below(256) for a in range(2, n) if math.gcd(a, n) == 1]
+    assert len(_odd_semiprimes_below(256)) == 46 and len(pairs) == 4778
+    done = capped = qcost = 0
+    digest = hashlib.sha256()
+    for a, n in pairs[::WIDE_STRIDE]:
+        try:
+            table = compile_modexp(a, n, None, GKind.RANK).table
+            circ = synthesize(table)
+        except ValueError as exc:
+            assert str(exc) == "synthesis supports at most 6 input and 6 output bits", (a, n)
+            text = f"refused: {exc}"
+            capped += 1
+        else:
+            assert verify(circ, table) == [], (a, n)
+            qcost += cost(circ).quantum_cost
+            text = render_gates(circ)
+            done += 1
+        digest.update(f"{a} {n}\n{text}\n".encode())
+    assert (done, capped, qcost) == (958, 237, 2692891)
+    assert digest.hexdigest() == WIDE_DIGEST
+
+
 def test_an_exact_linear_fit_builds_no_greedy_state(monkeypatch):
     """A table the affine fit realizes exactly plans no repair and never reaches the catalogue."""
     table = LIBRARY["f2_15_full"].table
