@@ -27,7 +27,7 @@ import sys
 import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .numtheory import (
     coprime_order_table,
     factor_semiprime,
     is_prime_power,
+    odd_semiprimes,
     shor_postprocess,
 )
 from .qsim import (
@@ -86,7 +87,7 @@ _TOL_SLACK = 1e-9
 # ``tables`` refuses work past these bounds before it computes a row (the README
 # states the time taken at each): the orders of every base coprime to --N,
 _MAX_ORDERS_N = 8192
-# one semiprime test per odd n up to --max-N,
+# one primality test per odd number up to --max-N / 3,
 _MAX_ALLOWED_N = 16384
 # and one 2**(m+k)-amplitude state per period, for min(2**m, 2**k) periods
 _MAX_TABLE_AMPLITUDES = 1 << 18
@@ -158,16 +159,21 @@ class Table(NamedTuple):
 
     Its bundled golden, if any, is ``golden/<stem>.csv``: the header's
     columns plus a per-row ``tolerance``. The first ``key`` columns
-    identify a row. ``rows(dists)`` returns raw values; floats are
-    unformatted. A table of post-transform states or distributions reads
-    them as ``dists(m, k)``: ``_distributions``, or a cache of it that the
-    tables of one command share.
+    identify a row. ``columns(dists)`` returns one raw, unformatted column
+    per header column: a key column is a list, a value column a numpy array
+    of numbers or a list of text cells. A table of post-transform states
+    or distributions reads them as ``dists(m, k)``: ``_distributions``, or
+    a cache of it that the tables of one command share.
     """
 
     stem: str
     header: tuple[str, ...]
     key: int
-    rows: Callable[[_Dists], list[tuple]]
+    columns: Callable[[_Dists], tuple[Sequence, ...]]
+
+    def rows(self, dists: _Dists) -> list[tuple]:
+        """One tuple per row, its cells Python ints, floats and strs."""
+        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns(dists))))
 
 
 def _at_most(option: str, value: int, bound: int) -> None:
@@ -186,44 +192,57 @@ def _distributions(m: int, k: int) -> list[tuple[int, StateVector, ProbDist]]:
     return [(p, StateVector(m, k, g.reshape(-1)), ProbDist(q)) for p, g, q in zip(periods, grids, probs)]
 
 
-def _order_rows(n: int) -> list[tuple]:
+def _order_columns(n: int) -> tuple[list, np.ndarray]:
     _at_most("--N", n, _MAX_ORDERS_N)
     # factor_semiprime(n).n is n, once n is known to be an odd distinct-prime semiprime
-    return [(rec.a, rec.r) for rec in coprime_order_table(factor_semiprime(n).n)]
+    bases, orders = zip(*coprime_order_table(factor_semiprime(n).n))
+    return list(bases), np.array(orders)
 
 
-def _allowed_rows(max_n: int) -> list[tuple]:
+def _allowed_columns(max_n: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, list]:
     _at_most("--max-N", max_n, _MAX_ALLOWED_N)
-    rows = []
-    for n in range(15, max_n + 1, 2):
-        try:
-            sp = factor_semiprime(n)  # the one validation of n
-        except ValueError:
-            continue
-        periods = ";".join(str(d) for d in sp.allowed_periods())
-        rows.append((n, sp.p, sp.q, sp.carmichael(), periods))
-    return rows
+    found = odd_semiprimes(max_n)
+    return (
+        [sp.n for sp in found],
+        np.array([sp.p for sp in found]),
+        np.array([sp.q for sp in found]),
+        np.array([sp.carmichael() for sp in found]),
+        [";".join(map(str, sp.allowed_periods())) for sp in found],
+    )
 
 
-def _rho_rows(dists: _Dists) -> list[tuple]:
+def _probability_columns(states: list[tuple[int, StateVector, ProbDist]]) -> tuple[list, list, np.ndarray]:
+    size = len(states[0][2].probabilities)
+    return (
+        [p for p, _, _ in states for _ in range(size)],
+        list(range(size)) * len(states),
+        np.concatenate([d.probabilities for _, _, d in states]),
+    )
+
+
+def _separability_columns(states: list[tuple[int, StateVector, ProbDist]]) -> tuple[list, np.ndarray]:
+    return [p for p, _, _ in states], np.array([separability_index(d) for _, _, d in states])
+
+
+def _rho_columns(dists: _Dists) -> tuple[list, list, np.ndarray, np.ndarray]:
     _, state, _ = dists(3, 3)[3 - 1]  # periods count from 1
-    rho = reduce_to_input(state)
-    return [(r, c, z.real, z.imag) for r, row in enumerate(rho.entries.tolist()) for c, z in enumerate(row)]
+    entries = reduce_to_input(state).entries
+    dim = len(entries)
+    rows = [r for r in range(dim) for _ in range(dim)]
+    return rows, list(range(dim)) * dim, entries.real.ravel(), entries.imag.ravel()
 
 
 # One description per ``tables`` kind, called with the kind's own options.
 _KINDS: dict[str, Callable[..., Table]] = {
-    "orders": lambda N: Table(f"orders_n{N}", ("a", "r"), 1, lambda _: _order_rows(N)),
+    "orders": lambda N: Table(f"orders_n{N}", ("a", "r"), 1, lambda _: _order_columns(N)),
     "allowed-periods": lambda max_N: Table(
-        f"allowed_periods_max{max_N}", ("N", "p", "q", "lambda", "periods"), 1, lambda _: _allowed_rows(max_N)
+        f"allowed_periods_max{max_N}", ("N", "p", "q", "lambda", "periods"), 1, lambda _: _allowed_columns(max_N)
     ),
     "probabilities": lambda m, k: Table(
-        f"probabilities_m{m}k{k}", ("p", "k", "probability"), 2,
-        lambda dists: [(p, i, v) for p, _, d in dists(m, k) for i, v in enumerate(d.probabilities.tolist())],
+        f"probabilities_m{m}k{k}", ("p", "k", "probability"), 2, lambda dists: _probability_columns(dists(m, k))
     ),
     "separability": lambda m, k: Table(
-        f"separability_m{m}k{k}", ("p", "S"), 1,
-        lambda dists: [(p, separability_index(d)) for p, _, d in dists(m, k)],
+        f"separability_m{m}k{k}", ("p", "S"), 1, lambda dists: _separability_columns(dists(m, k))
     ),
 }
 
@@ -234,31 +253,35 @@ _GOLDENS: tuple[tuple[str, Table], ...] = (
     ("allowed periods", _KINDS["allowed-periods"](90)),
     ("probabilities m=3 k=3", _KINDS["probabilities"](3, 3)),
     ("separability m=3 k=3", _KINDS["separability"](3, 3)),
-    ("reduced density p=3", Table("rho_p3", ("row", "col", "re", "im"), 2, _rho_rows)),
+    ("reduced density p=3", Table("rho_p3", ("row", "col", "re", "im"), 2, _rho_columns)),
 )
 
 _GOLDEN_DIR = Path(__file__).with_name("golden")
 
 
 class _Golden(NamedTuple):
-    """A golden CSV file, parsed once: row i is ``keys[i]``, ``values[i]``, ``tolerances[i]``.
+    """A golden CSV file, parsed once: row i is ``keys[i]``, then its value cells, then its tolerance.
 
     A key cell is an int when it is the canonical decimal of one, so it
     matches a computed int key, and its text otherwise, which matches none:
-    ``02`` and `` 2`` are not ``2``. A value cell is a float when it reads
-    as one and its text otherwise. A tolerance is a float, or None when its
-    cell does not read as one. ``rows[i]`` is the row's cells as parsed, for
-    a report to quote. ``malformed`` has one problem line for a missing header,
-    or one per row whose cell count is not the header's, at the line the row
-    starts on: such a file is reported by them alone.
+    ``02`` and `` 2`` are not ``2``. ``key_columns`` is the keys column by
+    column. ``written[i, j]`` is a value cell as written and ``want[i, j]``
+    the same cell as a float; ``limit[i, 0]`` is the row's tolerance plus
+    ``_TOL_SLACK``. ``want`` and ``limit`` are NaN wherever a cell does not
+    read as a finite number. ``rows[i]`` is the row's cells as parsed, for
+    a report to quote. ``malformed`` has one problem line for a missing
+    header, or one per row whose cell count is not the header's, at the
+    line the row starts on: such a file is reported by them alone.
     """
 
     header: list[str]
     malformed: tuple[str, ...]
     rows: list[list[str]]
     keys: tuple[tuple[int | str, ...], ...]
-    values: tuple[tuple[float | str, ...], ...]
-    tolerances: tuple[float | None, ...]
+    key_columns: tuple[list[int | str], ...]
+    written: np.ndarray
+    want: np.ndarray
+    limit: np.ndarray
 
 
 def _key_cell(cell: str) -> int | str:
@@ -269,13 +292,13 @@ def _key_cell(cell: str) -> int | str:
     return number if str(number) == cell else cell
 
 
-def _number(cell: str) -> float | None:
-    """The cell as a finite float, or None: a nan value would match anything, an inf tolerance accept it."""
+def _number(cell: str) -> float:
+    """The cell as a finite float, or NaN, which no check clears: an inf tolerance would accept anything."""
     try:
         number = float(cell)
     except ValueError:
-        return None
-    return number if math.isfinite(number) else None
+        return math.nan
+    return number if math.isfinite(number) else math.nan
 
 
 @functools.cache
@@ -301,15 +324,21 @@ def _golden(directory, stem: str, key: int) -> _Golden:
         for end, row in zip(ends, rows)
         if len(row) != len(header)
     ) if header else (f"{stem} line 1: no header",)
-    # each distinct value or tolerance text is read once, into one float that every row holding it shares
+    if malformed:
+        return _Golden(header, malformed, rows, (), (), *(np.empty((0, 0)),) * 3)
+    keys = tuple(tuple(map(_key_cell, row[:key])) for row in rows)
+    written = np.array([row[key:-1] for row in rows], dtype=object).reshape(len(rows), len(header[key:-1]))
+    # each distinct value or tolerance text is read once
     numbers = {cell: _number(cell) for cell in {c for row in rows for c in row[key:-1] + row[-1:]}}
     return _Golden(
         header,
         malformed,
         rows,
-        keys=tuple(tuple(map(_key_cell, row[:key])) for row in rows),
-        values=tuple(tuple(c if numbers[c] is None else numbers[c] for c in row[key:-1]) for row in rows),
-        tolerances=tuple(numbers[row[-1]] if row else None for row in rows),
+        keys,
+        key_columns=tuple(map(list, zip(*keys))),
+        written=written,
+        want=np.array([numbers[c] for c in written.flat], dtype=float).reshape(written.shape),
+        limit=np.array([numbers[row[-1]] for row in rows], dtype=float).reshape(-1, 1) + _TOL_SLACK,
     )
 
 
@@ -328,9 +357,11 @@ def _named(names: tuple[str, ...], cells: Iterable[object]) -> str:
 def _diff(table: Table, dists: _Dists) -> list[str]:
     """Compare ``table`` with its golden, matching rows on their key columns.
 
-    String cells must be equal and numeric cells agree within the row's
-    tolerance. Reports golden rows that disagree or are missing, golden
-    cells that should be numbers and are not, and extra computed rows.
+    Text cells must be equal and numeric cells agree within the row's
+    tolerance, a rule applied once to the whole table, which no NaN passes.
+    Each row that fails it gets one line: a golden row that disagrees or is
+    missing, or a golden cell that should be a number and is not. Extra
+    computed rows follow.
     """
     key, names, stem = table.key, table.header, table.stem
     golden = _golden(_GOLDEN_DIR, stem, key)
@@ -338,29 +369,44 @@ def _diff(table: Table, dists: _Dists) -> list[str]:
         return list(golden.malformed)
     if golden.header != [*names, "tolerance"]:
         return [f"{stem}: golden columns {','.join(golden.header)}, expected {','.join(names)},tolerance"]
-    computed = {tuple(row[:key]): row[key:] for row in table.rows(dists)}
+    columns = table.columns(dists)
+    values, n = columns[key:], len(columns[0])
+    # golden row i is computed row i, as on every bundled golden: the key lists compare in C, with
+    # no per-row dict, which keeps about a tenth off the golden check's latency
+    if columns[:key] == golden.key_columns:
+        index, pick, computed = range(n), slice(n), {}
+    else:
+        computed = dict(zip(zip(*columns[:key]), range(n)))
+        index = pick = [computed.pop(name, n) for name in golden.keys]  # n: a missing row
+    # the numeric cells; NaN in the text columns and in row n, which stands for a missing row
+    got = np.full((n + 1, len(values)), math.nan)
+    for j, column in enumerate(values):
+        if isinstance(column, np.ndarray):
+            got[:n, j] = column
+    ok = abs(got[pick] - golden.want) <= golden.limit
+    for j, column in enumerate(values):
+        if not isinstance(column, np.ndarray):  # a text cell, compared as written, in a row with a tolerance
+            texts = np.array([*column, None], dtype=object)[pick]
+            ok[:, j] = (texts == golden.written[:, j]) & ~np.isnan(golden.limit[:, 0])
     problems = []
-    for name, want, tol, cells in zip(golden.keys, golden.values, golden.tolerances, golden.rows):
-        got = computed.pop(name, None)
-        if got is None:
+    for i in [] if ok.all() else np.flatnonzero(~ok.all(axis=1)).tolist():  # each row the check did not clear
+        name, cells, row = golden.keys[i], golden.rows[i], index[i]
+        if row == n:
             problems.append(f"{stem} {_named(names, name)}: golden row missing")
             continue
-        if tol is None:
+        if math.isnan(golden.limit[i, 0]):
             problems.append(f"{stem} {_named(names, name)}: golden tolerance {cells[-1]!r} is not a number")
             continue
-        tol += _TOL_SLACK
-        for column, (w, g) in enumerate(zip(want, got), key):
-            if isinstance(g, str):  # a text cell, compared as written
-                bad = g != (w if isinstance(w, str) else cells[column])
-            elif isinstance(w, str):
-                problems.append(f"{stem} {_named(names, name)}: golden {names[column]} {w!r} is not a number")
-                break
-            else:
-                bad = abs(g - w) > tol
-            if bad:
+        for j, column in enumerate(values):
+            if isinstance(column, np.ndarray) and math.isnan(golden.want[i, j]):
                 problems.append(
-                    f"{stem} {_named(names, name)}: "
-                    f"golden {_named(names[key:], cells[key:-1])}, computed {_named(names[key:], got)}"
+                    f"{stem} {_named(names, name)}: golden {names[key + j]} {cells[key + j]!r} is not a number"
+                )
+                break
+            if not ok[i, j]:
+                problems.append(
+                    f"{stem} {_named(names, name)}: golden {_named(names[key:], cells[key:-1])}, "
+                    f"computed {_named(names[key:], [column[row] for column in values])}"
                 )
                 break
     problems.extend(f"{stem} {_named(names, name)}: extra computed row" for name in computed)

@@ -84,7 +84,9 @@ class Semiprime(checked_record("Semiprime", "n p q")):
         the complete list of periods an exponentiation map can have.
         """
         lam = self.carmichael()
-        return [d for d in range(2, lam + 1) if lam % d == 0]
+        # each divisor d <= sqrt(lam) pairs with lam // d >= sqrt(lam)
+        small = [d for d in range(1, math.isqrt(lam) + 1) if lam % d == 0]
+        return small[1:] + [lam // d for d in reversed(small) if d * d != lam]
 
 
 def factor_semiprime(n: int) -> Semiprime:
@@ -93,6 +95,22 @@ def factor_semiprime(n: int) -> Semiprime:
     if len(factors) != 2 or set(factors.values()) != {1}:
         raise ValueError(f"{n} is not an odd semiprime with distinct factors")
     return Semiprime(n, *factors)
+
+
+def odd_semiprimes(limit: int) -> list[Semiprime]:
+    """Every product p * q <= limit of two distinct odd primes, ascending.
+
+    The odd primes up to limit // 3 are listed once and paired, so no odd
+    n is factored or refused on its own.
+    """
+    primes = [f for f in range(3, limit // 3 + 1, 2) if is_prime(f)]
+    products = []
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            if p * q > limit:
+                break
+            products.append((p * q, p, q))
+    return [Semiprime(*fields) for fields in sorted(products)]
 
 
 class OrderRecord(NamedTuple):

@@ -3,8 +3,8 @@
 ``reference_diff`` is the comparator ``cli._diff`` once was: it reads and
 parses the golden CSV on every call and converts each golden cell as it
 compares it, raising on a cell that is not a finite number. For a golden
-whose every cell it can read, ``cli._diff`` must return exactly its problem
-list.
+whose every cell it can read, and finite computed cells, ``cli._diff`` must
+return exactly its problem list.
 """
 
 import csv
@@ -16,6 +16,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -291,3 +292,94 @@ def test_diff_matches_the_parse_per_call_reference(edit):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_GOLDEN_DIR", directory)
             assert cli._diff(table, _DISTS) == want
+
+
+def _with_cell(table, row, column, value):
+    """``table`` with computed cell ``(row, column)`` set to ``value``; the other cells as computed."""
+
+    def columns(dists):
+        edited = list(table.columns(dists))
+        cells = np.array(edited[column], dtype=float)  # a copy: the shared states stay as computed
+        cells[row] = value
+        edited[column] = cells
+        return tuple(edited)
+
+    return table._replace(columns=columns)
+
+
+@st.composite
+def _computed_cells(draw):
+    """A numeric computed cell of a bundled golden's table, set near its golden value.
+
+    The value is the golden value shifted by an amount around the row's
+    tolerance, exactly +-tol and +-(tol + 1e-9) among them. At a golden 0,
+    +-(tol + 1e-9) is the limit itself, where ``<=`` and ``<`` part.
+    """
+    stem = draw(st.sampled_from(sorted(_TABLES)))
+    _, table = _TABLES[stem]
+    columns = table.columns(_DISTS)
+    row = draw(st.integers(0, len(columns[0]) - 1))
+    column = draw(st.sampled_from([j for j in range(table.key, len(columns)) if isinstance(columns[j], np.ndarray)]))
+    golden = {tuple(cells[: table.key]): cells for cells in _bundled_rows(stem)[1:]}
+    cells = golden[tuple(str(c[row]) for c in columns[: table.key])]
+    tol = float(cells[-1])
+    shift = draw(
+        st.sampled_from([0.0, tol, -tol, tol + _TOL_SLACK, -(tol + _TOL_SLACK), tol + 2 * _TOL_SLACK])
+        | st.floats(-(2 * tol + 1), 2 * tol + 1)
+    )
+    return stem, row, column, float(cells[column]) + shift
+
+
+@settings(max_examples=300)
+@given(_computed_cells())
+# probabilities p=1 k=1 and rho's first imaginary part are golden zeros: +-(tol + slack) is the limit itself
+@example(("probabilities_m3k3", 1, 2, 0.001 + _TOL_SLACK))
+@example(("probabilities_m3k3", 1, 2, -(0.001 + _TOL_SLACK)))
+@example(("rho_p3", 0, 3, 0.0005 + _TOL_SLACK))
+@example(("orders_n21", 0, 1, 6.5))
+@example(("allowed_periods_max90", 3, 3, 13.0))
+@example(("separability_m3k3", 2, 1, 0.238 + 0.002))
+def test_diff_matches_the_reference_on_computed_cells(cell):
+    stem, row, column, value = cell
+    _, table = _TABLES[stem]
+    edited = _with_cell(table, row, column, value)
+    assert cli._diff(edited, _DISTS) == reference_diff(edited, cli._GOLDEN_DIR, _DISTS)
+
+
+def test_a_computed_nan_fails_its_row(monkeypatch, capsys):
+    """A NaN agrees with no golden value: separability's p=3 cell reads NaN and that row fails."""
+    p3 = _DISTS(3, 3)[3 - 1][2].probabilities
+    separability_index = cli.separability_index
+    monkeypatch.setattr(
+        cli, "separability_index", lambda d: math.nan if np.array_equal(d.probabilities, p3) else separability_index(d)
+    )
+    code = entrypoint(["diff-golden"])
+    out = capsys.readouterr().out
+    assert code == EXIT_MISMATCH
+    assert out.count(": FAIL") == 1
+    assert _section(out, "separability m=3 k=3") == [
+        "separability m=3 k=3: FAIL",
+        "  separability_m3k3 p=3: golden S=0.238, computed S=nan",
+    ]
+
+
+@pytest.mark.parametrize("label", [label for label, _ in cli._GOLDENS])
+def test_each_table_hands_diff_the_column_types_it_reads(label):
+    """``_diff`` compares an ndarray column as numbers and any other as text, and hashes key cells.
+
+    So a key column is a list of ints and strs, and a value column is a
+    numeric ndarray or a list of strs, every column one length: a numeric
+    value handed over as a list would fail every row against the golden's
+    text, and a key column handed over as an ndarray would key on numpy scalars.
+    """
+    table = dict(cli._GOLDENS)[label]
+    columns = table.columns(_DISTS)
+    assert len(columns) == len(table.header)
+    assert len({len(column) for column in columns}) == 1
+    for column in columns[: table.key]:
+        assert type(column) is list and all(type(cell) in (int, str) for cell in column)
+    for column in columns[table.key :]:
+        if isinstance(column, np.ndarray):
+            assert column.ndim == 1 and column.dtype.kind in "iuf"
+        else:
+            assert type(column) is list and all(type(cell) is str for cell in column)

@@ -1,12 +1,15 @@
 """Number theory layer, checked against brute-force oracles."""
 
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sweep import odd_semiprimes_below
 
+from shorcompile.cli import entrypoint
 from shorcompile.numtheory import (
     OrderRecord,
     PostProcessStatus,
@@ -18,6 +21,7 @@ from shorcompile.numtheory import (
     is_prime,
     is_prime_power,
     multiplicative_order,
+    odd_semiprimes,
     prime_factors,
     shor_postprocess,
 )
@@ -90,11 +94,28 @@ def test_carmichael_is_the_exponent_of_the_group():
 
 
 def test_allowed_periods_are_nontrivial_divisors():
-    for p, q in [(3, 5), (3, 7), (5, 13), (7, 11)]:
-        sp = Semiprime(p * q, p, q)
+    """Every odd semiprime below 4096 against the definition, a scan of 2..lambda."""
+    semiprimes = odd_semiprimes_below(4096)
+    assert len(semiprimes) == 798 and semiprimes[-1] == 4087
+    for n in semiprimes:
+        sp = factor_semiprime(n)
         lam = sp.carmichael()
-        periods = sp.allowed_periods()
-        assert periods == sorted(d for d in range(2, lam + 1) if lam % d == 0)
+        assert sp.allowed_periods() == [d for d in range(2, lam + 1) if lam % d == 0], n
+
+
+@pytest.mark.parametrize("limit", [-1, 0, 14, 15, 16, 21, 89, 90, 4095])
+def test_odd_semiprimes_are_the_odd_n_that_factor(limit):
+    """Pairing primes lists the records factor_semiprime builds for each odd n it accepts, in order."""
+    assert odd_semiprimes(limit) == [factor_semiprime(n) for n in odd_semiprimes_below(limit + 1)]
+
+
+def test_allowed_periods_table_is_pinned(capsys):
+    """sha256 of `tables allowed-periods --max-N 16384 --format csv`: every odd
+    semiprime up to the bound and its divisors, on every Python and numpy the
+    package supports."""
+    assert entrypoint(["tables", "allowed-periods", "--max-N", "16384", "--format", "csv"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "22ffb7681656641b29327fc762243830fbca66347c1d969ba477aa59ee004ab1"
 
 
 def test_allowed_periods_known_rows():
